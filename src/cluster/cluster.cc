@@ -251,7 +251,7 @@ class ClusterSim
                     std::vector<double>(static_cast<size_t>(n), 0.0));
                 for (int i = 0; i < n; ++i) {
                     const LcFingerprint fp = FingerprintFor(
-                        specs[i].machine, specs[i].lc.name);
+                        specs[i].machine, specs[i].lc.name, cfg_.jobs);
                     const double peak_leaf_load = std::min(
                         cfg_.load_high * cfg_.lc.peak_qps /
                             std::max(specs[i].lc.peak_qps, 1.0),

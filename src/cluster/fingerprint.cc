@@ -1,12 +1,11 @@
 #include "cluster/fingerprint.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 #include <mutex>
 #include <vector>
 
 #include "exp/characterization.h"
+#include "runner/pool.h"
 #include "sim/log.h"
 #include "workloads/lc_configs.h"
 
@@ -53,30 +52,6 @@ Clamp01(double v)
     return std::min(1.0, std::max(0.0, v));
 }
 
-/**
- * Cache key: every MachineConfig field that shapes the simulation,
- * *except* the seed — clusters stamp a per-leaf seed into the machine,
- * and the rig re-seeds deterministically anyway. Keep in sync with
- * MachineConfig when fields are added (a stale key only costs a
- * duplicate grid run, never a wrong result).
- */
-std::string
-CacheKey(const hw::MachineConfig& m, const std::string& lc_name)
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "%s|%d/%d/%d|%.17g/%.17g/%.17g/%.17g/%.17g|%.17g/%.17g/%.17g/"
-        "%.17g/%.17g|%.17g/%d|%.17g/%.17g|%.17g|%lld/%.17g",
-        lc_name.c_str(), m.sockets, m.cores_per_socket,
-        m.threads_per_core, m.nominal_ghz, m.min_ghz, m.turbo_1c_ghz,
-        m.turbo_slope_ghz, m.dvfs_step_ghz, m.tdp_w, m.uncore_w,
-        m.core_idle_w, m.dyn_coeff_w, m.dyn_exp, m.llc_mb_per_socket,
-        m.llc_ways, m.dram_gbps_per_socket, m.dram_knee, m.nic_gbps,
-        static_cast<long long>(m.epoch), m.counter_noise);
-    return buf;
-}
-
 }  // namespace
 
 std::string
@@ -95,42 +70,62 @@ FingerprintAxisName(FingerprintAxis axis)
 LcFingerprint
 MeasureLcFingerprint(const hw::MachineConfig& machine,
                      const workloads::LcParams& lc, sim::Duration warmup,
-                     sim::Duration measure)
+                     sim::Duration measure, int jobs)
 {
-    exp::CharacterizationRig rig(machine, lc, warmup, measure, kRigSeed);
+    const exp::CharacterizationRig rig(machine, lc, warmup, measure,
+                                       kRigSeed);
+    const std::vector<exp::AntagonistKind> kinds = AxisAntagonists();
     const std::vector<double>& loads = ProbeLoads();
+    const size_t cols = loads.size();
 
-    const std::vector<double> base = rig.RunBaselineRow(loads);
-    const std::vector<std::vector<double>> grid =
-        rig.RunGrid(AxisAntagonists(), loads);
+    // One flat fan-out: the baseline row, then one row per axis. Cell
+    // seeds depend only on (antagonist, load), so any thread count
+    // yields the same cells.
+    const std::vector<double> cells = runner::ParallelMap(
+        jobs, (1 + kinds.size()) * cols, [&](size_t i) {
+            const double load = loads[i % cols];
+            return i < cols ? rig.RunBaseline(load)
+                            : rig.RunCell(kinds[i / cols - 1], load);
+        });
+    const auto cell = [&](size_t row, size_t l) {
+        return std::min(cells[row * cols + l], kCellCap);
+    };
 
     LcFingerprint fp;
-    for (double b : base) fp.baseline += std::min(b, kCellCap);
-    fp.baseline /= static_cast<double>(base.size());
+    for (size_t l = 0; l < cols; ++l) fp.baseline += cell(0, l);
+    fp.baseline /= static_cast<double>(cols);
 
     for (int a = 0; a < kFingerprintAxes; ++a) {
         double delta = 0.0;
-        for (size_t l = 0; l < loads.size(); ++l) {
-            delta += std::max(0.0, std::min(grid[a][l], kCellCap) -
-                                       std::min(base[l], kCellCap));
+        for (size_t l = 0; l < cols; ++l) {
+            delta += std::max(0.0, cell(a + 1, l) - cell(0, l));
         }
-        fp.sensitivity[a] = delta / static_cast<double>(loads.size());
+        fp.sensitivity[a] = delta / static_cast<double>(cols);
     }
     return fp;
 }
 
 LcFingerprint
 FingerprintFor(const hw::MachineConfig& machine,
-               const std::string& lc_name)
+               const std::string& lc_name, int jobs)
 {
+    // Keyed on (machine shape, LC): the seed is zeroed out because
+    // clusters stamp a per-leaf seed into the machine. A handful of
+    // entries, so a linear scan does.
+    struct Entry {
+        hw::MachineConfig shape;
+        std::string lc_name;
+        LcFingerprint fp;
+    };
     static std::mutex mu;
-    static std::map<std::string, LcFingerprint>* cache =
-        new std::map<std::string, LcFingerprint>();
+    static std::vector<Entry>* cache = new std::vector<Entry>();
 
-    const std::string key = CacheKey(machine, lc_name);
+    hw::MachineConfig shape = machine;
+    shape.seed = 0;
     std::lock_guard<std::mutex> lock(mu);
-    auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
+    for (const Entry& e : *cache) {
+        if (e.shape == shape && e.lc_name == lc_name) return e.fp;
+    }
 
     const workloads::LcParams* canonical = nullptr;
     static std::vector<workloads::LcParams>* all =
@@ -141,8 +136,9 @@ FingerprintFor(const hw::MachineConfig& machine,
     HERACLES_CHECK_MSG(canonical != nullptr,
                        "no canonical LC workload named " << lc_name);
 
-    LcFingerprint fp = MeasureLcFingerprint(machine, *canonical);
-    (*cache)[key] = fp;
+    const LcFingerprint fp = MeasureLcFingerprint(
+        shape, *canonical, kFingerprintWarmup, kFingerprintMeasure, jobs);
+    cache->push_back({shape, lc_name, fp});
     return fp;
 }
 

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "hw/config.h"
+#include "runner/pool.h"
 #include "sim/time.h"
 #include "workloads/be_task.h"
 #include "workloads/lc_app.h"
@@ -73,28 +74,40 @@ struct BePressure {
     std::array<double, kFingerprintAxes> pressure{};
 };
 
+/** Rig windows of every production (FingerprintFor) measurement. */
+inline constexpr sim::Duration kFingerprintWarmup = sim::Seconds(10);
+inline constexpr sim::Duration kFingerprintMeasure = sim::Seconds(30);
+
 /**
  * Runs the characterization grid and distills the fingerprint —
  * deterministic for a given (machine shape, lc); the machine's seed is
- * ignored (the rig re-seeds internally). Uncached; the windows are
- * parameters only so unit tests can shrink them — production callers
- * go through FingerprintFor().
+ * ignored (the rig re-seeds internally). The baseline and antagonist
+ * cells fan out flat across @p jobs threads and are gathered in index
+ * order, so the result is bit-identical for every jobs value. Uncached;
+ * the windows are parameters only so unit tests can shrink them —
+ * production callers go through FingerprintFor().
  */
-LcFingerprint MeasureLcFingerprint(const hw::MachineConfig& machine,
-                                   const workloads::LcParams& lc,
-                                   sim::Duration warmup = sim::Seconds(10),
-                                   sim::Duration measure = sim::Seconds(30));
+LcFingerprint MeasureLcFingerprint(
+    const hw::MachineConfig& machine, const workloads::LcParams& lc,
+    sim::Duration warmup = kFingerprintWarmup,
+    sim::Duration measure = kFingerprintMeasure, int jobs = 1);
 
 /**
  * Cached fingerprint lookup. @p lc_name is resolved to the *canonical*
  * workload parameters (workloads::AllLcWorkloads), so leaves that carry
  * per-leaf SLO overrides or scenario-specific seeds still share one
  * cache entry; the key is the machine shape with the seed excluded.
- * Thread-safe; the first caller per key pays the grid run. Aborts on an
- * unknown workload name.
+ *
+ * Thread-safe. A cold key is measured once, by its first caller, with
+ * the cells fanned over @p jobs threads (jobs <= 1 runs them inline);
+ * the cache lock is held across that measurement, so concurrent
+ * callers — for any key — wait for it rather than measure twice.
+ * Results are bit-identical for every @p jobs. Aborts on an unknown
+ * workload name.
  */
 LcFingerprint FingerprintFor(const hw::MachineConfig& machine,
-                             const std::string& lc_name);
+                             const std::string& lc_name,
+                             int jobs = runner::DefaultJobs());
 
 /**
  * Scores a BE profile's demand into axis pressures, normalized by the

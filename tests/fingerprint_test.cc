@@ -7,10 +7,15 @@
  *
  * The measured-fingerprint tests shrink the rig windows so the suite
  * stays fast; the cached FingerprintFor path uses the production
- * windows and is exercised once (second lookup must be bit-identical
- * and instant by construction — same map entry).
+ * windows: once for a repeated lookup (second lookup must be
+ * bit-identical and instant by construction — same cache entry), and
+ * once for concurrent cold lookups of two distinct keys.
  */
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "cluster/fingerprint.h"
 #include "scenarios/scenario.h"
@@ -26,6 +31,15 @@ DefaultMachine()
     return scenarios::MachineVariant("default");
 }
 
+void
+ExpectBitwiseEqual(const LcFingerprint& a, const LcFingerprint& b)
+{
+    EXPECT_EQ(a.baseline, b.baseline);
+    for (int i = 0; i < kFingerprintAxes; ++i) {
+        EXPECT_EQ(a.sensitivity[i], b.sensitivity[i]) << "axis " << i;
+    }
+}
+
 TEST(Fingerprint, MeasurementIsDeterministic)
 {
     const hw::MachineConfig m = DefaultMachine();
@@ -34,10 +48,7 @@ TEST(Fingerprint, MeasurementIsDeterministic)
         MeasureLcFingerprint(m, lc, sim::Seconds(5), sim::Seconds(10));
     const LcFingerprint b =
         MeasureLcFingerprint(m, lc, sim::Seconds(5), sim::Seconds(10));
-    EXPECT_EQ(a.baseline, b.baseline);
-    for (int i = 0; i < kFingerprintAxes; ++i) {
-        EXPECT_EQ(a.sensitivity[i], b.sensitivity[i]) << "axis " << i;
-    }
+    ExpectBitwiseEqual(a, b);
 }
 
 TEST(Fingerprint, MachineSeedDoesNotChangeTheFingerprint)
@@ -54,10 +65,7 @@ TEST(Fingerprint, MachineSeedDoesNotChangeTheFingerprint)
         MeasureLcFingerprint(a, lc, sim::Seconds(5), sim::Seconds(10));
     const LcFingerprint fb =
         MeasureLcFingerprint(b, lc, sim::Seconds(5), sim::Seconds(10));
-    EXPECT_EQ(fa.baseline, fb.baseline);
-    for (int i = 0; i < kFingerprintAxes; ++i) {
-        EXPECT_EQ(fa.sensitivity[i], fb.sensitivity[i]) << "axis " << i;
-    }
+    ExpectBitwiseEqual(fa, fb);
 }
 
 TEST(Fingerprint, SensitivitiesAreNonNegativeAndSomeAreReal)
@@ -83,9 +91,54 @@ TEST(Fingerprint, CachedLookupIsStableAndMatchesPerLeafSeeds)
     hw::MachineConfig leaf = m;
     leaf.seed = m.seed * 131ull + 7;  // what a cluster leaf carries
     const LcFingerprint b = FingerprintFor(leaf, "websearch");
-    EXPECT_EQ(a.baseline, b.baseline);
-    for (int i = 0; i < kFingerprintAxes; ++i) {
-        EXPECT_EQ(a.sensitivity[i], b.sensitivity[i]) << "axis " << i;
+    ExpectBitwiseEqual(a, b);
+}
+
+TEST(Fingerprint, ParallelCellsMatchSerial)
+{
+    // The cells fan out flat over the pool and are gathered in index
+    // order: the thread count must not change a single bit.
+    const hw::MachineConfig m = DefaultMachine();
+    const workloads::LcParams lc = workloads::MlCluster();
+    const LcFingerprint serial = MeasureLcFingerprint(
+        m, lc, sim::Seconds(5), sim::Seconds(10), /*jobs=*/1);
+    const LcFingerprint parallel = MeasureLcFingerprint(
+        m, lc, sim::Seconds(5), sim::Seconds(10), /*jobs=*/4);
+    ExpectBitwiseEqual(serial, parallel);
+}
+
+TEST(Fingerprint, ConcurrentColdLookups)
+{
+    // Two keys no other test looks up, so both start cold; they share
+    // the LC and differ only in machine shape, so a key that lost the
+    // shape would hand one key's fingerprint to the other. Eight threads
+    // race on them, each with its own leaf seed, while each cold
+    // measurement fans its cells over the pool: every answer must equal
+    // a serial measurement of its key.
+    const workloads::LcParams lc = workloads::MlCluster();
+    const std::vector<hw::MachineConfig> keys = {
+        scenarios::MachineVariant("small"),
+        scenarios::MachineVariant("big"),
+    };
+    constexpr int kThreads = 8;
+    std::vector<LcFingerprint> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&keys, &lc, &got, t] {
+            hw::MachineConfig leaf = keys[t % keys.size()];
+            leaf.seed = 1000 + t;
+            got[t] = FingerprintFor(leaf, lc.name);
+        });
+    }
+    for (std::thread& th : threads) th.join();
+
+    for (size_t k = 0; k < keys.size(); ++k) {
+        const LcFingerprint serial = MeasureLcFingerprint(keys[k], lc);
+        for (int t = static_cast<int>(k); t < kThreads;
+             t += static_cast<int>(keys.size())) {
+            SCOPED_TRACE("thread " + std::to_string(t));
+            ExpectBitwiseEqual(got[t], serial);
+        }
     }
 }
 
