@@ -40,16 +40,20 @@ class ClusterSim
 {
   public:
     /**
+     * @param pool the worker pool for assembly and the epoch engine (not
+     *        owned); nullptr runs everything inline on the caller.
      * @param faults fault plan for this run, or nullptr for a clean run
      *        (the target-defining run is always clean); windows resolve
      *        against @p fault_total (the run's trace duration).
      */
-    ClusterSim(const ClusterConfig& cfg, const std::vector<LeafSpec>& specs,
+    ClusterSim(const ClusterConfig& cfg, runner::Pool* pool,
+               const std::vector<LeafSpec>& specs,
                const sim::LoadTrace& trace, bool colocate,
                sim::Duration target,
                const chaos::FaultPlan* faults = nullptr,
                sim::Duration fault_total = 0)
-        : cfg_(cfg), trace_(trace), target_(target), rng_(cfg.seed)
+        : cfg_(cfg), pool_(pool), trace_(trace), target_(target),
+          rng_(cfg.seed)
     {
         if (faults != nullptr) {
             for (const chaos::FaultSpec& f : faults->faults) {
@@ -149,13 +153,7 @@ class ClusterSim
                 models[li] = ctl::LcBwModel::Profile(specs[li].lc, mcfg);
             }
         };
-        if (cfg_.pool != nullptr) {
-            runner::ParallelFor(cfg_.pool, entries.size() + models.size(),
-                                assemble);
-        } else {
-            runner::ParallelFor(cfg_.jobs, entries.size() + models.size(),
-                                assemble);
-        }
+        runner::ParallelFor(pool_, entries.size() + models.size(), assemble);
 
         leaves_.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i) {
@@ -298,17 +296,10 @@ class ClusterSim
             cluster_faults_);
         epochs_ += clock.size();
 
-        runner::Pool* pool = cfg_.pool;
-        std::unique_ptr<runner::Pool> owned;
-        if (pool == nullptr && cfg_.jobs > 1 && leaves_.size() > 1) {
-            owned = std::make_unique<runner::Pool>(std::min(
-                cfg_.jobs, static_cast<int>(leaves_.size())));
-            pool = owned.get();
-        }
         for (const sim::SimTime t : clock.barriers) {
             for (auto& leaf : leaves_) leaf.inbox.clear();
             PumpArrivals(/*limit=*/t);
-            FanOutLeaves(pool, t, /*inclusive=*/false);
+            FanOutLeaves(t, /*inclusive=*/false);
             DrainOutboxes();
             ApplyFaultBoundaries(t);
             if (t % cfg_.root_window == 0) CloseWindow(t);
@@ -321,7 +312,7 @@ class ClusterSim
         // them (and any arrival at exactly `duration`) last.
         for (auto& leaf : leaves_) leaf.inbox.clear();
         PumpArrivals(duration + 1);
-        FanOutLeaves(pool, duration, /*inclusive=*/true);
+        FanOutLeaves(duration, /*inclusive=*/true);
     }
 
     /**
@@ -560,10 +551,10 @@ class ClusterSim
      * results (leaves are thread-confined within an epoch).
      */
     void
-    FanOutLeaves(runner::Pool* pool, sim::SimTime until, bool inclusive)
+    FanOutLeaves(sim::SimTime until, bool inclusive)
     {
         const size_t nb = batching_.batches();
-        if (nb <= 1 || pool == nullptr || pool->threads() <= 1) {
+        if (nb <= 1 || pool_ == nullptr || pool_->threads() <= 1) {
             for (auto& leaf : leaves_) StepLeaf(leaf, until, inclusive);
             return;
         }
@@ -578,7 +569,7 @@ class ClusterSim
                          [this](size_t a, size_t b) {
                              return batch_work_[a] > batch_work_[b];
                          });
-        runner::ParallelFor(pool, batch_order_, [&](size_t b) {
+        runner::ParallelFor(pool_, batch_order_, [&](size_t b) {
             const size_t end = batching_.BatchEnd(b);
             for (size_t i = batching_.BatchBegin(b); i < end; ++i) {
                 StepLeaf(leaves_[i], until, inclusive);
@@ -791,6 +782,7 @@ class ClusterSim
     };
 
     ClusterConfig cfg_;
+    runner::Pool* pool_;
     const sim::LoadTrace& trace_;
     sim::Duration target_;
     sim::Rng rng_;
@@ -859,7 +851,6 @@ ClusterExperiment::ResolveSpecs()
 runner::Pool*
 ClusterExperiment::SharedPool()
 {
-    if (cfg_.pool != nullptr) return cfg_.pool;
     if (pool_ == nullptr && cfg_.jobs > 1 && ResolveSpecs().size() > 1) {
         pool_ = std::make_unique<runner::Pool>(std::min(
             cfg_.jobs, static_cast<int>(ResolveSpecs().size())));
@@ -873,9 +864,7 @@ ClusterExperiment::MeasureTarget()
     if (target_ > 0) return target_;
     const std::vector<LeafSpec>& specs = ResolveSpecs();
     sim::ConstantTrace trace(cfg_.target_load);
-    ClusterConfig run_cfg = cfg_;
-    run_cfg.pool = SharedPool();
-    ClusterSim sim(run_cfg, specs, trace, /*colocate=*/false,
+    ClusterSim sim(cfg_, SharedPool(), specs, trace, /*colocate=*/false,
                    /*target=*/0);
     sim.Run(cfg_.target_run, cfg_.run_warmup);
     // The worst mu/30s window at the defining load is the SLO target,
@@ -948,10 +937,8 @@ ClusterExperiment::Run()
     for (size_t i = 0; i < run_specs.size(); ++i) {
         run_specs[i].lc.slo_latency = leaf_targets_[i];
     }
-    ClusterConfig run_cfg = cfg_;
-    run_cfg.pool = SharedPool();
-    ClusterSim sim(run_cfg, run_specs, *trace, cfg_.colocate, target_,
-                   cfg_.faults.empty() ? nullptr : &cfg_.faults,
+    ClusterSim sim(cfg_, SharedPool(), run_specs, *trace, cfg_.colocate,
+                   target_, cfg_.faults.empty() ? nullptr : &cfg_.faults,
                    cfg_.duration);
     sim.Run(cfg_.duration, cfg_.run_warmup);
 

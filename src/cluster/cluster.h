@@ -132,8 +132,10 @@ struct ClusterConfig {
     /**
      * Worker threads for the run: the assembly work (BE alone-rate
      * baselines, per-leaf bandwidth-model profiling) and the epoch
-     * engine's per-barrier leaf fan-out both use this width. Results
-     * never depend on it — leaves exchange state only at deterministic
+     * engine's per-barrier leaf fan-out both use this width, through
+     * one pool (capped at the leaf count) that ClusterExperiment shares
+     * across its target-defining and colocated runs. Results never
+     * depend on it — leaves exchange state only at deterministic
      * epoch barriers, so jobs=N is bit-identical to jobs=1. Defaults to
      * the tree's shared policy (HERACLES_JOBS env var, else hardware
      * concurrency).
@@ -150,18 +152,6 @@ struct ClusterConfig {
      * unbatched); 1 = one task per leaf.
      */
     int leaf_batch = 0;
-
-    /**
-     * Shared worker pool (not owned). When set, the run's assembly work
-     * and the epoch engine submit here instead of spawning their own
-     * pool — a sweep that runs many configurations reuses one set of
-     * threads instead of paying a pool spawn per run. The pool must not
-     * receive work from two runs concurrently (ParallelFor waits for the
-     * whole pool); RunScenarios-style outer fan-outs need one pool per
-     * worker, or none. nullptr = the run manages its own pool from
-     * `jobs`.
-     */
-    runner::Pool* pool = nullptr;
 };
 
 /** Results of a cluster run. */
@@ -239,10 +229,11 @@ class ClusterExperiment
     const std::vector<LeafSpec>& ResolveSpecs();
 
     /**
-     * The pool every run of this experiment shares: the caller's
-     * cfg.pool when set, else one lazily spawned from cfg.jobs — so
-     * MeasureTarget and Run (and a caller's repeat runs) pay one thread
-     * spawn total, not one per run.
+     * The pool every run of this experiment shares, lazily spawned from
+     * cfg.jobs (capped at the leaf count) — so MeasureTarget and Run
+     * (and a caller's repeat runs) pay one thread spawn total, not one
+     * per run. Null when cfg.jobs <= 1 or there is a single leaf: the
+     * runs then execute inline.
      */
     runner::Pool* SharedPool();
 

@@ -24,25 +24,26 @@ Experiment::PaperLoads(double step)
 }
 
 LoadPointResult
-Experiment::RunAt(double load) const
+Experiment::Run(const sim::LoadTrace& trace, uint64_t salt,
+                const chaos::FaultPlan& faults) const
 {
     sim::EventQueue queue;
 
     ServerSpec spec;
     spec.machine = cfg_.machine;
     spec.lc = cfg_.lc;
-    spec.SeedFrom(cfg_.seed,
-                  static_cast<uint64_t>(std::lround(load * 1000)));
+    spec.SeedFrom(cfg_.seed, salt);
     spec.be = cfg_.be;
     spec.policy = cfg_.policy;
     spec.heracles = cfg_.heracles;
+    spec.faults =
+        chaos::ResolvedFaultPlan::For(faults, cfg_.warmup + cfg_.measure);
 
     ServerSim server(spec, queue);
     workloads::LcApp& lc = server.lc();
     workloads::BeTask* be = server.be();
-    ctl::HeraclesController* controller = server.controller();
 
-    lc.SetLoad(load);
+    lc.SetTrace(&trace);
     lc.Start();
     server.machine().ResolveNow();
 
@@ -50,11 +51,12 @@ Experiment::RunAt(double load) const
         server.RunMeasured(cfg_.warmup, cfg_.measure);
 
     LoadPointResult r;
-    r.load = load;
     r.worst_tail = lc.WorstReportTail();
     r.tail_frac_slo = static_cast<double>(r.worst_tail) /
                       static_cast<double>(cfg_.lc.slo_latency);
     r.slo_violated = r.tail_frac_slo > 1.0;
+    r.p95 = lc.OverallPercentile(0.95);
+    r.p99 = lc.OverallPercentile(0.99);
 
     const double measure_s = sim::ToSeconds(cfg_.measure);
     r.lc_throughput =
@@ -63,16 +65,40 @@ Experiment::RunAt(double load) const
     r.emu = r.lc_throughput + r.be_throughput;
 
     r.telemetry = server.machine().AveragedTelemetry();
+
+    if (const ctl::HeraclesController* c = server.controller()) {
+        const ctl::ControllerStats& s = c->stats();
+        r.polls = s.polls;
+        r.be_enables = s.be_enables;
+        r.be_disables = s.be_disables_slack + s.be_disables_load;
+        r.core_shrinks = s.core_shrinks;
+        r.slack = c->LastSlack();
+    }
+    r.actuations = server.platform().actuations();
+    if (const chaos::InvariantChecker* c = server.checker()) {
+        r.invariant_violations = c->count();
+    }
+    if (const chaos::FaultyPlatform* f = server.faulty()) {
+        r.faulted_ops = f->faulted_ops();
+    }
+
     r.be_cores = server.platform().BeCores();
     r.be_ways = server.platform().BeWays();
     r.be_freq_cap_ghz = server.platform().BeFreqCapGhz();
-    r.slack = controller ? controller->LastSlack() : 0.0;
-    if (controller) {
-        r.be_disables = controller->stats().be_disables_slack +
-                        controller->stats().be_disables_load;
-    }
 
     server.StopController();
+    return r;
+}
+
+LoadPointResult
+Experiment::RunAt(double load) const
+{
+    // A constant load is ConstantTrace, exactly what LcApp::SetLoad
+    // installs, so the trace path reproduces the load point bit for bit.
+    const sim::ConstantTrace trace(load);
+    LoadPointResult r = Run(
+        trace, static_cast<uint64_t>(std::lround(load * 1000)), {});
+    r.load = load;
     return r;
 }
 

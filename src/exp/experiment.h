@@ -16,11 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plan.h"
 #include "exp/server_sim.h"
 #include "heracles/config.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
 #include "platform/sim_platform.h"
+#include "sim/trace.h"
 #include "workloads/antagonists.h"
 #include "workloads/lc_configs.h"
 
@@ -39,13 +41,15 @@ struct ExperimentConfig {
     uint64_t seed = 1;
 };
 
-/** Results of one (load point) measurement. */
+/** Results of one measurement (a load point or a load trace). */
 struct LoadPointResult {
-    double load = 0.0;
+    double load = 0.0;  ///< The constant load (RunAt only; 0 for a trace).
 
     sim::Duration worst_tail = 0;  ///< Worst report-window tail.
     double tail_frac_slo = 0.0;    ///< worst_tail / SLO.
     bool slo_violated = false;
+    sim::Duration p95 = 0;  ///< LC p95 over the whole measurement.
+    sim::Duration p99 = 0;
 
     double lc_throughput = 0.0;  ///< Served fraction of LC peak.
     double be_throughput = 0.0;  ///< BE rate normalized to running alone.
@@ -62,16 +66,37 @@ struct LoadPointResult {
      *  the whole run including warmup — evidence of instability even
      *  when the measured window looks clean after a cooldown. */
     uint64_t be_disables = 0;
+    // Controller activity over the whole run (Heracles policy only).
+    uint64_t polls = 0;
+    uint64_t be_enables = 0;
+    uint64_t core_shrinks = 0;
+    platform::ActuationCounts actuations;
+
+    // Chaos / safety harness (Heracles policy only): recorded safety
+    // invariant violations and degraded platform operations.
+    uint64_t invariant_violations = 0;
+    uint64_t faulted_ops = 0;
 };
 
 /**
- * Runs colocation measurements. Every RunAt builds a completely fresh
- * simulation so load points are independent and reproducible.
+ * Runs colocation measurements. Every Run builds a completely fresh
+ * simulation so measurements are independent and reproducible.
  */
 class Experiment
 {
   public:
     explicit Experiment(ExperimentConfig cfg);
+
+    /**
+     * The one single-server measurement: builds a fresh server seeded
+     * from (config seed, @p salt) with @p faults resolved against
+     * warmup + measure, drives its LC app with @p trace through warmup
+     * and measurement, and harvests tail, EMU, telemetry and controller
+     * state. Catalog single-server scenarios and RunAt both measure
+     * here.
+     */
+    LoadPointResult Run(const sim::LoadTrace& trace, uint64_t salt,
+                        const chaos::FaultPlan& faults) const;
 
     /** Runs warmup + measurement at a fixed load fraction. */
     LoadPointResult RunAt(double load) const;

@@ -43,14 +43,6 @@ RunSweep(const std::vector<SweepJob>& sweep, int jobs)
     });
 }
 
-std::vector<exp::LoadPointResult>
-RunSweep(const exp::Experiment& e, const std::vector<double>& loads,
-         int jobs)
-{
-    return ParallelMap(jobs, loads.size(),
-                       [&](size_t i) { return e.RunAt(loads[i]); });
-}
-
 void
 AppendLoadJobs(std::vector<SweepJob>& sweep,
                const exp::ExperimentConfig& cfg,

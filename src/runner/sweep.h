@@ -38,17 +38,11 @@ struct SweepJob {
  * Runs every job across @p jobs threads, building one Experiment per
  * row (or per stand-alone job). Results arrive in submission order;
  * jobs <= 1 is the serial reference path producing identical bytes.
+ * (To sweep the loads of one already-built Experiment, use
+ * Experiment::Sweep.)
  */
 std::vector<exp::LoadPointResult> RunSweep(
     const std::vector<SweepJob>& sweep, int jobs);
-
-/**
- * Fans one experiment's load points across @p jobs threads, sharing the
- * already-measured BE-alone rate. Equivalent to Experiment::Sweep.
- */
-std::vector<exp::LoadPointResult> RunSweep(const exp::Experiment& e,
-                                           const std::vector<double>& loads,
-                                           int jobs);
 
 /**
  * Expands one config over many loads into jobs tagged with @p tag,

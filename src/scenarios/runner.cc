@@ -66,94 +66,63 @@ MakeTrace(const ScenarioSpec& spec, sim::Duration warmup,
     HERACLES_FATAL("unhandled trace kind");
 }
 
+/** The Experiment a single-server spec describes, for any trace shape. */
+exp::ExperimentConfig
+ComposeExperimentConfig(const ScenarioSpec& spec, const RunOptions& opts)
+{
+    exp::ExperimentConfig cfg;
+    cfg.machine = spec.machine;
+    cfg.lc = LcByName(spec.lc);
+    if (HasBe(spec)) {
+        cfg.be = workloads::BeProfileByName(spec.machine, spec.be);
+    }
+    cfg.policy = spec.policy;
+    cfg.heracles = spec.heracles;
+    cfg.warmup = Scale(spec.warmup, opts.time_scale, sim::Seconds(20));
+    cfg.measure = Scale(spec.measure, opts.time_scale, sim::Seconds(30));
+    cfg.seed = opts.seed.value_or(spec.seed);
+    return cfg;
+}
+
 ScenarioMetrics
 RunSingleServer(const ScenarioSpec& spec, const RunOptions& opts)
 {
-    const uint64_t seed = opts.seed.value_or(spec.seed);
-    const sim::Duration warmup =
-        Scale(spec.warmup, opts.time_scale, sim::Seconds(20));
-    const sim::Duration measure =
-        Scale(spec.measure, opts.time_scale, sim::Seconds(30));
-
-    exp::ServerSpec srv;
-    srv.machine = spec.machine;
-    srv.lc = LcByName(spec.lc);
-    srv.SeedFrom(seed, /*salt=*/97);
-    if (HasBe(spec)) {
-        srv.be = workloads::BeProfileByName(spec.machine, spec.be);
-    }
-    srv.policy = spec.policy;
-    srv.heracles = spec.heracles;
-    srv.faults =
-        chaos::ResolvedFaultPlan::For(spec.faults, warmup + measure);
-
-    // Alone-rate normalization mirrors exp::Experiment: derived from the
-    // spec's machine so EMU is comparable across seeds of one scenario.
-    double be_alone = 1.0;
-    if (srv.be.has_value() &&
-        spec.policy != exp::PolicyKind::kNoColocation) {
-        be_alone = workloads::MeasureAloneRate(spec.machine, *srv.be);
-    }
-
-    sim::EventQueue queue;
-    exp::ServerSim server(srv, queue);
-    workloads::LcApp& lc = server.lc();
-    workloads::BeTask* be = server.be();
-
-    const auto trace = MakeTrace(spec, warmup, measure, seed);
-    lc.SetTrace(trace.get());
-    lc.Start();
-    server.machine().ResolveNow();
-
-    const uint64_t completed = server.RunMeasured(warmup, measure);
+    const exp::ExperimentConfig cfg = ComposeExperimentConfig(spec, opts);
+    const exp::Experiment experiment(cfg);
+    const auto trace = MakeTrace(spec, cfg.warmup, cfg.measure, cfg.seed);
+    const exp::LoadPointResult r =
+        experiment.Run(*trace, /*salt=*/97, spec.faults);
 
     ScenarioMetrics m;
     m.scenario = spec.name;
 
-    const sim::Duration worst = lc.WorstReportTail();
-    const double slo = static_cast<double>(srv.lc.slo_latency);
-    m.worst_tail_ms = sim::ToMillis(worst);
-    m.tail_frac_slo = static_cast<double>(worst) / slo;
+    m.worst_tail_ms = sim::ToMillis(r.worst_tail);
+    m.tail_frac_slo = r.tail_frac_slo;
     m.slo_attained = m.tail_frac_slo <= 1.0 ? 1.0 : 0.0;
-    m.p95_ms = sim::ToMillis(lc.OverallPercentile(0.95));
-    m.p99_ms = sim::ToMillis(lc.OverallPercentile(0.99));
+    m.p95_ms = sim::ToMillis(r.p95);
+    m.p99_ms = sim::ToMillis(r.p99);
 
-    const double measure_s = sim::ToSeconds(measure);
-    m.lc_throughput =
-        static_cast<double>(completed) / measure_s / srv.lc.peak_qps;
-    m.be_throughput = be != nullptr ? be->AvgRate() / be_alone : 0.0;
-    m.emu = m.lc_throughput + m.be_throughput;
+    m.lc_throughput = r.lc_throughput;
+    m.be_throughput = r.be_throughput;
+    m.emu = r.emu;
 
-    const hw::MachineTelemetry t = server.machine().AveragedTelemetry();
-    m.dram_frac = t.dram_frac;
-    m.cpu_util = t.cpu_utilization;
-    m.power_frac_tdp = t.power_frac_tdp;
+    m.dram_frac = r.telemetry.dram_frac;
+    m.cpu_util = r.telemetry.cpu_utilization;
+    m.power_frac_tdp = r.telemetry.power_frac_tdp;
 
-    if (const ctl::HeraclesController* c = server.controller()) {
-        const ctl::ControllerStats& s = c->stats();
-        m.polls = static_cast<double>(s.polls);
-        m.be_enables = static_cast<double>(s.be_enables);
-        m.be_disables =
-            static_cast<double>(s.be_disables_slack + s.be_disables_load);
-        m.core_shrinks = static_cast<double>(s.core_shrinks);
-    }
-    const platform::ActuationCounts& a = server.platform().actuations();
-    m.act_set_cores = static_cast<double>(a.set_cores);
-    m.act_set_ways = static_cast<double>(a.set_ways);
-    m.act_set_freq_cap = static_cast<double>(a.set_freq_cap);
-    m.act_set_net_ceil = static_cast<double>(a.set_net_ceil);
+    m.polls = static_cast<double>(r.polls);
+    m.be_enables = static_cast<double>(r.be_enables);
+    m.be_disables = static_cast<double>(r.be_disables);
+    m.core_shrinks = static_cast<double>(r.core_shrinks);
+    m.act_set_cores = static_cast<double>(r.actuations.set_cores);
+    m.act_set_ways = static_cast<double>(r.actuations.set_ways);
+    m.act_set_freq_cap = static_cast<double>(r.actuations.set_freq_cap);
+    m.act_set_net_ceil = static_cast<double>(r.actuations.set_net_ceil);
+    m.invariant_violations = static_cast<double>(r.invariant_violations);
+    m.faulted_ops = static_cast<double>(r.faulted_ops);
 
-    if (const chaos::InvariantChecker* c = server.checker()) {
-        m.invariant_violations = static_cast<double>(c->count());
-    }
-    if (const chaos::FaultyPlatform* f = server.faulty()) {
-        m.faulted_ops = static_cast<double>(f->faulted_ops());
-    }
-
-    m.be_cores = server.platform().BeCores();
-    m.be_ways = server.platform().BeWays();
-
-    server.StopController();
+    m.be_cores = r.be_cores;
+    m.be_ways = r.be_ways;
     return m;
 }
 
@@ -229,26 +198,15 @@ ExperimentConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
 {
     HERACLES_CHECK_MSG(spec.topology == Topology::kSingleServer,
                        "not a single-server scenario: " << spec.name);
-    // ExperimentConfig has no trace: composing a shaped-load scenario
-    // here would silently run constant load instead of the cataloged
-    // shape. Run those via RunScenario (or add trace support) instead.
+    // ExperimentConfig carries no trace: a caller sweeping the composed
+    // config with RunAt would silently run constant load instead of the
+    // cataloged shape. Run shaped scenarios via RunScenario instead.
     HERACLES_CHECK_MSG(spec.trace == TraceKind::kConstant,
                        "scenario " << spec.name << " uses a "
                                    << TraceKindName(spec.trace)
                                    << " trace, which Experiment cannot "
                                       "reproduce");
-    exp::ExperimentConfig cfg;
-    cfg.machine = spec.machine;
-    cfg.lc = LcByName(spec.lc);
-    if (HasBe(spec)) {
-        cfg.be = workloads::BeProfileByName(spec.machine, spec.be);
-    }
-    cfg.policy = spec.policy;
-    cfg.heracles = spec.heracles;
-    cfg.warmup = Scale(spec.warmup, opts.time_scale, sim::Seconds(20));
-    cfg.measure = Scale(spec.measure, opts.time_scale, sim::Seconds(30));
-    cfg.seed = opts.seed.value_or(spec.seed);
-    return cfg;
+    return ComposeExperimentConfig(spec, opts);
 }
 
 cluster::ClusterConfig

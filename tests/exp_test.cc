@@ -168,6 +168,44 @@ TEST(Experiment, ResultsDeterministicForSeed)
     EXPECT_EQ(a.RunAt(0.5).worst_tail, b.RunAt(0.5).worst_tail);
 }
 
+// The catalog goldens pin only RunScenario; this pins the Experiment
+// load-point path itself, bit for bit, so a refactor of the measurement
+// loop cannot drift it unnoticed. Regenerate the literals (with %a) only
+// for an intentional behavior change.
+TEST(Experiment, RunAtPinnedBits)
+{
+    ExperimentConfig cfg;
+    cfg.lc = workloads::Websearch();
+    cfg.be = workloads::Brain();
+    cfg.policy = PolicyKind::kHeracles;
+    cfg.warmup = sim::Seconds(30);
+    cfg.measure = sim::Seconds(30);
+    cfg.seed = 4242;
+    Experiment e(cfg);
+
+    const LoadPointResult lo = e.RunAt(0.3);
+    EXPECT_EQ(lo.load, 0.3);
+    EXPECT_EQ(lo.worst_tail, 8208857);
+    EXPECT_EQ(lo.tail_frac_slo, 0x1.503c1ab86810ep-1);
+    EXPECT_EQ(lo.emu, 0x1.28e9ef26091f3p-1);
+    EXPECT_EQ(lo.be_throughput, 0x1.1e11d1a11583bp-2);
+    EXPECT_EQ(lo.telemetry.dram_frac, 0x1.a6db77a151ba5p-2);
+    EXPECT_EQ(lo.be_cores, 22);
+    EXPECT_EQ(lo.be_ways, 2);
+    EXPECT_EQ(lo.be_disables, 0u);
+
+    const LoadPointResult hi = e.RunAt(0.8);
+    EXPECT_EQ(hi.load, 0.8);
+    EXPECT_EQ(hi.worst_tail, 9975792);
+    EXPECT_EQ(hi.tail_frac_slo, 0x1.989bc2beabf7cp-1);
+    EXPECT_EQ(hi.emu, 0x1.c4956654c874p-1);
+    EXPECT_EQ(hi.be_throughput, 0x1.5a50810c9ddddp-4);
+    EXPECT_EQ(hi.telemetry.dram_frac, 0x1.9235355c3203fp-2);
+    EXPECT_EQ(hi.be_cores, 4);
+    EXPECT_EQ(hi.be_ways, 3);
+    EXPECT_EQ(hi.be_disables, 0u);
+}
+
 // --------------------------------------------------------------------------
 // Characterization rig
 

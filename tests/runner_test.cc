@@ -175,15 +175,5 @@ TEST(SweepDeterminism, RunSweepMatchesPerJobExperiments)
     }
 }
 
-TEST(SweepDeterminism, ExperimentSweepHelperMatchesRunSweep)
-{
-    const exp::Experiment e(SweepConfig());
-    const std::vector<double> loads = {0.25, 0.75};
-    const auto a = e.Sweep(loads, 2);
-    const auto b = RunSweep(e, loads, 2);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) ExpectIdentical(a[i], b[i]);
-}
-
 }  // namespace
 }  // namespace heracles::runner

@@ -53,9 +53,12 @@
  * the clause grammar. The run reports the degraded metrics plus the
  * invariant checker's verdict.
  */
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -85,6 +88,40 @@ Usage(const char* argv0)
                  "[--cluster-policy NAME]\n",
                  argv0);
     std::exit(2);
+}
+
+/** Lower bound for flags that must be strictly positive. */
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+/**
+ * The one strict numeric flag parser: @p v must be a finite number,
+ * consumed entirely (no trailing junk), within [@p lo, @p hi] and, when
+ * @p integer, whole. Anything else — garbage, "4x", nan, inf, out of
+ * range — prints "error: FLAG wants WANT, got 'V'" and exits 2 before
+ * any simulation runs.
+ */
+double
+ParseNumber(const char* flag, const std::string& v, const char* want,
+            double lo, double hi, bool integer = false)
+{
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < lo ||
+        x > hi || (integer && x != std::floor(x))) {
+        std::fprintf(stderr, "error: %s wants %s, got '%s'\n", flag, want,
+                     v.c_str());
+        std::exit(2);
+    }
+    return x;
+}
+
+/** ParseNumber for a positive int-valued flag (thread counts, sizes). */
+int
+ParsePositiveInt(const char* flag, const char* v)
+{
+    return static_cast<int>(
+        ParseNumber(flag, v, "a positive integer", 1,
+                    std::numeric_limits<int>::max(), /*integer=*/true));
 }
 
 /** Prints the scenario catalog as a table. */
@@ -338,24 +375,19 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
 
 /** Parses "0.1,0.3,0.5" (or "paper") into load fractions. */
 std::vector<double>
-ParseSweep(const char* argv0, const std::string& spec)
+ParseSweep(const std::string& spec)
 {
     if (spec == "paper") return exp::Experiment::PaperLoads(0.05);
     std::vector<double> loads;
     size_t pos = 0;
-    while (pos < spec.size()) {
-        char* end = nullptr;
-        const double l = std::strtod(spec.c_str() + pos, &end);
-        const size_t used = end - (spec.c_str() + pos);
-        if (used == 0 || l <= 0.0 || l > 1.0) Usage(argv0);
-        loads.push_back(l);
-        pos += used;
-        if (pos < spec.size()) {
-            if (spec[pos] != ',') Usage(argv0);
-            ++pos;
-        }
-    }
-    if (loads.empty()) Usage(argv0);
+    do {
+        const size_t comma = std::min(spec.find(',', pos), spec.size());
+        loads.push_back(ParseNumber(
+            "--sweep", spec.substr(pos, comma - pos),
+            "comma-separated load fractions in (0, 1] or 'paper'",
+            kPositive, 1.0));
+        pos = comma + 1;
+    } while (pos <= spec.size());
     return loads;
 }
 
@@ -393,7 +425,7 @@ main(int argc, char** argv)
     uint64_t seed = 1;
     bool seed_given = false;
     bool adhoc_given = false;  // any --lc/--be/--policy/--load/... flag
-    std::string sweep_spec;
+    std::vector<double> sweep_loads;
     std::string scenario_name;
     std::string faults_spec;
     bool faults_given = false;
@@ -423,11 +455,15 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--policy")) {
             policy_name = adhoc_next();
         } else if (!std::strcmp(argv[i], "--load")) {
-            load = std::atof(adhoc_next());
+            load = ParseNumber("--load", adhoc_next(),
+                               "a load fraction in (0, 1]", kPositive, 1.0);
         } else if (!std::strcmp(argv[i], "--warmup-s")) {
-            warmup_s = std::atof(adhoc_next());
+            warmup_s = ParseNumber("--warmup-s", adhoc_next(),
+                                   "seconds in [0, 1e6]", 0.0, 1e6);
         } else if (!std::strcmp(argv[i], "--measure-s")) {
-            measure_s = std::atof(adhoc_next());
+            // A zero window would divide the throughput by zero.
+            measure_s = ParseNumber("--measure-s", adhoc_next(),
+                                    "seconds in (0, 1e6]", kPositive, 1e6);
         } else if (!std::strcmp(argv[i], "--seed")) {
             // Garbage must not silently become seed 0 — the run would
             // "reproduce" something the user never asked for.
@@ -443,56 +479,30 @@ main(int argc, char** argv)
             }
             seed_given = true;
         } else if (!std::strcmp(argv[i], "--sweep")) {
-            sweep_spec = adhoc_next();
+            sweep_loads = ParseSweep(adhoc_next());
         } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = std::atoi(next());
-            if (jobs <= 0) Usage(argv[0]);
+            jobs = ParsePositiveInt("--jobs", next());
         } else if (!std::strcmp(argv[i], "--list-scenarios")) {
             ListScenarios();
             return 0;
         } else if (!std::strcmp(argv[i], "--scenario")) {
             scenario_name = next();
         } else if (!std::strcmp(argv[i], "--scale")) {
-            // A non-positive (or unparsable) scale would collapse every
-            // phase to its floor — or to nonsense; fail loudly instead.
-            const char* v = next();
-            char* end = nullptr;
-            scale = std::strtod(v, &end);
+            // A non-positive, non-finite or huge scale would collapse
+            // every phase to its floor — or overflow the scaled phase
+            // durations; fail loudly instead.
+            scale = ParseNumber("--scale", next(),
+                                "a positive number up to 1000", kPositive,
+                                1000.0);
             scale_given = true;
-            if (end == v || *end != '\0' || scale <= 0.0) {
-                std::fprintf(stderr,
-                             "error: --scale wants a positive number, "
-                             "got '%s'\n",
-                             v);
-                return 2;
-            }
         } else if (!std::strcmp(argv[i], "--cluster-jobs")) {
             // Garbage or a non-positive width must not silently run
             // serial (or die in the pool); fail loudly like --seed.
-            const char* v = next();
-            char* end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "error: --cluster-jobs wants a positive "
-                             "integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-            cluster_jobs = static_cast<int>(n);
+            cluster_jobs = ParsePositiveInt("--cluster-jobs", next());
             cluster_jobs_given = true;
         } else if (!std::strcmp(argv[i], "--cluster-leaf-batch")) {
-            const char* v = next();
-            char* end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "error: --cluster-leaf-batch wants a "
-                             "positive integer, got '%s'\n",
-                             v);
-                return 2;
-            }
-            cluster_leaf_batch = static_cast<int>(n);
+            cluster_leaf_batch =
+                ParsePositiveInt("--cluster-leaf-batch", next());
             cluster_leaf_batch_given = true;
         } else if (!std::strcmp(argv[i], "--cluster-policy")) {
             cluster_policy = next();
@@ -505,7 +515,6 @@ main(int argc, char** argv)
             Usage(argv[0]);
         }
     }
-    if (load <= 0.0 || load > 1.0) Usage(argv[0]);
 
     if (scenario_name.empty() &&
         (scale_given || json || faults_given || cluster_jobs_given ||
@@ -565,13 +574,12 @@ main(int argc, char** argv)
 
     exp::Experiment experiment(cfg);
 
-    if (!sweep_spec.empty()) {
-        const auto loads = ParseSweep(argv[0], sweep_spec);
-        const auto results = experiment.Sweep(loads, jobs);
+    if (!sweep_loads.empty()) {
+        const auto results = experiment.Sweep(sweep_loads, jobs);
 
         std::printf("%s + %s under %s, %zu load points (%d jobs):\n",
                     lc_name.c_str(), be_name.c_str(), policy_name.c_str(),
-                    loads.size(), jobs);
+                    sweep_loads.size(), jobs);
         exp::Table table({"load", "tail (% SLO)", "SLO ok", "LC tput",
                           "BE tput", "EMU"});
         bool violated = false;
