@@ -27,14 +27,14 @@ namespace {
 bool
 Identical(const exp::LoadPointResult& a, const exp::LoadPointResult& b)
 {
-    return a.load == b.load && a.worst_tail == b.worst_tail &&
+    return static_cast<const exp::ActivityCounters&>(a) == b &&
+           a.load == b.load && a.worst_tail == b.worst_tail &&
            a.tail_frac_slo == b.tail_frac_slo &&
            a.slo_violated == b.slo_violated &&
            a.lc_throughput == b.lc_throughput &&
            a.be_throughput == b.be_throughput && a.emu == b.emu &&
            a.be_cores == b.be_cores && a.be_ways == b.be_ways &&
-           a.be_freq_cap_ghz == b.be_freq_cap_ghz && a.slack == b.slack &&
-           a.be_disables == b.be_disables;
+           a.be_freq_cap_ghz == b.be_freq_cap_ghz && a.slack == b.slack;
 }
 
 double

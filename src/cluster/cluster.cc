@@ -9,7 +9,6 @@
 #include "exp/server_sim.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
-#include "platform/sim_platform.h"
 #include "runner/pool.h"
 #include "sim/log.h"
 #include "workloads/antagonists.h"
@@ -372,34 +371,12 @@ class ClusterSim
         return total;
     }
 
-    /** Sums per-leaf controller stats and actuation counts into @p r. */
+    /** Sums every leaf's activity (plus the cluster-layer invariant
+     *  violations) and the scheduler's counters into @p r. */
     void
     AccumulateActivity(ClusterResult& r) const
     {
-        for (const auto& leaf : leaves_) {
-            if (const ctl::HeraclesController* c =
-                    leaf.server->controller()) {
-                const ctl::ControllerStats& s = c->stats();
-                r.polls += s.polls;
-                r.be_enables += s.be_enables;
-                r.be_disables +=
-                    s.be_disables_slack + s.be_disables_load;
-                r.core_shrinks += s.core_shrinks;
-            }
-            const platform::ActuationCounts& a =
-                leaf.server->platform().actuations();
-            r.actuations.set_cores += a.set_cores;
-            r.actuations.set_ways += a.set_ways;
-            r.actuations.set_freq_cap += a.set_freq_cap;
-            r.actuations.set_net_ceil += a.set_net_ceil;
-            if (const chaos::InvariantChecker* c =
-                    leaf.server->checker()) {
-                r.invariant_violations += c->count();
-            }
-            if (const chaos::FaultyPlatform* f = leaf.server->faulty()) {
-                r.faulted_ops += f->faulted_ops();
-            }
-        }
+        for (const auto& leaf : leaves_) r += leaf.server->Activity();
         r.invariant_violations += cluster_violations_;
         if (scheduler_ != nullptr) {
             r.be_placements = scheduler_->stats().placements;

@@ -30,9 +30,9 @@
 #include "cluster/leaf.h"
 #include "cluster/scheduler.h"
 #include "cluster/topology.h"
+#include "exp/server_sim.h"
 #include "heracles/config.h"
 #include "hw/config.h"
-#include "platform/sim_platform.h"
 #include "runner/pool.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -154,8 +154,14 @@ struct ClusterConfig {
     int leaf_batch = 0;
 };
 
-/** Results of a cluster run. */
-struct ClusterResult {
+/**
+ * Results of a cluster run. The inherited activity counters are summed
+ * over every leaf (zero when the run is not colocated), plus the
+ * cluster-layer invariant violations (a BE job placed onto a crashed
+ * leaf); the scenario harness pins them against golden baselines
+ * alongside the latency/EMU outcome.
+ */
+struct ClusterResult : public exp::ActivityCounters {
     /** Root mu/30s as a fraction of the target, per window. */
     sim::TimeSeries latency_frac;
     /** Cluster-wide Effective Machine Utilization, sampled per window. */
@@ -170,15 +176,6 @@ struct ClusterResult {
     sim::Duration target = 0;       ///< Root mu/30s target.
     sim::Duration leaf_target = 0;  ///< Mean per-leaf tail target.
 
-    // Controller activity summed over every leaf (zero when the run is
-    // not colocated) — the scenario harness pins these against golden
-    // baselines alongside the latency/EMU outcome.
-    uint64_t polls = 0;
-    uint64_t be_enables = 0;
-    uint64_t be_disables = 0;  ///< Slack + load safeguards combined.
-    uint64_t core_shrinks = 0;
-    platform::ActuationCounts actuations;
-
     // Cluster-level scheduler activity (zero under static split).
     uint64_t be_placements = 0;  ///< Queue → leaf assignments.
     uint64_t be_migrations = 0;  ///< Leaf → leaf moves.
@@ -187,18 +184,16 @@ struct ClusterResult {
     uint64_t be_would_placements = 0;
     uint64_t be_would_migrations = 0;
 
-    // Chaos / safety harness (zero in clean-weather runs): summed
-    // per-leaf invariant violations plus cluster-layer ones (a BE job
-    // placed onto a crashed leaf), and per-leaf degraded operations.
-    uint64_t invariant_violations = 0;
-    uint64_t faulted_ops = 0;
-
     // Epoch-engine throughput counters for the colocated run (the
     // scoreboard of BENCH_cluster.json; not part of the golden metrics
     // record): barrier intervals executed and events executed across
     // every leaf's queue.
     uint64_t epochs = 0;
     uint64_t leaf_events = 0;
+
+    /** Deleted so `a == b` cannot silently compare only the inherited
+     *  counters. */
+    bool operator==(const ClusterResult&) const = delete;
 };
 
 /** Runs the composed cluster under its load trace. */

@@ -66,20 +66,9 @@ Experiment::Run(const sim::LoadTrace& trace, uint64_t salt,
 
     r.telemetry = server.machine().AveragedTelemetry();
 
+    static_cast<ActivityCounters&>(r) = server.Activity();
     if (const ctl::HeraclesController* c = server.controller()) {
-        const ctl::ControllerStats& s = c->stats();
-        r.polls = s.polls;
-        r.be_enables = s.be_enables;
-        r.be_disables = s.be_disables_slack + s.be_disables_load;
-        r.core_shrinks = s.core_shrinks;
         r.slack = c->LastSlack();
-    }
-    r.actuations = server.platform().actuations();
-    if (const chaos::InvariantChecker* c = server.checker()) {
-        r.invariant_violations = c->count();
-    }
-    if (const chaos::FaultyPlatform* f = server.faulty()) {
-        r.faulted_ops = f->faulted_ops();
     }
 
     r.be_cores = server.platform().BeCores();

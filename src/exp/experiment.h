@@ -21,7 +21,6 @@
 #include "heracles/config.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
-#include "platform/sim_platform.h"
 #include "sim/trace.h"
 #include "workloads/antagonists.h"
 #include "workloads/lc_configs.h"
@@ -42,7 +41,7 @@ struct ExperimentConfig {
 };
 
 /** Results of one measurement (a load point or a load trace). */
-struct LoadPointResult {
+struct LoadPointResult : public ActivityCounters {
     double load = 0.0;  ///< The constant load (RunAt only; 0 for a trace).
 
     sim::Duration worst_tail = 0;  ///< Worst report-window tail.
@@ -62,20 +61,10 @@ struct LoadPointResult {
     int be_ways = 0;
     double be_freq_cap_ghz = 0.0;
     double slack = 0.0;
-    /** Emergency BE disables (slack violations + load safeguards) over
-     *  the whole run including warmup — evidence of instability even
-     *  when the measured window looks clean after a cooldown. */
-    uint64_t be_disables = 0;
-    // Controller activity over the whole run (Heracles policy only).
-    uint64_t polls = 0;
-    uint64_t be_enables = 0;
-    uint64_t core_shrinks = 0;
-    platform::ActuationCounts actuations;
 
-    // Chaos / safety harness (Heracles policy only): recorded safety
-    // invariant violations and degraded platform operations.
-    uint64_t invariant_violations = 0;
-    uint64_t faulted_ops = 0;
+    /** Deleted so `a == b` cannot silently compare only the inherited
+     *  counters. */
+    bool operator==(const LoadPointResult&) const = delete;
 };
 
 /**

@@ -16,6 +16,35 @@ PolicyName(PolicyKind kind)
     return "?";
 }
 
+ActivityCounters&
+ActivityCounters::operator+=(const ActivityCounters& o)
+{
+    polls += o.polls;
+    be_enables += o.be_enables;
+    be_disables += o.be_disables;
+    core_shrinks += o.core_shrinks;
+    actuations.set_cores += o.actuations.set_cores;
+    actuations.set_ways += o.actuations.set_ways;
+    actuations.set_freq_cap += o.actuations.set_freq_cap;
+    actuations.set_net_ceil += o.actuations.set_net_ceil;
+    invariant_violations += o.invariant_violations;
+    faulted_ops += o.faulted_ops;
+    return *this;
+}
+
+bool
+ActivityCounters::operator==(const ActivityCounters& o) const
+{
+    return polls == o.polls && be_enables == o.be_enables &&
+           be_disables == o.be_disables && core_shrinks == o.core_shrinks &&
+           actuations.set_cores == o.actuations.set_cores &&
+           actuations.set_ways == o.actuations.set_ways &&
+           actuations.set_freq_cap == o.actuations.set_freq_cap &&
+           actuations.set_net_ceil == o.actuations.set_net_ceil &&
+           invariant_violations == o.invariant_violations &&
+           faulted_ops == o.faulted_ops;
+}
+
 ServerSim::ServerSim(const ServerSpec& spec, sim::EventQueue& queue)
     : queue_(queue)
 {
@@ -129,6 +158,23 @@ ServerSim::StopController()
         controller_->Stop();
         controller_stopped_ = true;
     }
+}
+
+ActivityCounters
+ServerSim::Activity() const
+{
+    ActivityCounters a;
+    if (controller_) {
+        const ctl::ControllerStats& s = controller_->stats();
+        a.polls = s.polls;
+        a.be_enables = s.be_enables;
+        a.be_disables = s.be_disables_slack + s.be_disables_load;
+        a.core_shrinks = s.core_shrinks;
+    }
+    a.actuations = plat_->actuations();
+    if (checker_) a.invariant_violations = checker_->count();
+    if (faulty_) a.faulted_ops = faulty_->faulted_ops();
+    return a;
 }
 
 workloads::BeTask*

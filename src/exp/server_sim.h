@@ -82,6 +82,30 @@ struct ServerSpec {
 };
 
 /**
+ * A server's controller, actuation and chaos activity over the whole run
+ * (warmup included). All zero unless the policy is kHeracles. The one
+ * counters record from a leaf to a golden file: LoadPointResult and
+ * ClusterResult derive from it, and a cluster sums it over its leaves.
+ */
+struct ActivityCounters {
+    uint64_t polls = 0;
+    uint64_t be_enables = 0;
+    /** Emergency BE disables (slack violations + load safeguards) —
+     *  evidence of instability even when the measured window looks
+     *  clean after a cooldown. */
+    uint64_t be_disables = 0;
+    uint64_t core_shrinks = 0;
+    platform::ActuationCounts actuations;
+    /** Safety-invariant violations the checker recorded. */
+    uint64_t invariant_violations = 0;
+    /** Dropped actuations + degraded telemetry reads. */
+    uint64_t faulted_ops = 0;
+
+    ActivityCounters& operator+=(const ActivityCounters& o);
+    bool operator==(const ActivityCounters& o) const;
+};
+
+/**
  * One assembled simulated server on a caller-owned event queue: machine +
  * LC app + optional BE task + platform + policy wiring. The BE task is
  * only instantiated when the spec carries a BE profile and the policy
@@ -113,22 +137,17 @@ class ServerSim
     /** Null unless the policy is kHeracles. */
     ctl::HeraclesController* controller() { return controller_.get(); }
 
-    /**
-     * The fault-injection decorator the controller actuates through
-     * (pass-through when the spec carried no plan); null unless the
-     * policy is kHeracles.
-     */
-    chaos::FaultyPlatform* faulty() { return faulty_.get(); }
-
-    /**
-     * The safety-invariant observer sandwiched between controller and
-     * (faulty) platform; null unless the policy is kHeracles. Zero
-     * recorded violations is part of the golden contract.
-     */
-    chaos::InvariantChecker* checker() { return checker_.get(); }
-
     /** True when a BE task is colocated on this server. */
     bool colocated() const { return be_ != nullptr; }
+
+    /**
+     * This server's activity so far, read from the controller, the
+     * platform, the safety-invariant checker sandwiched between them
+     * (zero violations is part of the golden contract) and the
+     * fault-injection decorator the controller actuates through
+     * (pass-through when the spec carried no plan).
+     */
+    ActivityCounters Activity() const;
 
     /** Cancels the controller loops; idempotent. */
     void StopController();

@@ -84,6 +84,27 @@ ComposeExperimentConfig(const ScenarioSpec& spec, const RunOptions& opts)
     return cfg;
 }
 
+/** A metrics record for @p spec holding the run's activity counters —
+ *  the one copy both topologies share. */
+ScenarioMetrics
+MetricsWithActivity(const ScenarioSpec& spec,
+                    const exp::ActivityCounters& a)
+{
+    ScenarioMetrics m;
+    m.scenario = spec.name;
+    m.polls = static_cast<double>(a.polls);
+    m.be_enables = static_cast<double>(a.be_enables);
+    m.be_disables = static_cast<double>(a.be_disables);
+    m.core_shrinks = static_cast<double>(a.core_shrinks);
+    m.act_set_cores = static_cast<double>(a.actuations.set_cores);
+    m.act_set_ways = static_cast<double>(a.actuations.set_ways);
+    m.act_set_freq_cap = static_cast<double>(a.actuations.set_freq_cap);
+    m.act_set_net_ceil = static_cast<double>(a.actuations.set_net_ceil);
+    m.invariant_violations = static_cast<double>(a.invariant_violations);
+    m.faulted_ops = static_cast<double>(a.faulted_ops);
+    return m;
+}
+
 ScenarioMetrics
 RunSingleServer(const ScenarioSpec& spec, const RunOptions& opts)
 {
@@ -93,8 +114,7 @@ RunSingleServer(const ScenarioSpec& spec, const RunOptions& opts)
     const exp::LoadPointResult r =
         experiment.Run(*trace, /*salt=*/97, spec.faults);
 
-    ScenarioMetrics m;
-    m.scenario = spec.name;
+    ScenarioMetrics m = MetricsWithActivity(spec, r);
 
     m.worst_tail_ms = sim::ToMillis(r.worst_tail);
     m.tail_frac_slo = r.tail_frac_slo;
@@ -110,17 +130,6 @@ RunSingleServer(const ScenarioSpec& spec, const RunOptions& opts)
     m.cpu_util = r.telemetry.cpu_utilization;
     m.power_frac_tdp = r.telemetry.power_frac_tdp;
 
-    m.polls = static_cast<double>(r.polls);
-    m.be_enables = static_cast<double>(r.be_enables);
-    m.be_disables = static_cast<double>(r.be_disables);
-    m.core_shrinks = static_cast<double>(r.core_shrinks);
-    m.act_set_cores = static_cast<double>(r.actuations.set_cores);
-    m.act_set_ways = static_cast<double>(r.actuations.set_ways);
-    m.act_set_freq_cap = static_cast<double>(r.actuations.set_freq_cap);
-    m.act_set_net_ceil = static_cast<double>(r.actuations.set_net_ceil);
-    m.invariant_violations = static_cast<double>(r.invariant_violations);
-    m.faulted_ops = static_cast<double>(r.faulted_ops);
-
     m.be_cores = r.be_cores;
     m.be_ways = r.be_ways;
     return m;
@@ -132,8 +141,7 @@ RunCluster(const ScenarioSpec& spec, const RunOptions& opts)
     cluster::ClusterExperiment experiment(ClusterConfigFor(spec, opts));
     const cluster::ClusterResult r = experiment.Run();
 
-    ScenarioMetrics m;
-    m.scenario = spec.name;
+    ScenarioMetrics m = MetricsWithActivity(spec, r);
     m.slo_attained = r.slo_violated ? 0.0 : 1.0;
     m.tail_frac_slo = r.worst_latency_frac;
     m.worst_tail_ms =
@@ -141,21 +149,10 @@ RunCluster(const ScenarioSpec& spec, const RunOptions& opts)
     m.emu = r.avg_emu;
     m.min_emu = r.min_emu;
 
-    m.polls = static_cast<double>(r.polls);
-    m.be_enables = static_cast<double>(r.be_enables);
-    m.be_disables = static_cast<double>(r.be_disables);
-    m.core_shrinks = static_cast<double>(r.core_shrinks);
-    m.act_set_cores = static_cast<double>(r.actuations.set_cores);
-    m.act_set_ways = static_cast<double>(r.actuations.set_ways);
-    m.act_set_freq_cap = static_cast<double>(r.actuations.set_freq_cap);
-    m.act_set_net_ceil = static_cast<double>(r.actuations.set_net_ceil);
     m.be_placements = static_cast<double>(r.be_placements);
     m.be_migrations = static_cast<double>(r.be_migrations);
     m.be_would_placements = static_cast<double>(r.be_would_placements);
     m.be_would_migrations = static_cast<double>(r.be_would_migrations);
-    m.invariant_violations =
-        static_cast<double>(r.invariant_violations);
-    m.faulted_ops = static_cast<double>(r.faulted_ops);
 
     m.root_target_ms = sim::ToMillis(r.target);
     m.leaf_target_ms = sim::ToMillis(r.leaf_target);

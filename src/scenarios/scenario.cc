@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "sim/log.h"
@@ -67,50 +67,88 @@ TraceKindName(TraceKind k)
     return "?";
 }
 
-std::vector<std::pair<std::string, double>>
-ScenarioMetrics::Kv() const
-{
-    return {
-        {"slo_attained", slo_attained},
-        {"tail_frac_slo", tail_frac_slo},
-        {"worst_tail_ms", worst_tail_ms},
-        {"p95_ms", p95_ms},
-        {"p99_ms", p99_ms},
-        {"lc_throughput", lc_throughput},
-        {"be_throughput", be_throughput},
-        {"emu", emu},
-        {"min_emu", min_emu},
-        {"dram_frac", dram_frac},
-        {"cpu_util", cpu_util},
-        {"power_frac_tdp", power_frac_tdp},
-        {"polls", polls},
-        {"be_enables", be_enables},
-        {"be_disables", be_disables},
-        {"core_shrinks", core_shrinks},
-        {"act_set_cores", act_set_cores},
-        {"act_set_ways", act_set_ways},
-        {"act_set_freq_cap", act_set_freq_cap},
-        {"act_set_net_ceil", act_set_net_ceil},
-        {"be_cores", be_cores},
-        {"be_ways", be_ways},
-        {"be_placements", be_placements},
-        {"be_migrations", be_migrations},
-        {"be_would_placements", be_would_placements},
-        {"be_would_migrations", be_would_migrations},
-        {"invariant_violations", invariant_violations},
-        {"faulted_ops", faulted_ops},
-        {"root_target_ms", root_target_ms},
-        {"leaf_target_ms", leaf_target_ms},
-    };
-}
-
-bool
-ScenarioMetrics::ExactlyEquals(const ScenarioMetrics& other) const
-{
-    return scenario == other.scenario && Kv() == other.Kv();
-}
-
 namespace {
+
+/** Per-metric comparison tolerance: pass when
+ *  |got - golden| <= max(abs, rel * |golden|). */
+struct Tolerance {
+    double rel = 0.0;
+    double abs = 0.0;
+};
+
+/** Verdicts (slo_attained, the invariant checker's count): exact. */
+constexpr Tolerance kExact{0.0, 0.0};
+/** Degraded-ops counts track controller poll counts. */
+constexpr Tolerance kFaults{0.15, 5.0};
+/** Activity counts: deterministic on one machine, but a couple of
+ *  control decisions may flip across compilers/libms. */
+constexpr Tolerance kCounts{0.15, 3.0};
+/** Final allocations move in whole cores/ways. */
+constexpr Tolerance kAlloc{0.0, 2.0};
+/** Continuous measurements (latency, throughput, telemetry). */
+constexpr Tolerance kContinuous{0.10, 0.02};
+
+/**
+ * Omit-when-zero groups. Keys postdating the first frozen baselines are
+ * structurally zero outside their family, so MetricsToJson drops a group
+ * whose every field is zero and MetricsFromJson reads a missing key as
+ * that zero: older baselines stay byte-identical under --update-golden.
+ */
+enum OmitGroup {
+    kAlways = 0,  ///< Always emitted; a missing key is a stale baseline.
+    kScheduler,   ///< Dynamic-scheduler cluster runs.
+    kWouldHave,   ///< The predict_only monitoring ablation.
+    kChaos,       ///< The chaos family (invariant checker, faults).
+    kNumGroups,
+};
+
+struct Field {
+    const char* key;
+    double ScenarioMetrics::*member;
+    Tolerance tol;
+    OmitGroup group;
+};
+
+using M = ScenarioMetrics;
+
+/** Every metric in JSON (Kv) order; the one place a metric is named. */
+constexpr Field kFields[] = {
+    {"slo_attained", &M::slo_attained, kExact, kAlways},
+    {"tail_frac_slo", &M::tail_frac_slo, kContinuous, kAlways},
+    {"worst_tail_ms", &M::worst_tail_ms, kContinuous, kAlways},
+    {"p95_ms", &M::p95_ms, kContinuous, kAlways},
+    {"p99_ms", &M::p99_ms, kContinuous, kAlways},
+    {"lc_throughput", &M::lc_throughput, kContinuous, kAlways},
+    {"be_throughput", &M::be_throughput, kContinuous, kAlways},
+    {"emu", &M::emu, kContinuous, kAlways},
+    {"min_emu", &M::min_emu, kContinuous, kAlways},
+    {"dram_frac", &M::dram_frac, kContinuous, kAlways},
+    {"cpu_util", &M::cpu_util, kContinuous, kAlways},
+    {"power_frac_tdp", &M::power_frac_tdp, kContinuous, kAlways},
+    {"polls", &M::polls, kCounts, kAlways},
+    {"be_enables", &M::be_enables, kCounts, kAlways},
+    {"be_disables", &M::be_disables, kCounts, kAlways},
+    {"core_shrinks", &M::core_shrinks, kCounts, kAlways},
+    {"act_set_cores", &M::act_set_cores, kCounts, kAlways},
+    {"act_set_ways", &M::act_set_ways, kCounts, kAlways},
+    {"act_set_freq_cap", &M::act_set_freq_cap, kCounts, kAlways},
+    {"act_set_net_ceil", &M::act_set_net_ceil, kCounts, kAlways},
+    {"be_cores", &M::be_cores, kAlloc, kAlways},
+    {"be_ways", &M::be_ways, kAlloc, kAlways},
+    {"be_placements", &M::be_placements, kCounts, kScheduler},
+    {"be_migrations", &M::be_migrations, kCounts, kScheduler},
+    {"be_would_placements", &M::be_would_placements, kCounts, kWouldHave},
+    {"be_would_migrations", &M::be_would_migrations, kCounts, kWouldHave},
+    {"invariant_violations", &M::invariant_violations, kExact, kChaos},
+    {"faulted_ops", &M::faulted_ops, kFaults, kChaos},
+    {"root_target_ms", &M::root_target_ms, kContinuous, kAlways},
+    {"leaf_target_ms", &M::leaf_target_ms, kContinuous, kAlways},
+};
+
+// A metric field added without a table row fails the build here.
+static_assert(sizeof(ScenarioMetrics) ==
+                  sizeof(std::string) + std::size(kFields) * sizeof(double),
+              "every ScenarioMetrics field needs a kFields row");
 
 /** Shortest decimal form that parses back to exactly the same double. */
 std::string
@@ -123,55 +161,6 @@ FormatExact(double v)
     std::snprintf(compact, sizeof compact, "%.9g", v);
     if (std::strtod(compact, nullptr) == v) return compact;
     return buf;
-}
-
-/** Writes @p value into the field matching @p key; false if unknown. */
-bool
-AssignMetric(ScenarioMetrics* m, const std::string& key, double value)
-{
-    struct Field {
-        const char* key;
-        double ScenarioMetrics::* member;
-    };
-    static const Field kFields[] = {
-        {"slo_attained", &ScenarioMetrics::slo_attained},
-        {"tail_frac_slo", &ScenarioMetrics::tail_frac_slo},
-        {"worst_tail_ms", &ScenarioMetrics::worst_tail_ms},
-        {"p95_ms", &ScenarioMetrics::p95_ms},
-        {"p99_ms", &ScenarioMetrics::p99_ms},
-        {"lc_throughput", &ScenarioMetrics::lc_throughput},
-        {"be_throughput", &ScenarioMetrics::be_throughput},
-        {"emu", &ScenarioMetrics::emu},
-        {"min_emu", &ScenarioMetrics::min_emu},
-        {"dram_frac", &ScenarioMetrics::dram_frac},
-        {"cpu_util", &ScenarioMetrics::cpu_util},
-        {"power_frac_tdp", &ScenarioMetrics::power_frac_tdp},
-        {"polls", &ScenarioMetrics::polls},
-        {"be_enables", &ScenarioMetrics::be_enables},
-        {"be_disables", &ScenarioMetrics::be_disables},
-        {"core_shrinks", &ScenarioMetrics::core_shrinks},
-        {"act_set_cores", &ScenarioMetrics::act_set_cores},
-        {"act_set_ways", &ScenarioMetrics::act_set_ways},
-        {"act_set_freq_cap", &ScenarioMetrics::act_set_freq_cap},
-        {"act_set_net_ceil", &ScenarioMetrics::act_set_net_ceil},
-        {"be_cores", &ScenarioMetrics::be_cores},
-        {"be_ways", &ScenarioMetrics::be_ways},
-        {"be_placements", &ScenarioMetrics::be_placements},
-        {"be_migrations", &ScenarioMetrics::be_migrations},
-        {"be_would_placements", &ScenarioMetrics::be_would_placements},
-        {"be_would_migrations", &ScenarioMetrics::be_would_migrations},
-        {"invariant_violations", &ScenarioMetrics::invariant_violations},
-        {"faulted_ops", &ScenarioMetrics::faulted_ops},
-        {"root_target_ms", &ScenarioMetrics::root_target_ms},
-        {"leaf_target_ms", &ScenarioMetrics::leaf_target_ms},
-    };
-    for (const Field& f : kFields) {
-        if (key == f.key) {
-            m->*(f.member) = value;
-            return true;
-        }
-    }
-    return false;
 }
 
 /** Extracts the string value of `"key": "..."`; empty when missing. */
@@ -210,51 +199,39 @@ FindNumberValue(const std::string& json, const std::string& key,
 
 }  // namespace
 
+std::vector<std::pair<std::string, double>>
+ScenarioMetrics::Kv() const
+{
+    std::vector<std::pair<std::string, double>> kv;
+    kv.reserve(std::size(kFields));
+    for (const Field& f : kFields) kv.emplace_back(f.key, this->*f.member);
+    return kv;
+}
+
+bool
+ScenarioMetrics::ExactlyEquals(const ScenarioMetrics& other) const
+{
+    return scenario == other.scenario && Kv() == other.Kv();
+}
+
 std::string
 MetricsToJson(const ScenarioMetrics& m)
 {
-    // The scheduler counters postdate the first 17 frozen baselines and
-    // are structurally zero outside dynamic-scheduler cluster runs, so
-    // they are emitted only when active: the frozen files stay
-    // byte-identical under --update-golden, and a zero parses back
-    // exactly (MetricsFromJson treats the keys as optional). The chaos
-    // keys (postdating all 22 pre-chaos baselines) follow the same
-    // rule.
-    auto kv = m.Kv();
-    if (m.be_placements == 0.0 && m.be_migrations == 0.0) {
-        kv.erase(std::remove_if(kv.begin(), kv.end(),
-                                [](const auto& e) {
-                                    return e.first == "be_placements" ||
-                                           e.first == "be_migrations";
-                                }),
-                 kv.end());
-    }
-    if (m.be_would_placements == 0.0 && m.be_would_migrations == 0.0) {
-        kv.erase(std::remove_if(
-                     kv.begin(), kv.end(),
-                     [](const auto& e) {
-                         return e.first == "be_would_placements" ||
-                                e.first == "be_would_migrations";
-                     }),
-                 kv.end());
-    }
-    if (m.invariant_violations == 0.0 && m.faulted_ops == 0.0) {
-        kv.erase(std::remove_if(
-                     kv.begin(), kv.end(),
-                     [](const auto& e) {
-                         return e.first == "invariant_violations" ||
-                                e.first == "faulted_ops";
-                     }),
-                 kv.end());
+    bool live[kNumGroups] = {true};  // kAlways is always emitted.
+    for (const Field& f : kFields) live[f.group] |= m.*f.member != 0.0;
+    std::vector<const Field*> rows;
+    for (const Field& f : kFields) {
+        if (live[f.group]) rows.push_back(&f);
     }
     std::ostringstream os;
     os << "{\n";
     os << "  \"schema\": 1,\n";
     os << "  \"scenario\": \"" << m.scenario << "\",\n";
     os << "  \"metrics\": {\n";
-    for (size_t i = 0; i < kv.size(); ++i) {
-        os << "    \"" << kv[i].first << "\": " << FormatExact(kv[i].second)
-           << (i + 1 < kv.size() ? "," : "") << "\n";
+    for (size_t i = 0; i < rows.size(); ++i) {
+        os << "    \"" << rows[i]->key
+           << "\": " << FormatExact(m.*rows[i]->member)
+           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  }\n";
     os << "}\n";
@@ -268,54 +245,17 @@ MetricsFromJson(const std::string& json, ScenarioMetrics* out)
     m.scenario = FindStringValue(json, "scenario");
     if (m.scenario.empty()) return false;
     // Metric keys are unique across the whole document, so a flat scan
-    // is unambiguous for the subset MetricsToJson emits. Every schema-1
-    // key must be present: a baseline predating one of them is stale
-    // and must be regenerated, not silently zero-filled. The scheduler
-    // counters are the exception: they were introduced after the first
-    // 17 baselines were frozen, and those scenarios' counters are
-    // structurally zero (single-server or static split), so a missing
-    // key reads as the exact value the run reproduces.
-    for (const auto& [key, unused] : m.Kv()) {
-        (void)unused;
-        const bool optional =
-            key == "be_placements" || key == "be_migrations" ||
-            key == "be_would_placements" ||
-            key == "be_would_migrations" ||
-            key == "invariant_violations" || key == "faulted_ops";
-        double v = 0.0;
-        if (!FindNumberValue(json, key, &v)) {
-            if (optional) continue;
+    // is unambiguous for the subset MetricsToJson emits. A missing key
+    // is the zero of its omit-when-zero group; anywhere else it marks a
+    // stale baseline that must be regenerated, not silently zero-filled.
+    for (const Field& f : kFields) {
+        if (!FindNumberValue(json, f.key, &(m.*f.member)) &&
+            f.group == kAlways) {
             return false;
         }
-        if (!AssignMetric(&m, key, v)) return false;
     }
     *out = m;
     return true;
-}
-
-Tolerance
-ToleranceFor(const std::string& key)
-{
-    // slo_attained is a verdict, not a measurement: exact. So is the
-    // invariant checker's: any violation anywhere is a regression.
-    if (key == "slo_attained" || key == "invariant_violations") {
-        return {0.0, 0.0};
-    }
-    // Degraded-ops counts track controller poll counts; same looseness
-    // as the other activity counters.
-    if (key == "faulted_ops") return {0.15, 5.0};
-    // Controller activity counts: deterministic on one machine, but a
-    // couple of control decisions may flip across compilers/libms.
-    if (key == "polls" || key == "be_enables" || key == "be_disables" ||
-        key == "core_shrinks" || key == "be_placements" ||
-        key == "be_migrations" || key == "be_would_placements" ||
-        key == "be_would_migrations" || key.rfind("act_", 0) == 0) {
-        return {0.15, 3.0};
-    }
-    // Final allocations move in whole cores/ways.
-    if (key == "be_cores" || key == "be_ways") return {0.0, 2.0};
-    // Continuous measurements (latency, throughput, telemetry).
-    return {0.10, 0.02};
 }
 
 bool
@@ -323,21 +263,18 @@ WithinTolerance(const ScenarioMetrics& got, const ScenarioMetrics& golden,
                 std::vector<std::string>* mismatches)
 {
     bool ok = true;
-    const auto gkv = got.Kv();
-    const auto bkv = golden.Kv();
-    for (size_t i = 0; i < gkv.size(); ++i) {
-        const auto& [key, have] = gkv[i];
-        const double want = bkv[i].second;
-        const Tolerance tol = ToleranceFor(key);
+    for (const Field& f : kFields) {
+        const double have = got.*f.member;
+        const double want = golden.*f.member;
         const double allowed =
-            std::max(tol.abs, tol.rel * std::fabs(want));
+            std::max(f.tol.abs, f.tol.rel * std::fabs(want));
         if (std::fabs(have - want) <= allowed) continue;
         ok = false;
         if (mismatches != nullptr) {
             char line[160];
             std::snprintf(line, sizeof line,
                           "%s.%s: got %.6g, golden %.6g (allowed +/-%.4g)",
-                          got.scenario.c_str(), key.c_str(), have, want,
+                          got.scenario.c_str(), f.key, have, want,
                           allowed);
             mismatches->push_back(line);
         }

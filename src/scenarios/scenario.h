@@ -268,20 +268,11 @@ std::string MetricsToJson(const ScenarioMetrics& m);
  */
 bool MetricsFromJson(const std::string& json, ScenarioMetrics* out);
 
-/** Per-metric comparison tolerance: pass when
- *  |got - golden| <= max(abs, rel * |golden|). */
-struct Tolerance {
-    double rel = 0.0;
-    double abs = 0.0;
-};
-
-/** The tolerance assigned to a metric key (counts are looser than
- *  latencies; slo_attained is exact). */
-Tolerance ToleranceFor(const std::string& key);
-
 /**
  * Compares a run against its golden baseline using per-metric
- * tolerances. Returns true when every metric passes; otherwise appends
+ * tolerances: a metric passes when |got - golden| <= max(abs, rel *
+ * |golden|), with (rel, abs) from the metric's class in scenario.cc's
+ * field table. Returns true when every metric passes; otherwise appends
  * one human-readable line per failing metric to @p mismatches.
  */
 bool WithinTolerance(const ScenarioMetrics& got,

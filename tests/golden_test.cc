@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -190,6 +191,88 @@ TEST(Golden, JsonRoundTripsExactly)
         ScenarioMetrics back;
         ASSERT_TRUE(MetricsFromJson(MetricsToJson(m), &back)) << m.scenario;
         EXPECT_TRUE(back.ExactlyEquals(m)) << m.scenario;
+    }
+}
+
+TEST(Golden, BaselinesAreByteCanonical)
+{
+    // Every checked-in baseline is exactly what the writer emits for the
+    // record it parses to: key order, omitted all-zero groups and number
+    // formatting are pinned without running a simulation.
+    size_t files = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(HERACLES_GOLDEN_DIR)) {
+        if (entry.path().extension() != ".json") continue;
+        ++files;
+        std::ifstream in(entry.path());
+        std::stringstream buf;
+        buf << in.rdbuf();
+        const std::string bytes = buf.str();
+        ScenarioMetrics m;
+        ASSERT_TRUE(MetricsFromJson(bytes, &m)) << entry.path();
+        EXPECT_EQ(MetricsToJson(m), bytes) << entry.path();
+    }
+    EXPECT_EQ(files, AllScenarios().size());
+}
+
+using Field = double ScenarioMetrics::*;
+
+/**
+ * Perturbs @p field of a record (every other field equal) to just inside
+ * and just outside @p allowed around @p base, on both sides.
+ */
+void
+ExpectBoundary(Field field, double base, double allowed)
+{
+    ScenarioMetrics golden;
+    golden.scenario = "boundary";
+    golden.*field = base;
+    const double outside = allowed > 0.0 ? 1.01 * allowed : 1e-6;
+    for (const double sign : {1.0, -1.0}) {
+        ScenarioMetrics got = golden;
+        got.*field = base + sign * 0.99 * allowed;
+        EXPECT_TRUE(WithinTolerance(got, golden))
+            << "base " << base << " allowed " << allowed;
+        got.*field = base + sign * outside;
+        std::vector<std::string> mismatches;
+        EXPECT_FALSE(WithinTolerance(got, golden, &mismatches))
+            << "base " << base << " allowed " << allowed;
+        EXPECT_EQ(mismatches.size(), 1u);
+    }
+}
+
+TEST(Tolerance, EachClassHoldsAtItsBoundary)
+{
+    using M = ScenarioMetrics;
+    // Verdicts: exact.
+    for (Field f : {&M::slo_attained, &M::invariant_violations}) {
+        ExpectBoundary(f, 1.0, 0.0);
+    }
+    // Degraded ops: +/- max(5, 15%).
+    ExpectBoundary(&M::faulted_ops, 10.0, 5.0);
+    ExpectBoundary(&M::faulted_ops, 100.0, 15.0);
+    // Activity counts: +/- max(3, 15%).
+    for (Field f : {&M::polls, &M::be_enables, &M::be_disables,
+                    &M::core_shrinks, &M::act_set_cores, &M::act_set_ways,
+                    &M::act_set_freq_cap, &M::act_set_net_ceil,
+                    &M::be_placements, &M::be_migrations,
+                    &M::be_would_placements, &M::be_would_migrations}) {
+        ExpectBoundary(f, 10.0, 3.0);
+        ExpectBoundary(f, 100.0, 15.0);
+    }
+    // Final allocations: +/- 2 absolute, however large.
+    for (Field f : {&M::be_cores, &M::be_ways}) {
+        ExpectBoundary(f, 4.0, 2.0);
+        ExpectBoundary(f, 100.0, 2.0);
+    }
+    // Everything else is continuous: +/- max(0.02, 10%).
+    for (Field f : {&M::tail_frac_slo, &M::worst_tail_ms, &M::p95_ms,
+                    &M::p99_ms, &M::lc_throughput, &M::be_throughput,
+                    &M::emu, &M::min_emu, &M::dram_frac, &M::cpu_util,
+                    &M::power_frac_tdp, &M::root_target_ms,
+                    &M::leaf_target_ms}) {
+        ExpectBoundary(f, 0.1, 0.02);
+        ExpectBoundary(f, 10.0, 1.0);
     }
 }
 

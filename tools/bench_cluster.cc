@@ -28,12 +28,12 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
 
 #include "cluster/cluster.h"
+#include "flags.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
 #include "sim/stats.h"
@@ -62,24 +62,18 @@ SameSeries(const sim::TimeSeries& a, const sim::TimeSeries& b)
 bool
 SameResult(const cluster::ClusterResult& a, const cluster::ClusterResult& b)
 {
-    return SameSeries(a.latency_frac, b.latency_frac) &&
+    return static_cast<const exp::ActivityCounters&>(a) == b &&
+           SameSeries(a.latency_frac, b.latency_frac) &&
            SameSeries(a.emu, b.emu) && SameSeries(a.load, b.load) &&
            a.worst_latency_frac == b.worst_latency_frac &&
            a.slo_violated == b.slo_violated && a.avg_emu == b.avg_emu &&
            a.min_emu == b.min_emu && a.target == b.target &&
-           a.leaf_target == b.leaf_target && a.polls == b.polls &&
-           a.be_enables == b.be_enables &&
-           a.be_disables == b.be_disables &&
-           a.core_shrinks == b.core_shrinks &&
-           a.actuations.set_cores == b.actuations.set_cores &&
-           a.actuations.set_ways == b.actuations.set_ways &&
-           a.actuations.set_freq_cap == b.actuations.set_freq_cap &&
-           a.actuations.set_net_ceil == b.actuations.set_net_ceil &&
+           a.leaf_target == b.leaf_target &&
            a.be_placements == b.be_placements &&
            a.be_migrations == b.be_migrations &&
-           a.invariant_violations == b.invariant_violations &&
-           a.faulted_ops == b.faulted_ops && a.epochs == b.epochs &&
-           a.leaf_events == b.leaf_events;
+           a.be_would_placements == b.be_would_placements &&
+           a.be_would_migrations == b.be_would_migrations &&
+           a.epochs == b.epochs && a.leaf_events == b.leaf_events;
 }
 
 }  // namespace
@@ -96,21 +90,13 @@ main(int argc, char** argv)
         if (!std::strcmp(argv[i], "--scenario") && i + 1 < argc) {
             scenario_name = argv[++i];
         } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-            // Strict parse (the heracles_sim convention): a typo like
-            // "0.2x" or "o.2" must not silently become some other run.
-            const char* v = argv[++i];
-            char* end = nullptr;
-            scale = std::strtod(v, &end);
-            if (end == v || *end != '\0' || scale <= 0.0) {
-                std::fprintf(
-                    stderr,
-                    "--scale wants a positive number, got '%s'\n", v);
-                return 2;
-            }
+            scale = tools::ParseNumber("--scale", argv[++i],
+                                       "a positive number up to 1000",
+                                       tools::kPositive, 1000.0);
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            jobs = tools::ParsePositiveInt("--jobs", argv[++i]);
         } else if (!std::strcmp(argv[i], "--leaves") && i + 1 < argc) {
-            leaves = std::atoi(argv[++i]);
+            leaves = tools::ParsePositiveInt("--leaves", argv[++i]);
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else {
@@ -121,11 +107,6 @@ main(int argc, char** argv)
             return 2;
         }
     }
-    if (scale <= 0.0 || jobs <= 0) {
-        std::fprintf(stderr, "--scale and --jobs must be positive\n");
-        return 2;
-    }
-
     const scenarios::ScenarioSpec& spec =
         scenarios::MustFindScenario(scenario_name);
     scenarios::RunOptions opts;

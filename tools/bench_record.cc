@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "hw/machine.h"
 #include "platform/sim_platform.h"
 #include "scenarios/registry.h"
@@ -161,9 +162,14 @@ main(int argc, char** argv)
     std::string out_path = "BENCH_sim_core.json";
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
+            scale = tools::ParseNumber("--scale", argv[++i],
+                                       "a positive number up to 1000",
+                                       tools::kPositive, 1000.0);
         } else if (!std::strcmp(argv[i], "--events") && i + 1 < argc) {
-            events = std::strtoull(argv[++i], nullptr, 10);
+            events = static_cast<uint64_t>(
+                tools::ParseNumber("--events", argv[++i],
+                                   "a positive integer", 1, 1e15,
+                                   /*integer=*/true));
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else {
@@ -173,10 +179,6 @@ main(int argc, char** argv)
                 argv[0]);
             return 2;
         }
-    }
-    if (scale <= 0.0) {
-        std::fprintf(stderr, "--scale must be positive\n");
-        return 2;
     }
 
     // --- Catalog pass: every scenario, serial, wall-clocked -------------

@@ -54,23 +54,25 @@
  * invariant checker's verdict.
  */
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "chaos/fault_plan.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
+#include "flags.h"
 #include "runner/pool.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
 #include "sim/log.h"
 
 using namespace heracles;
+using tools::kPositive;
+using tools::ParseNumber;
+using tools::ParsePositiveInt;
 
 namespace {
 
@@ -88,40 +90,6 @@ Usage(const char* argv0)
                  "[--cluster-policy NAME]\n",
                  argv0);
     std::exit(2);
-}
-
-/** Lower bound for flags that must be strictly positive. */
-constexpr double kPositive = std::numeric_limits<double>::denorm_min();
-
-/**
- * The one strict numeric flag parser: @p v must be a finite number,
- * consumed entirely (no trailing junk), within [@p lo, @p hi] and, when
- * @p integer, whole. Anything else — garbage, "4x", nan, inf, out of
- * range — prints "error: FLAG wants WANT, got 'V'" and exits 2 before
- * any simulation runs.
- */
-double
-ParseNumber(const char* flag, const std::string& v, const char* want,
-            double lo, double hi, bool integer = false)
-{
-    char* end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < lo ||
-        x > hi || (integer && x != std::floor(x))) {
-        std::fprintf(stderr, "error: %s wants %s, got '%s'\n", flag, want,
-                     v.c_str());
-        std::exit(2);
-    }
-    return x;
-}
-
-/** ParseNumber for a positive int-valued flag (thread counts, sizes). */
-int
-ParsePositiveInt(const char* flag, const char* v)
-{
-    return static_cast<int>(
-        ParseNumber(flag, v, "a positive integer", 1,
-                    std::numeric_limits<int>::max(), /*integer=*/true));
 }
 
 /** Prints the scenario catalog as a table. */
