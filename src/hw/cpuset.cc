@@ -1,6 +1,5 @@
 #include "hw/cpuset.h"
 
-#include <set>
 #include <sstream>
 
 namespace heracles::hw {
@@ -25,10 +24,8 @@ std::vector<int>
 CpuSet::Cpus() const
 {
     std::vector<int> out;
-    out.reserve(bits_.count());
-    for (int c = 0; c < kMaxCpus; ++c) {
-        if (bits_.test(static_cast<size_t>(c))) out.push_back(c);
-    }
+    out.reserve(static_cast<size_t>(Count()));
+    ForEach([&out](int cpu) { out.push_back(cpu); });
     return out;
 }
 
@@ -55,6 +52,14 @@ CpuSet::ToString() const
         c = end + 1;
     }
     return oss.str();
+}
+
+Topology::Topology(const MachineConfig& cfg) : cfg_(cfg)
+{
+    for (int s = 0; s < cfg_.sockets; ++s) {
+        socket_masks_.push_back(
+            CpuSet::Range(s * cfg_.CpusPerSocket(), cfg_.CpusPerSocket()));
+    }
 }
 
 CpuSet
@@ -106,19 +111,16 @@ Topology::ThreadOfCores(int first_core, int n, int thread) const
 int
 Topology::PhysicalCoreCount(const CpuSet& set) const
 {
-    std::set<int> cores;
-    for (int cpu : set.Cpus()) cores.insert(CoreOf(cpu));
-    return static_cast<int>(cores.size());
-}
-
-CpuSet
-Topology::OnSocket(const CpuSet& set, int socket) const
-{
-    CpuSet s;
-    for (int cpu : set.Cpus()) {
-        if (SocketOf(cpu) == socket) s.Add(cpu);
-    }
-    return s;
+    // Ascending cpu ids give non-decreasing core ids, so each distinct
+    // core is one run of equal ids.
+    int count = 0;
+    int last = -1;
+    set.ForEach([&](int cpu) {
+        const int core = CoreOf(cpu);
+        if (core != last) ++count;
+        last = core;
+    });
+    return count;
 }
 
 }  // namespace heracles::hw

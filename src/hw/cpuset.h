@@ -9,7 +9,8 @@
 #ifndef HERACLES_HW_CPUSET_H
 #define HERACLES_HW_CPUSET_H
 
-#include <bitset>
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,23 +38,51 @@ class CpuSet
     Add(int cpu)
     {
         HERACLES_CHECK(cpu >= 0 && cpu < kMaxCpus);
-        bits_.set(static_cast<size_t>(cpu));
+        words_[WordOf(cpu)] |= BitOf(cpu);
     }
     void
     Remove(int cpu)
     {
         HERACLES_CHECK(cpu >= 0 && cpu < kMaxCpus);
-        bits_.reset(static_cast<size_t>(cpu));
+        words_[WordOf(cpu)] &= ~BitOf(cpu);
     }
     bool
     Contains(int cpu) const
     {
         return cpu >= 0 && cpu < kMaxCpus &&
-               bits_.test(static_cast<size_t>(cpu));
+               (words_[WordOf(cpu)] & BitOf(cpu)) != 0;
     }
 
-    int Count() const { return static_cast<int>(bits_.count()); }
-    bool Empty() const { return bits_.none(); }
+    int
+    Count() const
+    {
+        int n = 0;
+        for (uint64_t w : words_) n += __builtin_popcountll(w);
+        return n;
+    }
+    bool
+    Empty() const
+    {
+        for (uint64_t w : words_) {
+            if (w != 0) return false;
+        }
+        return true;
+    }
+
+    /**
+     * Calls @p fn(cpu) for every cpu in the set, ascending: a word scan
+     * that jumps straight to each set bit, with no allocation.
+     */
+    template <typename Fn>
+    void
+    ForEach(Fn&& fn) const
+    {
+        for (int w = 0; w < kWords; ++w) {
+            for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+                fn(w * 64 + __builtin_ctzll(bits));
+            }
+        }
+    }
 
     /** All cpu ids in the set, ascending. */
     std::vector<int> Cpus() const;
@@ -62,38 +91,45 @@ class CpuSet
     Union(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ | o.bits_;
+        for (int w = 0; w < kWords; ++w) r.words_[w] = words_[w] | o.words_[w];
         return r;
     }
     CpuSet
     Intersect(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ & o.bits_;
+        for (int w = 0; w < kWords; ++w) r.words_[w] = words_[w] & o.words_[w];
         return r;
     }
     CpuSet
     Minus(const CpuSet& o) const
     {
         CpuSet r;
-        r.bits_ = bits_ & ~o.bits_;
+        for (int w = 0; w < kWords; ++w) {
+            r.words_[w] = words_[w] & ~o.words_[w];
+        }
         return r;
     }
-    bool Intersects(const CpuSet& o) const { return (bits_ & o.bits_).any(); }
-    bool operator==(const CpuSet& o) const { return bits_ == o.bits_; }
+    bool Intersects(const CpuSet& o) const { return !Intersect(o).Empty(); }
+    bool operator==(const CpuSet& o) const { return words_ == o.words_; }
 
     /** Compact human-readable form, e.g. "0-3,8,10-11". */
     std::string ToString() const;
 
   private:
-    std::bitset<kMaxCpus> bits_;
+    static constexpr int kWords = kMaxCpus / 64;
+    static int WordOf(int cpu) { return cpu / 64; }
+    static uint64_t BitOf(int cpu) { return uint64_t{1} << (cpu % 64); }
+
+    std::array<uint64_t, kWords> words_{};
 };
 
 /** Maps logical cpu ids to (socket, physical core, thread) and back. */
 class Topology
 {
   public:
-    explicit Topology(const MachineConfig& cfg) : cfg_(cfg) {}
+    /** Precomputes one cpu mask per socket; the shape must fit CpuSet. */
+    explicit Topology(const MachineConfig& cfg);
 
     int SocketOf(int cpu) const { return cpu / cfg_.CpusPerSocket(); }
 
@@ -148,13 +184,20 @@ class Topology
     /** Number of distinct physical cores covered by @p set. */
     int PhysicalCoreCount(const CpuSet& set) const;
 
-    /** Cpus of @p set that live on @p socket. */
-    CpuSet OnSocket(const CpuSet& set, int socket) const;
+    /** Cpus of @p set that live on @p socket (empty for a socket outside
+     *  the machine). */
+    CpuSet
+    OnSocket(const CpuSet& set, int socket) const
+    {
+        if (socket < 0 || socket >= cfg_.sockets) return CpuSet{};
+        return set.Intersect(socket_masks_[socket]);
+    }
 
     const MachineConfig& config() const { return cfg_; }
 
   private:
     MachineConfig cfg_;
+    std::vector<CpuSet> socket_masks_;  ///< Every cpu of each socket.
 };
 
 }  // namespace heracles::hw

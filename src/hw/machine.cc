@@ -11,18 +11,41 @@
 
 namespace heracles::hw {
 
+namespace {
+
+/**
+ * @p cfg, once it is a shape the machine can represent. Runs before any
+ * member is built from it: the topology's socket masks and the per-socket
+ * vectors both assume a valid shape.
+ */
+const MachineConfig&
+Checked(const MachineConfig& cfg)
+{
+    HERACLES_CHECK_MSG(cfg.sockets >= 1 && cfg.sockets <= kMaxSockets,
+                       "sockets must be in [1, " << kMaxSockets
+                                                 << "]: " << cfg.sockets);
+    HERACLES_CHECK_MSG(cfg.cores_per_socket >= 1,
+                       "cores_per_socket must be at least 1: "
+                           << cfg.cores_per_socket);
+    // Topology::SiblingOf models at most 2-way SMT.
+    HERACLES_CHECK_MSG(cfg.threads_per_core == 1 || cfg.threads_per_core == 2,
+                       "threads_per_core must be 1 or 2: "
+                           << cfg.threads_per_core);
+    HERACLES_CHECK_MSG(cfg.LogicalCpus() <= kMaxCpus,
+                       "too many cpus: " << cfg.LogicalCpus());
+    return cfg;
+}
+
+}  // namespace
+
 Machine::Machine(const MachineConfig& cfg, sim::EventQueue& queue)
-    : cfg_(cfg),
+    : cfg_(Checked(cfg)),
       topo_(cfg),
       queue_(queue),
       noise_rng_(cfg.seed ^ 0xFEEDFACEull),
       dram_granted_(cfg.sockets, 0.0),
       socket_power_(cfg.sockets, 0.0)
 {
-    HERACLES_CHECK_MSG(cfg.sockets <= kMaxSockets,
-                       "too many sockets: " << cfg.sockets);
-    HERACLES_CHECK_MSG(cfg.LogicalCpus() <= kMaxCpus,
-                       "too many cpus: " << cfg.LogicalCpus());
     epoch_event_ = queue_.SchedulePeriodic(cfg.epoch, cfg.epoch,
                                            [this] { EpochResolve(); });
 }
@@ -96,8 +119,24 @@ Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
             }
         }
     }
-    StateOf(client).cpus = cpus;
+    ClientState& st = StateOf(client);
+    st.cpus = cpus;
+    BuildLayout(st);
     demand_dirty_ = true;
+}
+
+void
+Machine::BuildLayout(ClientState& st) const
+{
+    st.cpu_list.clear();
+    st.siblings.clear();
+    for (auto& cores : st.socket_cores) cores.clear();
+    st.cpus.ForEach([&](int cpu) {
+        st.cpu_list.push_back(cpu);
+        st.siblings.push_back(topo_.SiblingOf(cpu));
+        st.socket_cores[topo_.SocketOf(cpu)].push_back(
+            topo_.CoreOf(cpu) % cfg_.cores_per_socket);
+    });
 }
 
 const CpuSet&
@@ -237,6 +276,12 @@ Machine::DoResolve()
     // client's measurement window.
     const bool recompute = demand_dirty_ || naive_;
     demand_dirty_ = false;
+    if (naive_) {
+        // The reference never trusts the cached layout: rebuilding it
+        // here reads every cpuset afresh, so the equivalence test checks
+        // the cache AssignCpus maintains against one that is never stale.
+        for (auto& [client, st] : clients_) BuildLayout(st);
+    }
     if (recompute) {
         ResolveLlcAndDram();
         ++demand_recomputes_;
@@ -277,8 +322,8 @@ Machine::ResolveLlcAndDram()
         socket_frac.clear();
         for (size_t i = 0; i < clients_.size(); ++i) {
             auto& [client, st] = clients_[i];
-            if (st.cpus.Empty()) continue;
-            const int here = topo_.OnSocket(st.cpus, socket).Count();
+            const int here =
+                static_cast<int>(st.socket_cores[socket].size());
             if (here == 0) continue;
             LlcRequest r;
             r.footprint_mb = client->LlcFootprintMb(socket);
@@ -287,7 +332,7 @@ Machine::ResolveLlcAndDram()
             reqs.push_back(r);
             idx.push_back(i);
             socket_frac.push_back(static_cast<double>(here) /
-                                  st.cpus.Count());
+                                  st.cpu_list.size());
         }
 
         ResolveLlc(cfg_, reqs, &scratch_llc_);
@@ -346,9 +391,10 @@ Machine::ResolveHt()
         }
         double total = 0.0;
         int n_cpus = 0;
-        for (int cpu : st.cpus.Cpus()) {
+        for (size_t i = 0; i < st.cpu_list.size(); ++i) {
+            const int cpu = st.cpu_list[i];
+            const int sib = st.siblings[i];
             double p = 1.0;
-            const int sib = topo_.SiblingOf(cpu);
             for (size_t o = 0; o < n; ++o) {
                 auto& [other, ost] = clients_[o];
                 if (other == client) continue;
@@ -394,9 +440,7 @@ Machine::ResolvePowerAllSockets()
             if (st.cpus.Empty()) continue;
             const double busy = client->CpuBusyFraction();
             const double intensity = client->PowerIntensity();
-            for (int cpu : topo_.OnSocket(st.cpus, socket).Cpus()) {
-                const int core_local =
-                    topo_.CoreOf(cpu) % cfg_.cores_per_socket;
+            for (int core_local : st.socket_cores[socket]) {
                 auto& c = cores[core_local];
                 // Each busy thread contributes its share; two busy
                 // threads saturate the physical core.
@@ -422,20 +466,15 @@ Machine::ResolvePowerAllSockets()
 
         // Publish mean frequency per client on this socket.
         for (auto& [client, st] : clients_) {
-            const CpuSet here = topo_.OnSocket(st.cpus, socket);
-            if (here.Empty()) continue;
+            const std::vector<int>& here = st.socket_cores[socket];
+            if (here.empty()) continue;
             double f = 0.0;
-            int n = 0;
-            for (int cpu : here.Cpus()) {
-                const int core_local =
-                    topo_.CoreOf(cpu) % cfg_.cores_per_socket;
-                f += pw.freq_ghz[core_local];
-                ++n;
-            }
+            for (int core_local : here) f += pw.freq_ghz[core_local];
+            const int n = static_cast<int>(here.size());
             // Weighted across sockets by cpu count. The view's frequency
             // was zeroed at the start of this phase.
             const double frac =
-                static_cast<double>(n) / st.cpus.Count();
+                static_cast<double>(n) / st.cpu_list.size();
             st.view.freq_ghz += frac * (f / n);
         }
     }

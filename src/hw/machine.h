@@ -34,6 +34,7 @@
 #ifndef HERACLES_HW_MACHINE_H
 #define HERACLES_HW_MACHINE_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -159,9 +160,10 @@ class Machine
 
     /**
      * Disables every incremental path: RequestResolve() becomes an eager
-     * ResolveNow() and each resolve recomputes all phases. The retained
-     * naive reference for the equivalence test and the arbitration
-     * microbench.
+     * ResolveNow(), each resolve recomputes all phases, and each resolve
+     * rebuilds every client's cached cpu layout from its cpuset. The
+     * retained naive reference for the equivalence test and the
+     * arbitration microbench.
      */
     void SetNaiveArbitration(bool naive);
 
@@ -213,6 +215,13 @@ class Machine
   private:
     struct ClientState {
         CpuSet cpus;
+        // The cpu layout the resolver loops over, derived from `cpus` by
+        // BuildLayout (AssignCpus is the only writer of `cpus`).
+        std::vector<int> cpu_list;  ///< Cpu ids, ascending.
+        std::vector<int> siblings;  ///< HT sibling of each cpu_list entry.
+        /** Per socket: the local core id of each of the client's cpus
+         *  there, in cpu_list order. */
+        std::array<std::vector<int>, kMaxSockets> socket_cores;
         int cat_ways = 0;
         double freq_cap_ghz = 0.0;
         TaskView view;
@@ -231,6 +240,9 @@ class Machine
      * state-equivalent to the eager resolve it replaces.
      */
     void TouchAllBusy();
+
+    /** Rebuilds @p st's cpu layout from st.cpus (reuses capacity). */
+    void BuildLayout(ClientState& st) const;
 
     void ResolveLlcAndDram();
     void ResolveHt();

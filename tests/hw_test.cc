@@ -5,11 +5,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "hw/dram.h"
 #include "hw/llc.h"
 #include "hw/machine.h"
 #include "hw/nic.h"
 #include "hw/power.h"
+#include "sim/random.h"
 
 namespace heracles::hw {
 namespace {
@@ -137,6 +141,65 @@ TEST(Topology, OnSocketFilters)
     const CpuSet all = topo.AllCpus();
     EXPECT_EQ(topo.OnSocket(all, 0).Count(), Cfg().CpusPerSocket());
     EXPECT_EQ(topo.OnSocket(all, 1).Count(), Cfg().CpusPerSocket());
+}
+
+// The word-scanning CpuSet and the mask-based Topology queries against a
+// per-bit reference, over seeded random sets on every machine shape the
+// sibling model supports (1-2 sockets, 1-2 threads per core). 64 cores
+// per socket fills all 256 cpus, so the scan crosses every word boundary.
+TEST(Topology, BruteForceAgainstPerBitReference)
+{
+    sim::Rng rng(2026);
+    for (int sockets : {1, 2}) {
+        for (int threads : {1, 2}) {
+            for (int cores : {18, 64}) {
+                MachineConfig cfg;
+                cfg.sockets = sockets;
+                cfg.threads_per_core = threads;
+                cfg.cores_per_socket = cores;
+                const Topology topo(cfg);
+                const int n = cfg.LogicalCpus();
+                for (int trial = 0; trial < 40; ++trial) {
+                    // Trial 0 is the empty set, trial 1 the full set.
+                    const double density =
+                        trial == 0 ? 0.0 : trial == 1 ? 1.0
+                                                      : rng.Uniform(0, 1);
+                    std::vector<int> members;
+                    CpuSet set;
+                    for (int cpu = 0; cpu < n; ++cpu) {
+                        if (density == 1.0 || rng.Bernoulli(density)) {
+                            members.push_back(cpu);
+                            set.Add(cpu);
+                        }
+                    }
+                    SCOPED_TRACE(testing::Message()
+                                 << sockets << "x" << cores << "x"
+                                 << threads << " trial " << trial << " {"
+                                 << set.ToString() << "}");
+                    EXPECT_EQ(set.Cpus(), members);
+                    EXPECT_EQ(set.Count(), static_cast<int>(members.size()));
+
+                    std::set<int> distinct_cores;
+                    for (int cpu : members) {
+                        distinct_cores.insert(topo.CoreOf(cpu));
+                    }
+                    EXPECT_EQ(topo.PhysicalCoreCount(set),
+                              static_cast<int>(distinct_cores.size()));
+
+                    for (int s = 0; s < sockets; ++s) {
+                        std::vector<int> here;
+                        for (int cpu : members) {
+                            if (topo.SocketOf(cpu) == s) here.push_back(cpu);
+                        }
+                        EXPECT_EQ(topo.OnSocket(set, s).Cpus(), here)
+                            << "socket " << s;
+                    }
+                    EXPECT_TRUE(topo.OnSocket(set, sockets).Empty());
+                    EXPECT_TRUE(topo.OnSocket(set, -1).Empty());
+                }
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -479,6 +542,24 @@ TEST(MachineDeath, OverlappingCpusetsAbort)
     m.AddClient(&b);
     m.AssignCpus(&a, CpuSet::Range(0, 4));
     EXPECT_DEATH(m.AssignCpus(&b, CpuSet::Range(2, 4)), "overlap");
+}
+
+TEST(MachineDeath, RejectsShapesTheSiblingModelCannotRepresent)
+{
+    sim::EventQueue q;
+    MachineConfig smt4 = Cfg();
+    smt4.cores_per_socket = 8;
+    smt4.threads_per_core = 4;
+    EXPECT_DEATH({ Machine m(smt4, q); }, "threads_per_core");
+    MachineConfig no_threads = Cfg();
+    no_threads.threads_per_core = 0;
+    EXPECT_DEATH({ Machine m(no_threads, q); }, "threads_per_core");
+    MachineConfig no_sockets = Cfg();
+    no_sockets.sockets = 0;
+    EXPECT_DEATH({ Machine m(no_sockets, q); }, "sockets");
+    MachineConfig no_cores = Cfg();
+    no_cores.cores_per_socket = 0;
+    EXPECT_DEATH({ Machine m(no_cores, q); }, "cores_per_socket");
 }
 
 TEST(Machine, SharingAllowedWhenEnabled)

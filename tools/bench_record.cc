@@ -13,7 +13,9 @@
  *  - the machine-arbitration microbench: one colocated server under a
  *    controller-like actuation cadence, run with the incremental
  *    resolver and with the retained naive full-resolve reference, so
- *    the record shows events/sec and (full) resolves/event for both.
+ *    the record shows events/sec and (full) resolves/event for both,
+ *    plus an idle window with no actuations that records heap
+ *    allocations and host nanoseconds per epoch resolve.
  *
  * Usage: bench_record [--scale F] [--events N] [--out FILE]
  *   --scale   time scale for the catalog pass (default 1.0 = full phases;
@@ -57,38 +59,65 @@ using namespace heracles;
 
 namespace {
 
-/** One machine-arbitration churn measurement. */
+/** One machine-arbitration measurement under one resolver mode. */
 struct ArbRun {
     double wall_s = 0.0;
     uint64_t events = 0;      ///< Queue events fired during the run.
     uint64_t resolves = 0;    ///< Machine::resolves() at the end.
     uint64_t recomputes = 0;  ///< Machine::demand_recomputes() at the end.
+    // The idle window: no actuations, so every resolve is an epoch tick.
+    double idle_wall_s = 0.0;
+    uint64_t idle_resolves = 0;
+    uint64_t idle_allocs = 0;  ///< Heap allocations during the window.
+};
+
+hw::MachineConfig
+ArbConfig()
+{
+    hw::MachineConfig cfg;
+    cfg.seed = 20260809;
+    return cfg;
+}
+
+/** One colocated server (websearch LC + brain BE) under one resolver. */
+struct ArbRig {
+    sim::EventQueue queue;
+    hw::Machine machine;
+    workloads::LcApp lc;
+    workloads::BeTask be;
+    platform::SimPlatform plat;
+
+    ArbRig(bool naive, double load)
+        : machine(ArbConfig(), queue),
+          lc(machine, workloads::Websearch(), /*seed=*/7),
+          be(machine, workloads::Brain()),
+          plat(machine, lc, &be)
+    {
+        machine.SetNaiveArbitration(naive);
+        plat.ApplyInitialPlacement();
+        lc.SetLoad(load);
+        lc.Start();
+    }
 };
 
 /**
- * Drives one colocated server (websearch LC + brain BE) through a
- * seeded controller-like churn of actuations and utilization reads —
- * the same op mix tests/machine_equivalence_test.cc pins bit-identical
- * across resolver modes — and reports events/sec plus how many resolves
- * ran the full LLC/DRAM/NIC demand pipeline. With @p naive the machine
- * uses the retained eager full-recompute resolver, so the two runs
- * bracket exactly what incremental arbitration saves.
+ * Drives one colocated server through a seeded controller-like churn of
+ * actuations and utilization reads — the same op mix
+ * tests/machine_equivalence_test.cc pins bit-identical across resolver
+ * modes — and reports events/sec plus how many resolves ran the full
+ * LLC/DRAM/NIC demand pipeline. With @p naive the machine uses the
+ * retained eager full-recompute resolver, so the two runs bracket
+ * exactly what incremental arbitration saves.
+ *
+ * A second, idle rig (LC load 0, half the cores given to BE, then 20 s
+ * of simulated time with no actuations) isolates the per-epoch resolve:
+ * its heap allocations and host time per resolve.
  */
 ArbRun
 RunArbitrationChurn(bool naive, int steps)
 {
-    sim::EventQueue queue;
-    hw::MachineConfig cfg;
-    cfg.seed = 20260809;
-    hw::Machine machine(cfg, queue);
-    machine.SetNaiveArbitration(naive);
-    workloads::LcApp lc(machine, workloads::Websearch(), /*seed=*/7);
-    workloads::BeTask be(machine, workloads::Brain());
-    platform::SimPlatform plat(machine, lc, &be);
-    plat.ApplyInitialPlacement();
-    lc.SetLoad(0.7);
-    lc.Start();
-
+    ArbRig rig(naive, /*load=*/0.7);
+    const hw::MachineConfig& cfg = rig.machine.config();
     sim::Rng churn(4242);
     const int total_cores = cfg.TotalCores();
     const int total_ways = cfg.llc_ways;
@@ -97,37 +126,49 @@ RunArbitrationChurn(bool naive, int steps)
         for (int step = 0; step < steps; ++step) {
             switch (churn.UniformInt(6)) {
             case 0:
-                plat.SetBeCores(
+                rig.plat.SetBeCores(
                     static_cast<int>(churn.UniformInt(total_cores)));
                 break;
             case 1:
-                plat.SetBeWays(
+                rig.plat.SetBeWays(
                     static_cast<int>(churn.UniformInt(total_ways)));
                 break;
             case 2:
-                plat.SetBeFreqCapGhz(
+                rig.plat.SetBeFreqCapGhz(
                     churn.Uniform(cfg.min_ghz, cfg.turbo_1c_ghz));
                 break;
             case 3:
-                plat.SetBeNetCeilGbps(
+                rig.plat.SetBeNetCeilGbps(
                     churn.Bernoulli(0.3)
                         ? -1.0
                         : churn.Uniform(0.5, cfg.nic_gbps));
                 break;
             case 4:
-                be.SetDemandScale(churn.Uniform(0.2, 1.5));
+                rig.be.SetDemandScale(churn.Uniform(0.2, 1.5));
                 break;
             default:
-                (void)plat.LcCpuUtilization();
+                (void)rig.plat.LcCpuUtilization();
                 break;
             }
-            queue.RunFor(
+            rig.queue.RunFor(
                 sim::Millis(1 + static_cast<int>(churn.UniformInt(400))));
         }
     });
-    r.events = queue.executed();
-    r.resolves = machine.resolves();
-    r.recomputes = machine.demand_recomputes();
+    r.events = rig.queue.executed();
+    r.resolves = rig.machine.resolves();
+    r.recomputes = rig.machine.demand_recomputes();
+
+    ArbRig idle(naive, /*load=*/0.0);
+    idle.plat.SetBeCores(total_cores / 2);
+    // One second first, so the window excludes the actuation and the
+    // first-resolve growth of the reused scratch buffers.
+    idle.queue.RunFor(sim::Seconds(1));
+    const uint64_t resolves0 = idle.machine.resolves();
+    const uint64_t allocs0 = bench::AllocCount();
+    r.idle_wall_s =
+        bench::WallSeconds([&] { idle.queue.RunFor(sim::Seconds(20)); });
+    r.idle_allocs = bench::AllocCount() - allocs0;
+    r.idle_resolves = idle.machine.resolves() - resolves0;
     return r;
 }
 
@@ -135,7 +176,9 @@ std::string
 ArbRunJson(const char* key, const ArbRun& r)
 {
     const double ev = static_cast<double>(r.events);
-    char buf[512];
+    const double idle = static_cast<double>(
+        r.idle_resolves > 0 ? r.idle_resolves : 1);
+    char buf[768];
     std::snprintf(
         buf, sizeof buf,
         "    \"%s\": {\n"
@@ -143,12 +186,18 @@ ArbRunJson(const char* key, const ArbRun& r)
         "      \"events\": %llu,\n"
         "      \"events_per_sec\": %.0f,\n"
         "      \"resolves_per_event\": %.4f,\n"
-        "      \"full_resolves_per_event\": %.4f\n"
+        "      \"full_resolves_per_event\": %.4f,\n"
+        "      \"idle\": {\"resolves\": %llu, \"allocs\": %llu, "
+        "\"allocs_per_resolve\": %.3f, \"ns_per_resolve\": %.0f}\n"
         "    }",
         key, r.wall_s, static_cast<unsigned long long>(r.events),
         ev / (r.wall_s > 0 ? r.wall_s : 1e-9),
         static_cast<double>(r.resolves) / (ev > 0 ? ev : 1),
-        static_cast<double>(r.recomputes) / (ev > 0 ? ev : 1));
+        static_cast<double>(r.recomputes) / (ev > 0 ? ev : 1),
+        static_cast<unsigned long long>(r.idle_resolves),
+        static_cast<unsigned long long>(r.idle_allocs),
+        static_cast<double>(r.idle_allocs) / idle,
+        r.idle_wall_s * 1e9 / idle);
     return buf;
 }
 
