@@ -12,11 +12,14 @@
 #ifndef HERACLES_BENCH_BENCH_COMMON_H
 #define HERACLES_BENCH_BENCH_COMMON_H
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
+#include "flags.h"
 #include "runner/pool.h"
 #include "sim/time.h"
 
@@ -36,28 +39,50 @@ Scaled(sim::Duration full, sim::Duration fast)
     return FastMode() ? fast : full;
 }
 
+/** Host wall-clock seconds @p fn takes. */
+inline double
+WallSeconds(const std::function<void()>& fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/**
+ * Prints a JSON record to stdout and, unless @p path is empty, writes it
+ * to @p path. Returns false (with a message) when the file cannot be
+ * written.
+ */
+inline bool
+EmitRecord(const std::string& json, const std::string& path)
+{
+    std::fputs(json.c_str(), stdout);
+    if (path.empty()) return true;
+    FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+    return true;
+}
+
 /**
  * Parses --jobs N (or --jobs=N) from the command line; every other
  * argument is ignored so benches with their own flags can share it.
- * Exits with a usage message on a malformed value.
+ * Anything but a positive integer exits 2 (tools/flags.h).
  */
 inline int
 ParseJobs(int argc, char** argv)
 {
     int jobs = runner::DefaultJobs();
     for (int i = 1; i < argc; ++i) {
-        const char* val = nullptr;
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            val = argv[++i];
+            jobs = tools::ParsePositiveInt("--jobs", argv[++i]);
         } else if (!std::strncmp(argv[i], "--jobs=", 7)) {
-            val = argv[i] + 7;
-        }
-        if (val != nullptr) {
-            jobs = std::atoi(val);
-            if (jobs <= 0) {
-                std::fprintf(stderr, "usage: %s [--jobs N]\n", argv[0]);
-                std::exit(2);
-            }
+            jobs = tools::ParsePositiveInt("--jobs", argv[i] + 7);
         }
     }
     return jobs;

@@ -11,14 +11,13 @@
  *   --jobs  worker threads for the parallel run (default: hardware)
  *   --out   also write the JSON record to FILE
  */
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "exp/experiment.h"
+#include "sim/json.h"
 
 using namespace heracles;
 
@@ -35,15 +34,6 @@ Identical(const exp::LoadPointResult& a, const exp::LoadPointResult& b)
            a.be_throughput == b.be_throughput && a.emu == b.emu &&
            a.be_cores == b.be_cores && a.be_ways == b.be_ways &&
            a.be_freq_cap_ghz == b.be_freq_cap_ghz && a.slack == b.slack;
-}
-
-double
-WallSeconds(const std::function<void()>& fn)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
 }
 
 }  // namespace
@@ -70,35 +60,29 @@ main(int argc, char** argv)
 
     std::vector<exp::LoadPointResult> serial, parallel;
     const double serial_s =
-        WallSeconds([&] { serial = e.Sweep(loads, 1); });
+        bench::WallSeconds([&] { serial = e.Sweep(loads, 1); });
     const double parallel_s =
-        WallSeconds([&] { parallel = e.Sweep(loads, jobs); });
+        bench::WallSeconds([&] { parallel = e.Sweep(loads, jobs); });
 
     bool identical = serial.size() == parallel.size();
     for (size_t i = 0; identical && i < serial.size(); ++i) {
         identical = Identical(serial[i], parallel[i]);
     }
 
-    char json[512];
-    std::snprintf(
-        json, sizeof json,
-        "{\"bench\":\"runner_speedup\",\"sweep\":\"websearch+brain\","
-        "\"load_points\":%zu,\"jobs\":%d,\"hardware_threads\":%d,"
-        "\"serial_s\":%.3f,\"parallel_s\":%.3f,\"speedup\":%.2f,"
-        "\"identical\":%s}",
-        loads.size(), jobs, runner::HardwareJobs(), serial_s, parallel_s,
-        serial_s / (parallel_s > 0 ? parallel_s : 1e-9),
-        identical ? "true" : "false");
+    sim::JsonWriter w;
+    w.BeginObject();
+    w.Key("bench").String("runner_speedup");
+    w.Key("sweep").String("websearch+brain");
+    w.Key("load_points").Int(static_cast<int64_t>(loads.size()));
+    w.Key("jobs").Int(jobs);
+    w.Key("hardware_threads").Int(runner::HardwareJobs());
+    w.Key("serial_s").Number(serial_s);
+    w.Key("parallel_s").Number(parallel_s);
+    w.Key("speedup").Number(serial_s /
+                            (parallel_s > 0 ? parallel_s : 1e-9));
+    w.Key("identical").Bool(identical);
+    w.EndObject();
 
-    std::printf("%s\n", json);
-    if (!out_path.empty()) {
-        if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-            std::fprintf(f, "%s\n", json);
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-            return 2;
-        }
-    }
+    if (!bench::EmitRecord(w.str(), out_path)) return 2;
     return identical ? 0 : 1;
 }

@@ -16,6 +16,8 @@
 #include <cstring>
 #include <string>
 
+#include "flags.h"
+#include "sim/json.h"
 #include "sim_core_bench.h"
 
 HERACLES_BENCH_DEFINE_ALLOC_COUNTER()
@@ -29,7 +31,10 @@ main(int argc, char** argv)
     std::string out_path;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--events") && i + 1 < argc) {
-            events = std::strtoull(argv[++i], nullptr, 10);
+            events = static_cast<uint64_t>(
+                tools::ParseNumber("--events", argv[++i],
+                                   "a positive integer", 1, 1e15,
+                                   /*integer=*/true));
         } else if (!std::strcmp(argv[i], "--quick")) {
             events = 200000;
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
@@ -52,19 +57,11 @@ main(int argc, char** argv)
         bench::RunEventQueueChurn<bench::LegacyEventQueue>(events);
     const auto stats = bench::RunStatsStreaming(events);
 
-    const std::string json =
-        "{\n  \"bench\": \"sim_core_baseline\",\n" +
-        bench::CoreBenchJson(pooled, legacy, stats) + "\n}\n";
+    sim::JsonWriter w;
+    w.BeginObject().Key("bench").String("sim_core_baseline");
+    bench::WriteCoreBench(w, pooled, legacy, stats);
+    w.EndObject();
 
-    std::fputs(json.c_str(), stdout);
-    if (!out_path.empty()) {
-        if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-            std::fputs(json.c_str(), f);
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-            return 2;
-        }
-    }
+    if (!bench::EmitRecord(w.str(), out_path)) return 2;
     return pooled.per_sec > legacy.per_sec ? 0 : 1;
 }

@@ -23,7 +23,6 @@
 #define HERACLES_BENCH_SIM_CORE_BENCH_H
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -34,7 +33,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "bench_common.h"
 #include "sim/event_queue.h"
+#include "sim/json.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 
@@ -170,15 +171,6 @@ struct BenchResult {
     double allocs_per_event = 0.0;
 };
 
-inline double
-WallSeconds(const std::function<void()>& fn)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
 /**
  * Event-queue churn driver, shared between both implementations.
  *
@@ -304,39 +296,30 @@ RunStatsStreaming(uint64_t total_samples)
 /**
  * The shared core of the BENCH_sim_core.json record (see
  * docs/performance.md for the schema): the event-queue microbench pair
- * and the stats streaming bench, as indented JSON object members
- * without surrounding braces so callers can append their own sections.
+ * and the stats streaming bench, as the "event_queue" and "stats"
+ * members of @p w's open object.
  */
-inline std::string
-CoreBenchJson(const BenchResult& pooled, const BenchResult& legacy,
-              const BenchResult& stats)
+inline void
+WriteCoreBench(sim::JsonWriter& w, const BenchResult& pooled,
+               const BenchResult& legacy, const BenchResult& stats)
 {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof buf,
-        "  \"event_queue\": {\n"
-        "    \"events\": %llu,\n"
-        "    \"pooled_events_per_sec\": %.0f,\n"
-        "    \"pooled_wall_s\": %.3f,\n"
-        "    \"pooled_allocs_per_event\": %.4f,\n"
-        "    \"legacy_events_per_sec\": %.0f,\n"
-        "    \"legacy_wall_s\": %.3f,\n"
-        "    \"legacy_allocs_per_event\": %.4f,\n"
-        "    \"speedup\": %.2f\n"
-        "  },\n"
-        "  \"stats\": {\n"
-        "    \"samples\": %llu,\n"
-        "    \"samples_per_sec\": %.0f,\n"
-        "    \"wall_s\": %.3f,\n"
-        "    \"allocs_per_sample\": %.4f\n"
-        "  }",
-        static_cast<unsigned long long>(pooled.events), pooled.per_sec,
-        pooled.wall_s, pooled.allocs_per_event, legacy.per_sec,
-        legacy.wall_s, legacy.allocs_per_event,
-        pooled.per_sec / (legacy.per_sec > 0 ? legacy.per_sec : 1e-9),
-        static_cast<unsigned long long>(stats.events), stats.per_sec,
-        stats.wall_s, stats.allocs_per_event);
-    return buf;
+    w.Key("event_queue").BeginObject();
+    w.Key("events").Int(static_cast<int64_t>(pooled.events));
+    w.Key("pooled_events_per_sec").Number(pooled.per_sec);
+    w.Key("pooled_wall_s").Number(pooled.wall_s);
+    w.Key("pooled_allocs_per_event").Number(pooled.allocs_per_event);
+    w.Key("legacy_events_per_sec").Number(legacy.per_sec);
+    w.Key("legacy_wall_s").Number(legacy.wall_s);
+    w.Key("legacy_allocs_per_event").Number(legacy.allocs_per_event);
+    w.Key("speedup").Number(
+        pooled.per_sec / (legacy.per_sec > 0 ? legacy.per_sec : 1e-9));
+    w.EndObject();
+    w.Key("stats").BeginObject();
+    w.Key("samples").Int(static_cast<int64_t>(stats.events));
+    w.Key("samples_per_sec").Number(stats.per_sec);
+    w.Key("wall_s").Number(stats.wall_s);
+    w.Key("allocs_per_sample").Number(stats.allocs_per_event);
+    w.EndObject();
 }
 
 }  // namespace heracles::bench

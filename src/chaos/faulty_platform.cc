@@ -124,7 +124,6 @@ FaultyPlatform::SetBeCores(int cores)
 void
 FaultyPlatform::SetBeWays(int ways)
 {
-    commanded_ways_ = ways;
     if (Dropped(Actuator::kWays)) return;
     inner_.SetBeWays(ways);
 }
@@ -132,7 +131,6 @@ FaultyPlatform::SetBeWays(int ways)
 void
 FaultyPlatform::SetBeFreqCapGhz(double ghz)
 {
-    commanded_cap_ = ghz;
     if (Dropped(Actuator::kFreqCap)) return;
     inner_.SetBeFreqCapGhz(ghz);
 }
@@ -140,7 +138,6 @@ FaultyPlatform::SetBeFreqCapGhz(double ghz)
 void
 FaultyPlatform::SetBeNetCeilGbps(double gbps)
 {
-    commanded_ceil_ = gbps;
     if (Dropped(Actuator::kNetCeil)) return;
     inner_.SetBeNetCeilGbps(gbps);
 }

@@ -35,13 +35,8 @@ class FaultyPlatform : public platform::Platform
     /** Dropped actuator calls + degraded monitor reads so far. */
     uint64_t faulted_ops() const { return faulted_ops_; }
 
-    /** @name Commanded actuator state (controller's last request)
-     *  @{ */
+    /** BE core count the controller last requested (dropped or not). */
     int CommandedBeCores() const { return commanded_cores_; }
-    int CommandedBeWays() const { return commanded_ways_; }
-    double CommandedBeFreqCapGhz() const { return commanded_cap_; }
-    double CommandedBeNetCeilGbps() const { return commanded_ceil_; }
-    /** @} */
 
     // --- Platform ----------------------------------------------------------
     sim::EventQueue& queue() override { return inner_.queue(); }
@@ -111,9 +106,6 @@ class FaultyPlatform : public platform::Platform
     std::vector<double> frozen_;
 
     int commanded_cores_ = 0;
-    int commanded_ways_ = 0;
-    double commanded_cap_ = 0.0;
-    double commanded_ceil_ = -1.0;
     uint64_t faulted_ops_ = 0;
 };
 

@@ -28,12 +28,14 @@ namespace {
  * scheduler tick, cluster fault boundaries, arrival generation — runs
  * single-threaded at the barriers, so the only cross-leaf channels are
  * the staged arrival inboxes (root → leaf, written before an epoch) and
- * the reply outboxes (leaf → root, drained after it). The barrier
- * schedule and the inbox/outbox merge order depend only on the
- * configuration, never on thread count, which keeps a jobs=N run
+ * the reply outboxes (leaf → root, drained after it in leaf order).
+ * The barrier schedule, the inbox order and the drain order depend only
+ * on the configuration, never on thread count, which keeps a jobs=N run
  * bit-identical to jobs=1 — and, by matching the old shared queue's
  * insertion-order tie-breaks at the barriers, byte-identical to the
- * serial single-queue implementation this replaced.
+ * serial single-queue implementation this replaced (the reply drain
+ * order cannot change a result: a query's latency is a max and the
+ * window sum is exact integer arithmetic).
  */
 class ClusterSim
 {
@@ -198,11 +200,11 @@ class ClusterSim
             lc.StartExternal();
             // Replies never cross into root state mid-epoch: they land
             // in the leaf's own outbox (thread-confined) and the root
-            // merges all outboxes at the next barrier.
+            // drains all outboxes at the next barrier.
             lc.SetCompletionCallback(
                 [this, idx](uint64_t tag, sim::Duration latency) {
                     Leaf& l = leaves_[static_cast<size_t>(idx)];
-                    l.outbox.push_back({l.queue->Now(), tag, latency});
+                    l.outbox.push_back({tag, latency});
                 });
 
             leaf.base_slo = ls.lc.slo_latency;
@@ -357,7 +359,6 @@ class ClusterSim
 
     const sim::TimeSeries& emu_series() const { return emu_; }
     const sim::TimeSeries& load_series() const { return load_; }
-    sim::Duration worst_window() const { return worst_window_; }
 
     /** Barrier intervals executed (across Run calls). */
     uint64_t epochs() const { return epochs_; }
@@ -395,7 +396,6 @@ class ClusterSim
 
     /** One leaf → root completion record. */
     struct Reply {
-        sim::SimTime when;
         uint64_t tag;
         sim::Duration latency;
     };
@@ -555,48 +555,19 @@ class ClusterSim
     }
 
     /**
-     * Merges every leaf's completions since the last barrier and applies
-     * them to the root's fan-out bookkeeping in completion-time order
-     * (stable by leaf index for equal stamps — a fixed order no thread
-     * schedule can perturb), reproducing the serial implementation's
-     * global completion order and its floating-point window summation.
-     *
-     * Each outbox is already time-sorted (a leaf appends at its own
-     * monotone completion instants), so a k-way merge over per-leaf
-     * cursors visits replies in exactly the order the old concatenate +
-     * stable_sort produced — equal stamps break by leaf index, matching
-     * the leaf-major concatenation — without copying every reply into a
-     * scratch buffer and re-sorting per barrier.
+     * Applies every leaf's completions since the last barrier to the
+     * root's fan-out bookkeeping, leaf by leaf in leaf order — a fixed
+     * order no thread schedule can perturb. Nothing here depends on the
+     * order across leaves: a query's latency is the max over its
+     * replies, and the window sum adds integer durations exactly.
      */
     void
     DrainOutboxes()
     {
-        merge_heap_.clear();
-        merge_pos_.assign(leaves_.size(), 0);
-        for (size_t li = 0; li < leaves_.size(); ++li) {
-            if (!leaves_[li].outbox.empty()) merge_heap_.push_back(li);
+        for (auto& leaf : leaves_) {
+            for (const Reply& r : leaf.outbox) HandleReply(r.tag, r.latency);
+            leaf.outbox.clear();
         }
-        // "Greater" by (when, leaf index): the std heap is a max-heap,
-        // so this comparator pops the earliest reply first.
-        const auto later = [this](size_t a, size_t b) {
-            const Reply& ra = leaves_[a].outbox[merge_pos_[a]];
-            const Reply& rb = leaves_[b].outbox[merge_pos_[b]];
-            return ra.when != rb.when ? ra.when > rb.when : a > b;
-        };
-        std::make_heap(merge_heap_.begin(), merge_heap_.end(), later);
-        while (!merge_heap_.empty()) {
-            std::pop_heap(merge_heap_.begin(), merge_heap_.end(), later);
-            const size_t li = merge_heap_.back();
-            merge_heap_.pop_back();
-            const Reply& r = leaves_[li].outbox[merge_pos_[li]++];
-            HandleReply(r.tag, r.latency);
-            if (merge_pos_[li] < leaves_[li].outbox.size()) {
-                merge_heap_.push_back(li);
-                std::push_heap(merge_heap_.begin(), merge_heap_.end(),
-                               later);
-            }
-        }
-        for (auto& leaf : leaves_) leaf.outbox.clear();
     }
 
     void
@@ -610,7 +581,9 @@ class ClusterSim
             const sim::Duration root_latency =
                 q.max_latency +
                 2 * cfg_.hop * topo_->HopLevels();
-            window_sum_ += static_cast<double>(root_latency);
+            window_sum_ += root_latency;
+            // CloseWindow divides it as a double: exact below 2^53.
+            HERACLES_CHECK(window_sum_ < (int64_t{1} << 53));
             ++window_count_;
             pending_.erase(it);
         }
@@ -662,13 +635,12 @@ class ClusterSim
     CloseWindow(sim::SimTime now)
     {
         if (window_count_ > 0 && now > warmup_end_) {
-            const double mean = window_sum_ / window_count_;
+            const double mean =
+                static_cast<double>(window_sum_) / window_count_;
             AdjustLeafTargets(mean);
             latency_.Add(now, target_ > 0
                                   ? mean / static_cast<double>(target_)
                                   : mean);
-            worst_window_ = std::max(
-                worst_window_, static_cast<sim::Duration>(mean));
 
             double emu = 0.0;
             for (auto& leaf : leaves_) {
@@ -684,7 +656,7 @@ class ClusterSim
             emu_.Add(now, emu / leaves_.size());
             load_.Add(now, trace_.LoadAt(now));
         }
-        window_sum_ = 0.0;
+        window_sum_ = 0;
         window_count_ = 0;
     }
 
@@ -772,8 +744,6 @@ class ClusterSim
     LeafBatching batching_;
     std::vector<uint64_t> batch_work_;   // per-barrier scratch
     std::vector<size_t> batch_order_;    // per-barrier scratch
-    std::vector<size_t> merge_heap_;     // outbox k-way merge scratch
-    std::vector<size_t> merge_pos_;      // per-leaf outbox cursors
 
     std::vector<chaos::TimedFault> cluster_faults_;
     std::vector<FrozenExport> frozen_;  // aligned with cluster_faults_
@@ -787,7 +757,8 @@ class ClusterSim
     bool primed_ = false;
 
     std::unordered_map<uint64_t, Query> pending_;
-    double window_sum_ = 0.0;
+    /** Root latencies of the window's completed queries (exact). */
+    int64_t window_sum_ = 0;
     uint64_t window_count_ = 0;
     sim::SimTime warmup_end_ = 0;
     uint64_t epochs_ = 0;
@@ -795,7 +766,6 @@ class ClusterSim
     sim::TimeSeries latency_;
     sim::TimeSeries emu_;
     sim::TimeSeries load_;
-    sim::Duration worst_window_ = 0;
 };
 
 }  // namespace

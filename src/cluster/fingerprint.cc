@@ -54,19 +54,6 @@ Clamp01(double v)
 
 }  // namespace
 
-std::string
-FingerprintAxisName(FingerprintAxis axis)
-{
-    switch (axis) {
-      case FingerprintAxis::kLlc: return "llc";
-      case FingerprintAxis::kDram: return "dram";
-      case FingerprintAxis::kHyperThread: return "hyperthread";
-      case FingerprintAxis::kPower: return "power";
-      case FingerprintAxis::kNetwork: return "network";
-    }
-    return "?";
-}
-
 LcFingerprint
 MeasureLcFingerprint(const hw::MachineConfig& machine,
                      const workloads::LcParams& lc, sim::Duration warmup,

@@ -56,9 +56,6 @@ enum class FingerprintAxis {
 
 inline constexpr int kFingerprintAxes = 5;
 
-/** Human-readable axis name ("llc", "dram", ...). */
-std::string FingerprintAxisName(FingerprintAxis axis);
-
 /**
  * Measured reaction of one LC workload on one machine shape: solo tail
  * fraction plus the extra tail one full unit of pressure costs on each

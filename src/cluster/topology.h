@@ -41,8 +41,6 @@ class Topology
   public:
     virtual ~Topology() = default;
 
-    virtual TopologyKind kind() const = 0;
-
     /** Appends the touched leaf indices for query @p tag to @p out
      *  (cleared first). Never empty. */
     virtual void TouchedLeaves(uint64_t tag,
@@ -64,7 +62,6 @@ class FullFanoutTopology : public Topology
   public:
     explicit FullFanoutTopology(int leaves) : leaves_(leaves) {}
 
-    TopologyKind kind() const override { return TopologyKind::kFullFanout; }
     void TouchedLeaves(uint64_t tag, std::vector<int>* out) const override;
     int FanOut() const override { return leaves_; }
 
@@ -86,11 +83,9 @@ class ShardedTopology : public Topology
     /** @pre 1 <= shards <= leaves. */
     ShardedTopology(int leaves, int shards, uint64_t seed);
 
-    TopologyKind kind() const override { return TopologyKind::kSharded; }
     void TouchedLeaves(uint64_t tag, std::vector<int>* out) const override;
     int FanOut() const override { return shards_; }
 
-    int shards() const { return shards_; }
     /** Replica count of @p shard (leaf count is not always divisible). */
     int Replicas(int shard) const;
 
@@ -115,13 +110,10 @@ class HierarchicalTopology : public Topology
     /** @pre leaves >= 1, rack_size >= 1. */
     HierarchicalTopology(int leaves, int rack_size, uint64_t seed);
 
-    TopologyKind kind() const override { return TopologyKind::kHierarchical; }
     void TouchedLeaves(uint64_t tag, std::vector<int>* out) const override;
     int FanOut() const override { return racks_; }
     int HopLevels() const override { return 2; }
 
-    int racks() const { return racks_; }
-    int RackOf(int leaf) const { return leaf / rack_size_; }
     /** Member count of @p rack (the last rack may be short). */
     int RackMembers(int rack) const;
 

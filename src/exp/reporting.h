@@ -26,8 +26,6 @@ class Table
     /** Prints as CSV (no alignment). */
     void PrintCsv(std::ostream& os = std::cout) const;
 
-    size_t rows() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -45,7 +45,6 @@ class LcBwModel
     double Evaluate(double load, int cores, int lc_ways) const;
 
     bool empty() const { return table_.empty(); }
-    int load_points() const { return static_cast<int>(loads_.size()); }
 
   private:
     std::vector<double> loads_;           // grid, ascending

@@ -89,9 +89,6 @@ class HeraclesController
     /** Slack + BE-occupancy snapshot for cluster-level scheduling. */
     SlackExport ExportSlack() const;
     const ControllerStats& stats() const { return stats_; }
-    const CoreMemController& core_mem() const { return *core_mem_; }
-    const PowerController& power() const { return *power_; }
-    const NetworkController& network() const { return *network_; }
     const HeraclesConfig& config() const { return cfg_; }
 
   private:

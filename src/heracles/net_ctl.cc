@@ -18,7 +18,6 @@ NetworkController::Tick()
     const double headroom = std::max(cfg_.net_headroom_link_frac * link,
                                      cfg_.net_headroom_lc_frac * lc_bw);
     const double be_bw = std::max(0.0, link - lc_bw - headroom);
-    last_ceil_ = be_bw;
     platform_.SetBeNetCeilGbps(be_bw);
 }
 

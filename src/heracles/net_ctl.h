@@ -28,13 +28,9 @@ class NetworkController
     /** One 1-second control step. */
     void Tick();
 
-    /** Last ceil applied (Gb/s), for inspection. */
-    double LastCeilGbps() const { return last_ceil_; }
-
   private:
     platform::Platform& platform_;
     HeraclesConfig cfg_;
-    double last_ceil_ = -1.0;
 };
 
 }  // namespace heracles::ctl

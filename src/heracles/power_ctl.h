@@ -28,9 +28,6 @@ class PowerController
     /** One 2-second control step. */
     void Tick();
 
-    /** Guaranteed LC frequency captured at construction (GHz). */
-    double GuaranteedGhz() const { return guaranteed_ghz_; }
-
   private:
     platform::Platform& platform_;
     HeraclesConfig cfg_;

@@ -155,12 +155,6 @@ Machine::SetCatWays(ResourceClient* client, int ways)
     demand_dirty_ = true;
 }
 
-int
-Machine::CatWaysOf(const ResourceClient* client) const
-{
-    return StateOf(client).cat_ways;
-}
-
 void
 Machine::SetFreqCapGhz(ResourceClient* client, double ghz)
 {

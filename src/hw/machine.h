@@ -109,7 +109,6 @@ class Machine
      * where it has cpus; 0 restores unrestricted (shared) caching.
      */
     void SetCatWays(ResourceClient* client, int ways);
-    int CatWaysOf(const ResourceClient* client) const;
 
     /** Caps the DVFS frequency of @p client's cores; 0 = uncapped. */
     void SetFreqCapGhz(ResourceClient* client, double ghz);

@@ -59,12 +59,6 @@ MaxTurboGhz(const MachineConfig& cfg, int active_cores)
     return std::max(f, cfg.nominal_ghz);
 }
 
-double
-CoreDynPowerW(const MachineConfig& cfg, double f_ghz, double intensity)
-{
-    return cfg.dyn_coeff_w * intensity * std::pow(f_ghz, cfg.dyn_exp);
-}
-
 PowerOutcome
 ResolvePower(const MachineConfig& cfg,
              const std::vector<CorePowerRequest>& cores)

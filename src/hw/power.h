@@ -55,10 +55,6 @@ struct PowerScratch {
 /** All-core-aware max turbo frequency for @p active_cores busy cores. */
 double MaxTurboGhz(const MachineConfig& cfg, int active_cores);
 
-/** Dynamic power of one fully-busy core at @p f_ghz and @p intensity. */
-double CoreDynPowerW(const MachineConfig& cfg, double f_ghz,
-                     double intensity);
-
 /** Solves per-core frequencies and socket power for one socket. */
 PowerOutcome ResolvePower(const MachineConfig& cfg,
                           const std::vector<CorePowerRequest>& cores);

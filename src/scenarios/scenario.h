@@ -23,6 +23,7 @@
 #include "exp/server_sim.h"
 #include "heracles/config.h"
 #include "hw/config.h"
+#include "sim/json.h"
 #include "sim/time.h"
 
 namespace heracles::scenarios {
@@ -225,14 +226,12 @@ struct ScenarioMetrics {
     double be_ways = 0.0;
 
     // --- Cluster-level scheduler activity ---------------------------------
-    // Zero for single-server scenarios and the static split; optional
-    // in baselines written before these metrics existed (parsed as 0).
+    // Zero for single-server scenarios and the static split.
     double be_placements = 0.0;
     double be_migrations = 0.0;
     // CPI2-style monitoring-only ablation: decisions where the
     // predictive ranking disagreed with the acting policy's choice.
-    // Structurally zero outside predict_only runs; same omit-when-zero /
-    // optional-parse rule as the other scheduler counters.
+    // Structurally zero outside predict_only runs.
     double be_would_placements = 0.0;
     double be_would_migrations = 0.0;
 
@@ -242,8 +241,7 @@ struct ScenarioMetrics {
     // tolerance is exact and the harness asserts it stays zero.
     // faulted_ops counts dropped actuations + degraded telemetry reads,
     // pinning that a chaos scenario's plan actually fired. Both are
-    // structurally zero outside the chaos family and omitted from JSON
-    // when zero (parsed as 0), so pre-chaos baselines never churn.
+    // structurally zero outside the chaos family.
     double invariant_violations = 0.0;
     double faulted_ops = 0.0;
 
@@ -258,13 +256,21 @@ struct ScenarioMetrics {
     bool ExactlyEquals(const ScenarioMetrics& other) const;
 };
 
-/** Serializes a metrics record as pretty-printed JSON (round-trips). */
+/**
+ * Writes the record's members ("schema": 2, "scenario", then "metrics"
+ * with every field in table order) into @p w's open object, so a
+ * caller can add its own members to the same object.
+ */
+void WriteMetricsMembers(sim::JsonWriter& w, const ScenarioMetrics& m);
+
+/** The record as its own pretty-printed JSON object (round-trips). */
 std::string MetricsToJson(const ScenarioMetrics& m);
 
 /**
- * Parses JSON produced by MetricsToJson. Returns false when the text is
- * malformed or any expected metric key is missing (e.g. a baseline from
- * before a new metric was added — regenerate with --update-golden).
+ * Parses exactly what MetricsToJson writes. Returns false on anything
+ * else: malformed text, another schema, or a missing, extra or
+ * reordered key (e.g. a baseline from before a metric was added —
+ * regenerate with --update-golden).
  */
 bool MetricsFromJson(const std::string& json, ScenarioMetrics* out);
 

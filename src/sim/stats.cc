@@ -138,7 +138,6 @@ WindowedTailTracker::CloseWindow()
 {
     if (!current_.empty()) {
         last_window_tail_ = current_.Percentile(percentile_);
-        last_window_mean_ = current_.MeanNs();
         last_window_count_ = current_.count();
         worst_window_tail_ = std::max(worst_window_tail_, last_window_tail_);
         ++windows_completed_;

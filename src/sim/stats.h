@@ -100,17 +100,11 @@ class WindowedTailTracker
     /** Tail of the last *completed* window; 0 if none completed yet. */
     Duration LastWindowTail() const { return last_window_tail_; }
 
-    /** Mean latency of the last completed window (ns). */
-    double LastWindowMeanNs() const { return last_window_mean_; }
-
     /** Sample count of the last completed window. */
     uint64_t LastWindowCount() const { return last_window_count_; }
 
     /** Worst per-window tail across the whole run; 0 if none completed. */
     Duration WorstWindowTail() const { return worst_window_tail_; }
-
-    /** Tail over *all* samples ever recorded. */
-    Duration OverallTail() const { return all_.Percentile(percentile_); }
 
     /** Any percentile over *all* samples ever recorded (p in [0,1]). */
     Duration OverallPercentile(double p) const { return all_.Percentile(p); }
@@ -131,9 +125,6 @@ class WindowedTailTracker
     /** Forgets the worst-window statistic (e.g. after a warmup phase). */
     void ResetWorst() { worst_window_tail_ = 0; }
 
-    double percentile() const { return percentile_; }
-    Duration window() const { return window_; }
-
   private:
     void CloseWindow();
 
@@ -143,7 +134,6 @@ class WindowedTailTracker
     LatencyHistogram current_;
     LatencyHistogram all_;
     Duration last_window_tail_ = 0;
-    double last_window_mean_ = 0.0;
     uint64_t last_window_count_ = 0;
     Duration worst_window_tail_ = 0;
     uint64_t windows_completed_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "sim/log.h"
@@ -145,16 +144,6 @@ CsvTrace::FromString(const std::string& csv)
     return trace;
 }
 
-std::unique_ptr<CsvTrace>
-CsvTrace::FromFile(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f) HERACLES_FATAL("cannot open trace file: " << path);
-    std::stringstream buf;
-    buf << f.rdbuf();
-    return FromString(buf.str());
-}
-
 double
 CsvTrace::LoadAt(SimTime t) const
 {
@@ -166,12 +155,6 @@ CsvTrace::LoadAt(SimTime t) const
         static_cast<double>(t - times_[i - 1]) /
         static_cast<double>(times_[i] - times_[i - 1]);
     return loads_[i - 1] + frac * (loads_[i] - loads_[i - 1]);
-}
-
-Duration
-CsvTrace::Length() const
-{
-    return times_.back();
 }
 
 }  // namespace heracles::sim

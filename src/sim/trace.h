@@ -27,9 +27,6 @@ class LoadTrace
 
     /** Target load fraction at simulated time @p t. */
     virtual double LoadAt(SimTime t) const = 0;
-
-    /** Total trace duration (after which LoadAt holds its final value). */
-    virtual Duration Length() const = 0;
 };
 
 /** Constant load forever. */
@@ -38,7 +35,6 @@ class ConstantTrace : public LoadTrace
   public:
     explicit ConstantTrace(double load) : load_(load) {}
     double LoadAt(SimTime) const override { return load_; }
-    Duration Length() const override { return 0; }
 
   private:
     double load_;
@@ -57,7 +53,8 @@ class StepTrace : public LoadTrace
     explicit StepTrace(std::vector<Step> steps);
 
     double LoadAt(SimTime t) const override;
-    Duration Length() const override;
+    /** Start of the last step, after which the load holds. */
+    Duration Length() const;
 
   private:
     std::vector<Step> steps_;
@@ -75,7 +72,6 @@ class DiurnalTrace : public LoadTrace
                  double jitter = 0.02, uint64_t seed = 42);
 
     double LoadAt(SimTime t) const override;
-    Duration Length() const override { return length_; }
 
   private:
     Duration length_;
@@ -102,7 +98,6 @@ class FlashCrowdTrace : public LoadTrace
                     uint64_t seed = 42);
 
     double LoadAt(SimTime t) const override;
-    Duration Length() const override { return length_; }
 
   private:
     Duration length_;
@@ -122,11 +117,7 @@ class CsvTrace : public LoadTrace
     /** Parses CSV text. Throws HERACLES_FATAL on malformed input. */
     static std::unique_ptr<CsvTrace> FromString(const std::string& csv);
 
-    /** Loads and parses a CSV file. */
-    static std::unique_ptr<CsvTrace> FromFile(const std::string& path);
-
     double LoadAt(SimTime t) const override;
-    Duration Length() const override;
 
   private:
     std::vector<SimTime> times_;

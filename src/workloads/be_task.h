@@ -99,9 +99,6 @@ class BeTask : public hw::ResourceClient
      * layer's antagonist bursts drive this; 1.0 restores the profile.
      */
     void SetDemandScale(double scale);
-    double DemandScale() const { return demand_scale_; }
-
-    const BeProfile& profile() const { return profile_; }
 
     // --- ResourceClient -----------------------------------------------------
     const std::string& name() const override { return profile_.name; }

@@ -434,12 +434,6 @@ LcApp::WorstReportTail() const
 }
 
 sim::Duration
-LcApp::LastReportTail() const
-{
-    return report_tail_.LastWindowTail();
-}
-
-sim::Duration
 LcApp::OverallPercentile(double p) const
 {
     return report_tail_.OverallPercentile(p);

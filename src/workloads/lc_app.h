@@ -152,9 +152,6 @@ class LcApp : public hw::ResourceClient
     /** Worst tail over any completed report window (60 s) since reset. */
     sim::Duration WorstReportTail() const;
 
-    /** Tail of the most recent completed report window. */
-    sim::Duration LastReportTail() const;
-
     /**
      * Any percentile over every request completed since the last
      * ResetStats (p in [0,1]) — the scenario harness records p95/p99
@@ -162,16 +159,12 @@ class LcApp : public hw::ResourceClient
      */
     sim::Duration OverallPercentile(double p) const;
 
-    /** Measured arrival rate (QPS), exponentially smoothed over ~3 s. */
-    double MeasuredQps() const { return qps_ewma_; }
-
-    /** Measured completion rate (QPS), same smoothing. */
-    double ServedQps() const { return served_ewma_; }
-
-    /** Measured load fraction = MeasuredQps / peak_qps. */
+    /** Measured load fraction: the arrival rate, exponentially smoothed
+     *  over ~3 s, over peak_qps. */
     double LoadFraction() const { return qps_ewma_ / params_.peak_qps; }
 
-    /** Served throughput fraction = ServedQps / peak_qps (for EMU). */
+    /** Served throughput fraction: the completion rate, same smoothing,
+     *  over peak_qps (for EMU). */
     double ServedFraction() const { return served_ewma_ / params_.peak_qps; }
 
     /** Total requests completed since construction (never reset). */
@@ -193,7 +186,6 @@ class LcApp : public hw::ResourceClient
     const LcParams& params() const { return params_; }
     hw::Machine& machine() { return machine_; }
     size_t QueueDepth() const { return queue_.size(); }
-    int BusyThreads() const { return busy_; }
 
     /**
      * Analytic minimum physical cores needed to serve @p load at target

@@ -197,8 +197,8 @@ TEST(Golden, JsonRoundTripsExactly)
 TEST(Golden, BaselinesAreByteCanonical)
 {
     // Every checked-in baseline is exactly what the writer emits for the
-    // record it parses to: key order, omitted all-zero groups and number
-    // formatting are pinned without running a simulation.
+    // record it parses to: key order and number formatting are pinned
+    // without running a simulation.
     size_t files = 0;
     for (const auto& entry :
          std::filesystem::directory_iterator(HERACLES_GOLDEN_DIR)) {

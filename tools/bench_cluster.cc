@@ -26,31 +26,21 @@
  * (a determinism regression — the record is still written, flagged);
  * 2 usage/IO error.
  */
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 
+#include "bench_common.h"
 #include "cluster/cluster.h"
 #include "flags.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
+#include "sim/json.h"
 #include "sim/stats.h"
 
 using namespace heracles;
 
 namespace {
-
-double
-WallSeconds(const std::function<void()>& fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 bool
 SameSeries(const sim::TimeSeries& a, const sim::TimeSeries& b)
@@ -126,7 +116,7 @@ main(int argc, char** argv)
         cfg.jobs = widths[p];
         cluster::ClusterExperiment experiment(std::move(cfg));
         wall[p] =
-            WallSeconds([&] { results[p] = experiment.Run(); });
+            bench::WallSeconds([&] { results[p] = experiment.Run(); });
         std::fprintf(stderr,
                      "jobs=%d: %.2fs wall, %llu epochs, %llu leaf "
                      "events\n",
@@ -143,58 +133,31 @@ main(int argc, char** argv)
                      jobs);
     }
 
-    std::string runs_json;
+    sim::JsonWriter w;
+    w.BeginObject();
+    w.Key("bench").String("cluster_epoch");
+    w.Key("scenario").String(scenario_name);
+    w.Key("scale").Number(scale);
+    w.Key("leaves").Int(static_cast<int64_t>(leaf_count));
+    w.Key("topology").String(cluster::TopologyKindName(base.topology));
+    w.Key("epochs").Int(static_cast<int64_t>(results[0].epochs));
+    w.Key("leaf_events").Int(static_cast<int64_t>(results[0].leaf_events));
+    w.Key("runs").BeginArray();
     for (int p = 0; p < 2; ++p) {
-        char run[256];
-        std::snprintf(
-            run, sizeof run,
-            "    {\n"
-            "      \"jobs\": %d,\n"
-            "      \"wall_s\": %.3f,\n"
-            "      \"epochs_per_sec\": %.4f,\n"
-            "      \"events_per_sec\": %.0f\n"
-            "    }%s\n",
-            widths[p], wall[p],
-            static_cast<double>(results[p].epochs) / wall[p],
-            static_cast<double>(results[p].leaf_events) / wall[p],
-            p == 0 ? "," : "");
-        runs_json += run;
+        w.BeginObject();
+        w.Key("jobs").Int(widths[p]);
+        w.Key("wall_s").Number(wall[p]);
+        w.Key("epochs_per_sec")
+            .Number(static_cast<double>(results[p].epochs) / wall[p]);
+        w.Key("events_per_sec")
+            .Number(static_cast<double>(results[p].leaf_events) / wall[p]);
+        w.EndObject();
     }
+    w.EndArray();
+    w.Key("speedup").Number(wall[1] > 0.0 ? wall[0] / wall[1] : 0.0);
+    w.Key("bit_identical").Bool(identical);
+    w.EndObject();
 
-    char head[1024];
-    std::snprintf(
-        head, sizeof head,
-        "{\n"
-        "  \"bench\": \"cluster_epoch\",\n"
-        "  \"scenario\": \"%s\",\n"
-        "  \"scale\": %.3f,\n"
-        "  \"leaves\": %zu,\n"
-        "  \"topology\": \"%s\",\n"
-        "  \"epochs\": %llu,\n"
-        "  \"leaf_events\": %llu,\n"
-        "  \"runs\": [\n",
-        scenario_name.c_str(), scale, leaf_count,
-        cluster::TopologyKindName(base.topology).c_str(),
-        static_cast<unsigned long long>(results[0].epochs),
-        static_cast<unsigned long long>(results[0].leaf_events));
-
-    char tail[256];
-    std::snprintf(tail, sizeof tail,
-                  "  ],\n"
-                  "  \"speedup\": %.3f,\n"
-                  "  \"bit_identical\": %s\n"
-                  "}\n",
-                  wall[1] > 0.0 ? wall[0] / wall[1] : 0.0,
-                  identical ? "true" : "false");
-
-    const std::string json = std::string(head) + runs_json + tail;
-    std::fputs(json.c_str(), stdout);
-    if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 2;
-    }
+    if (!bench::EmitRecord(w.str(), out_path)) return 2;
     return identical ? 0 : 1;
 }

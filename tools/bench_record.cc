@@ -37,8 +37,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flags.h"
@@ -46,6 +48,7 @@
 #include "platform/sim_platform.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
+#include "sim/json.h"
 #include "sim/random.h"
 #include "sim_core_bench.h"
 #include "workloads/antagonists.h"
@@ -172,33 +175,31 @@ RunArbitrationChurn(bool naive, int steps)
     return r;
 }
 
-std::string
-ArbRunJson(const char* key, const ArbRun& r)
+double
+EventsPerSec(const ArbRun& r)
 {
-    const double ev = static_cast<double>(r.events);
+    return static_cast<double>(r.events) / (r.wall_s > 0 ? r.wall_s : 1e-9);
+}
+
+/** One resolver mode's machine-arbitration object. */
+void
+WriteArbRun(sim::JsonWriter& w, const ArbRun& r)
+{
+    const double ev = static_cast<double>(r.events > 0 ? r.events : 1);
     const double idle = static_cast<double>(
         r.idle_resolves > 0 ? r.idle_resolves : 1);
-    char buf[768];
-    std::snprintf(
-        buf, sizeof buf,
-        "    \"%s\": {\n"
-        "      \"wall_s\": %.3f,\n"
-        "      \"events\": %llu,\n"
-        "      \"events_per_sec\": %.0f,\n"
-        "      \"resolves_per_event\": %.4f,\n"
-        "      \"full_resolves_per_event\": %.4f,\n"
-        "      \"idle\": {\"resolves\": %llu, \"allocs\": %llu, "
-        "\"allocs_per_resolve\": %.3f, \"ns_per_resolve\": %.0f}\n"
-        "    }",
-        key, r.wall_s, static_cast<unsigned long long>(r.events),
-        ev / (r.wall_s > 0 ? r.wall_s : 1e-9),
-        static_cast<double>(r.resolves) / (ev > 0 ? ev : 1),
-        static_cast<double>(r.recomputes) / (ev > 0 ? ev : 1),
-        static_cast<unsigned long long>(r.idle_resolves),
-        static_cast<unsigned long long>(r.idle_allocs),
-        static_cast<double>(r.idle_allocs) / idle,
-        r.idle_wall_s * 1e9 / idle);
-    return buf;
+    w.BeginObject();
+    w.Key("wall_s").Number(r.wall_s);
+    w.Key("events").Int(r.events);
+    w.Key("events_per_sec").Number(EventsPerSec(r));
+    w.Key("resolves_per_event").Number(r.resolves / ev);
+    w.Key("full_resolves_per_event").Number(r.recomputes / ev);
+    w.Key("idle").BeginObject();
+    w.Key("resolves").Int(r.idle_resolves);
+    w.Key("allocs").Int(r.idle_allocs);
+    w.Key("allocs_per_resolve").Number(r.idle_allocs / idle);
+    w.Key("ns_per_resolve").Number(r.idle_wall_s * 1e9 / idle);
+    w.EndObject().EndObject();
 }
 
 }  // namespace
@@ -260,12 +261,6 @@ main(int argc, char** argv)
             violating.push_back(results[i].scenario);
         }
     }
-    const int violations = static_cast<int>(violating.size());
-    std::string violating_json = "[";
-    for (size_t i = 0; i < violating.size(); ++i) {
-        violating_json += (i > 0 ? ", \"" : "\"") + violating[i] + "\"";
-    }
-    violating_json += "]";
 
     // Top-5 slowest scenarios by wall time (all of them if fewer).
     std::vector<size_t> by_wall(specs.size());
@@ -275,22 +270,35 @@ main(int argc, char** argv)
                          return scenario_wall[a] > scenario_wall[b];
                      });
     if (by_wall.size() > 5) by_wall.resize(5);
-    std::string slowest_json = "[";
-    for (size_t i = 0; i < by_wall.size(); ++i) {
-        char item[256];
-        std::snprintf(item, sizeof item,
-                      "%s\n      {\"scenario\": \"%s\", \"wall_s\": %.3f}",
-                      i > 0 ? "," : "", specs[by_wall[i]].name.c_str(),
-                      scenario_wall[by_wall[i]]);
-        slowest_json += item;
+
+    sim::JsonWriter w;
+    w.BeginObject();
+    w.Key("bench").String("sim_core");
+    w.Key("scenarios").BeginObject();
+    w.Key("count").Int(static_cast<int64_t>(results.size()));
+    w.Key("scale").Number(scale);
+    w.Key("jobs").Int(1);
+    w.Key("wall_s").Number(catalog_s);
+    w.Key("unexpected_slo_violations")
+        .Int(static_cast<int64_t>(violating.size()));
+    w.Key("violating_scenarios").BeginArray();
+    for (const auto& name : violating) w.String(name);
+    w.EndArray();
+    w.Key("slowest").BeginArray();
+    for (const size_t i : by_wall) {
+        w.BeginObject();
+        w.Key("scenario").String(specs[i].name);
+        w.Key("wall_s").Number(scenario_wall[i]);
+        w.EndObject();
     }
-    slowest_json += by_wall.empty() ? "]" : "\n    ]";
+    w.EndArray().EndObject();
 
     // --- Scheduler-ablation summary --------------------------------------
     // The policy families the catalog already ran on identical seeds
     // and traces, reduced to what a reader diffs first: EMU and the
     // SLO outcome per policy, plus the monitor run's would-have
-    // counters. Pure reporting over `results` — no extra runs.
+    // counters. Pure reporting over `results` — no extra runs; a
+    // scenario missing from the catalog is left out.
     const auto metric_of =
         [&](const std::string& name) -> const scenarios::ScenarioMetrics* {
         for (const auto& r : results) {
@@ -298,61 +306,45 @@ main(int argc, char** argv)
         }
         return nullptr;
     };
-    const auto policy_item = [&](const char* key,
-                                 const std::string& name) {
-        char buf[256];
-        if (const scenarios::ScenarioMetrics* m = metric_of(name)) {
-            std::snprintf(buf, sizeof buf,
-                          "      \"%s\": {\"emu\": %.4f, \"min_emu\": "
-                          "%.4f, \"slo_attained\": %.0f}",
-                          key, m->emu, m->min_emu, m->slo_attained);
-        } else {
-            std::snprintf(buf, sizeof buf, "      \"%s\": null", key);
-        }
-        return std::string(buf);
-    };
-    std::string sched_json = "  \"scheduler_ablation\": {\n";
-    sched_json += "    \"hetero_diurnal\": {\n";
-    sched_json += policy_item("static", "cluster_hetero_static") + ",\n";
-    sched_json +=
-        policy_item("greedy", "cluster_hetero_greedy_diurnal") + ",\n";
-    sched_json +=
-        policy_item("predictive", "cluster_hetero_pred_diurnal") + "\n";
-    sched_json += "    },\n    \"hetero_flashcrowd\": {\n";
-    sched_json +=
-        policy_item("greedy", "cluster_hetero_greedy_flashcrowd") + ",\n";
-    sched_json +=
-        policy_item("round_robin", "cluster_hetero_rr_flashcrowd") +
-        ",\n";
-    sched_json +=
-        policy_item("predictive", "cluster_hetero_pred_flashcrowd") +
-        "\n";
-    sched_json += "    },\n    \"chaos_leaf_crash\": {\n";
-    sched_json += policy_item("greedy", "chaos_cluster_leaf_crash") + ",\n";
-    sched_json +=
-        policy_item("predictive", "chaos_cluster_leaf_crash_pred") + "\n";
-    sched_json += "    },\n    \"chaos_blind_sched\": {\n";
-    sched_json +=
-        policy_item("greedy", "chaos_cluster_blind_sched") + ",\n";
-    sched_json +=
-        policy_item("predictive", "chaos_cluster_blind_sched_pred") +
-        "\n";
-    sched_json += "    },\n";
-    {
-        const scenarios::ScenarioMetrics* m =
-            metric_of("cluster_hetero_pred_monitor");
-        char buf[256];
-        if (m != nullptr) {
-            std::snprintf(buf, sizeof buf,
-                          "    \"monitor\": {\"would_placements\": %.0f, "
-                          "\"would_migrations\": %.0f}\n",
-                          m->be_would_placements, m->be_would_migrations);
-        } else {
-            std::snprintf(buf, sizeof buf, "    \"monitor\": null\n");
-        }
-        sched_json += buf;
+    const auto policy_family =
+        [&](const char* family,
+            std::initializer_list<std::pair<const char*, const char*>>
+                policies) {
+            w.Key(family).BeginObject();
+            for (const auto& [key, name] : policies) {
+                if (const scenarios::ScenarioMetrics* m = metric_of(name)) {
+                    w.Key(key).BeginObject();
+                    w.Key("emu").Number(m->emu);
+                    w.Key("min_emu").Number(m->min_emu);
+                    w.Key("slo_attained").Number(m->slo_attained);
+                    w.EndObject();
+                }
+            }
+            w.EndObject();
+        };
+    w.Key("scheduler_ablation").BeginObject();
+    policy_family("hetero_diurnal",
+                  {{"static", "cluster_hetero_static"},
+                   {"greedy", "cluster_hetero_greedy_diurnal"},
+                   {"predictive", "cluster_hetero_pred_diurnal"}});
+    policy_family("hetero_flashcrowd",
+                  {{"greedy", "cluster_hetero_greedy_flashcrowd"},
+                   {"round_robin", "cluster_hetero_rr_flashcrowd"},
+                   {"predictive", "cluster_hetero_pred_flashcrowd"}});
+    policy_family("chaos_leaf_crash",
+                  {{"greedy", "chaos_cluster_leaf_crash"},
+                   {"predictive", "chaos_cluster_leaf_crash_pred"}});
+    policy_family("chaos_blind_sched",
+                  {{"greedy", "chaos_cluster_blind_sched"},
+                   {"predictive", "chaos_cluster_blind_sched_pred"}});
+    if (const scenarios::ScenarioMetrics* m =
+            metric_of("cluster_hetero_pred_monitor")) {
+        w.Key("monitor").BeginObject();
+        w.Key("would_placements").Number(m->be_would_placements);
+        w.Key("would_migrations").Number(m->be_would_migrations);
+        w.EndObject();
     }
-    sched_json += "  },\n";
+    w.EndObject();
 
     // --- Microbenches ----------------------------------------------------
     bench::RunEventQueueChurn<sim::EventQueue>(events / 20);  // warmup
@@ -368,53 +360,19 @@ main(int argc, char** argv)
     const int arb_steps = 600;
     const ArbRun arb_naive = RunArbitrationChurn(/*naive=*/true, arb_steps);
     const ArbRun arb_inc = RunArbitrationChurn(/*naive=*/false, arb_steps);
-    const std::string arb_json =
-        std::string("  \"machine_arbitration\": {\n") +
-        ArbRunJson("naive", arb_naive) + ",\n" +
-        ArbRunJson("incremental", arb_inc) + ",\n" +
-        [&] {
-            char tail[256];
-            std::snprintf(
-                tail, sizeof tail,
-                "    \"events_per_sec_ratio\": %.2f,\n"
-                "    \"full_resolve_reduction\": %.1f\n"
-                "  }",
-                (static_cast<double>(arb_inc.events) /
-                 (arb_inc.wall_s > 0 ? arb_inc.wall_s : 1e-9)) /
-                    (static_cast<double>(arb_naive.events) /
-                         (arb_naive.wall_s > 0 ? arb_naive.wall_s : 1e-9)),
-                static_cast<double>(arb_naive.recomputes) /
-                    (arb_inc.recomputes > 0 ? arb_inc.recomputes : 1));
-            return std::string(tail);
-        }();
+    bench::WriteCoreBench(w, pooled, legacy, stats);
+    w.Key("machine_arbitration").BeginObject();
+    w.Key("naive");
+    WriteArbRun(w, arb_naive);
+    w.Key("incremental");
+    WriteArbRun(w, arb_inc);
+    w.Key("events_per_sec_ratio")
+        .Number(EventsPerSec(arb_inc) / EventsPerSec(arb_naive));
+    w.Key("full_resolve_reduction")
+        .Number(static_cast<double>(arb_naive.recomputes) /
+                (arb_inc.recomputes > 0 ? arb_inc.recomputes : 1));
+    w.EndObject().EndObject();
 
-    char head[2048];
-    std::snprintf(head, sizeof head,
-                  "{\n"
-                  "  \"bench\": \"sim_core\",\n"
-                  "  \"scenarios\": {\n"
-                  "    \"count\": %zu,\n"
-                  "    \"scale\": %.3f,\n"
-                  "    \"jobs\": 1,\n"
-                  "    \"wall_s\": %.3f,\n"
-                  "    \"unexpected_slo_violations\": %d,\n"
-                  "    \"violating_scenarios\": %s,\n"
-                  "    \"slowest\": %s\n"
-                  "  },\n",
-                  results.size(), scale, catalog_s, violations,
-                  violating_json.c_str(), slowest_json.c_str());
-
-    const std::string json = std::string(head) + sched_json +
-                             bench::CoreBenchJson(pooled, legacy, stats) +
-                             ",\n" + arb_json + "\n}\n";
-
-    std::fputs(json.c_str(), stdout);
-    if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 2;
-    }
+    if (!bench::EmitRecord(w.str(), out_path)) return 2;
     return pooled.per_sec > legacy.per_sec ? 0 : 1;
 }

@@ -67,7 +67,7 @@
 #include "runner/pool.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
-#include "sim/log.h"
+#include "sim/json.h"
 
 using namespace heracles;
 using tools::kPositive;
@@ -141,30 +141,6 @@ UnexpectedViolation(const scenarios::ScenarioSpec& spec,
 }
 
 /**
- * A metrics record as JSON with the run's unexpected-violation verdict
- * appended as a top-level key — the same count the perf record tracks
- * (docs/performance.md), visible at any --scale. Reporting only: the
- * metrics themselves (and the golden baselines) are unchanged.
- */
-std::string
-MetricsJsonWithVerdict(const scenarios::ScenarioMetrics& m, int unexpected)
-{
-    std::string one = scenarios::MetricsToJson(m);
-    // MetricsToJson ends "...\n  }\n}\n"; splice before the final '}'.
-    // A format drift must fail loudly here, not silently drop the key
-    // CI asserts on.
-    const std::string tail = "}\n}\n";
-    HERACLES_CHECK_MSG(
-        one.size() >= tail.size() &&
-            one.compare(one.size() - tail.size(), tail.size(), tail) == 0,
-        "MetricsToJson layout changed; update MetricsJsonWithVerdict");
-    one.resize(one.size() - 3);  // keep "...}\n  }"
-    one += ",\n  \"unexpected_slo_violations\": " +
-           std::to_string(unexpected) + "\n}\n";
-    return one;
-}
-
-/**
  * Parses a --cluster-policy value; prints an error and returns false on
  * an unknown name.
  */
@@ -225,22 +201,19 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
             // offending names (same layout as bench_record), so a
             // reader of the JSON never needs the run's stderr to know
             // which scenarios regressed.
-            std::printf("{\n\"scenarios\": [\n");
-            for (size_t i = 0; i < results.size(); ++i) {
-                std::string one = scenarios::MetricsToJson(results[i]);
-                if (!one.empty() && one.back() == '\n') one.pop_back();
-                std::printf("%s%s\n", one.c_str(),
-                            i + 1 < results.size() ? "," : "");
+            sim::JsonWriter w;
+            w.BeginObject().Key("scenarios").BeginArray();
+            for (const auto& m : results) {
+                w.BeginObject();
+                scenarios::WriteMetricsMembers(w, m);
+                w.EndObject();
             }
-            std::string violating_json = "[";
-            for (size_t i = 0; i < violating.size(); ++i) {
-                violating_json +=
-                    (i > 0 ? ", \"" : "\"") + violating[i] + "\"";
-            }
-            violating_json += "]";
-            std::printf("],\n\"unexpected_slo_violations\": %d,\n"
-                        "\"violating_scenarios\": %s\n}\n",
-                        unexpected, violating_json.c_str());
+            w.EndArray();
+            w.Key("unexpected_slo_violations").Int(unexpected);
+            w.Key("violating_scenarios").BeginArray();
+            for (const auto& v : violating) w.String(v);
+            w.EndArray().EndObject();
+            std::fputs(w.str().c_str(), stdout);
         } else {
             exp::Table table({"scenario", "tail (% target)", "SLO ok",
                               "EMU", "BE disables"});
@@ -333,8 +306,15 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
     const auto m = scenarios::RunScenario(spec, opts);
     const bool unexpected = UnexpectedViolation(spec, m, opts.time_scale);
     if (json) {
-        std::fputs(MetricsJsonWithVerdict(m, unexpected ? 1 : 0).c_str(),
-                   stdout);
+        // The metrics record plus the run's unexpected-violation verdict
+        // — the same count the perf record tracks (docs/performance.md),
+        // visible at any --scale.
+        sim::JsonWriter w;
+        w.BeginObject();
+        scenarios::WriteMetricsMembers(w, m);
+        w.Key("unexpected_slo_violations").Int(unexpected ? 1 : 0);
+        w.EndObject();
+        std::fputs(w.str().c_str(), stdout);
     } else {
         PrintMetrics(m);
     }
