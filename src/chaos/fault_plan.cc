@@ -1,5 +1,7 @@
 #include "chaos/fault_plan.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/log.h"
@@ -138,14 +140,20 @@ ParseActuator(const std::string& name, Actuator* out)
     return false;
 }
 
-/** Parses a strictly-formed double; false on trailing garbage. */
+/**
+ * Parses a strictly-formed finite double; false on leading whitespace,
+ * trailing garbage, nan or inf (a NaN window slips past every range
+ * comparison, a NaN magnitude poisons the run).
+ */
 bool
 ParseDouble(const std::string& text, double* out)
 {
-    if (text.empty()) return false;
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+        return false;
+    }
     char* end = nullptr;
     *out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size();
+    return end == text.c_str() + text.size() && std::isfinite(*out);
 }
 
 /** Parses one `kind:channel[*mag]@B-E` clause into @p out. */

@@ -41,8 +41,10 @@ class ClusterSim
 {
   public:
     /**
-     * @param pool the worker pool for assembly and the epoch engine (not
-     *        owned); nullptr runs everything inline on the caller.
+     * @param pool the worker pool for the epoch engine's leaf fan-out
+     *        (not owned); nullptr steps every leaf inline on the
+     *        caller. Assembly runs on the caller: alone rates are
+     *        memoized per process (workloads::MeasureAloneRate).
      * @param faults fault plan for this run, or nullptr for a clean run
      *        (the target-defining run is always clean); windows resolve
      *        against @p fault_total (the run's trace duration).
@@ -82,80 +84,6 @@ class ClusterSim
             cfg_.scheduler.policy != SchedulerPolicy::kStaticSplit &&
             num_jobs > 0;
 
-        // The alone-rate baselines and per-leaf bandwidth-model profiles
-        // are independent standalone simulations / analytic evaluations;
-        // fan them across the runner pool before assembling the leaves.
-        // Alone rates are deduplicated: pinned jobs by (job, machine)
-        // pair in leaf order (the uniform paper cluster yields exactly
-        // [brain, streetview]), queued jobs by job-major over the
-        // distinct machine shapes, since a scheduled job can land on any
-        // leaf.
-        struct AloneEntry {
-            const workloads::BeProfile* job;
-            const hw::MachineConfig* machine;
-        };
-        std::vector<AloneEntry> entries;
-        std::vector<int> leaf_alone(n, -1);  // static split: leaf -> entry
-        std::vector<int> variant(n, 0);      // scheduled: leaf -> machine
-        size_t num_variants = 0;
-        if (colocate && !scheduled) {
-            for (int i = 0; i < n; ++i) {
-                if (!specs[i].be.has_value()) continue;
-                int found = -1;
-                for (size_t e = 0; e < entries.size(); ++e) {
-                    if (*entries[e].job == *specs[i].be &&
-                        *entries[e].machine == specs[i].machine) {
-                        found = static_cast<int>(e);
-                        break;
-                    }
-                }
-                if (found < 0) {
-                    found = static_cast<int>(entries.size());
-                    entries.push_back(
-                        {&*specs[i].be, &specs[i].machine});
-                }
-                leaf_alone[i] = found;
-            }
-        } else if (scheduled) {
-            std::vector<const hw::MachineConfig*> machines;
-            for (int i = 0; i < n; ++i) {
-                int found = -1;
-                for (size_t v = 0; v < machines.size(); ++v) {
-                    if (*machines[v] == specs[i].machine) {
-                        found = static_cast<int>(v);
-                        break;
-                    }
-                }
-                if (found < 0) {
-                    found = static_cast<int>(machines.size());
-                    machines.push_back(&specs[i].machine);
-                }
-                variant[i] = found;
-            }
-            num_variants = machines.size();
-            for (int j = 0; j < num_jobs; ++j) {
-                for (size_t v = 0; v < num_variants; ++v) {
-                    entries.push_back({&cfg_.be_jobs[j], machines[v]});
-                }
-            }
-        }
-
-        std::vector<double> alone(entries.size(), 1.0);
-        std::vector<ctl::LcBwModel> models(
-            colocate ? static_cast<size_t>(n) : 0);
-        const std::function<void(size_t)> assemble = [&](size_t i) {
-            if (i < entries.size()) {
-                alone[i] = workloads::MeasureAloneRate(
-                    *entries[i].machine, *entries[i].job);
-            } else {
-                const size_t li = i - entries.size();
-                hw::MachineConfig mcfg = specs[li].machine;
-                mcfg.seed = cfg_.seed * 131ull + li;
-                models[li] = ctl::LcBwModel::Profile(specs[li].lc, mcfg);
-            }
-        };
-        runner::ParallelFor(pool_, entries.size() + models.size(), assemble);
-
         leaves_.reserve(static_cast<size_t>(n));
         for (int i = 0; i < n; ++i) {
             const LeafSpec& ls = specs[i];
@@ -174,16 +102,16 @@ class ClusterSim
             }
             double be_alone = 1.0;
             if (colocate) {
-                // Every colocated leaf runs Heracles over a pre-built
-                // offline bandwidth model for its own (workload,
-                // machine) pair — one model per leaf, even when leaves
-                // serve different shards (Section 5.2 shows Heracles
-                // tolerates that).
+                // Every colocated leaf runs Heracles over an offline
+                // bandwidth model of its own (workload, machine) pair,
+                // profiled during assembly — one model per leaf, even
+                // when leaves serve different shards (Section 5.2 shows
+                // Heracles tolerates that).
                 spec.policy = exp::PolicyKind::kHeracles;
-                spec.bw_model = &models[i];
                 if (!scheduled && ls.be.has_value()) {
                     spec.be = ls.be;
-                    be_alone = alone[leaf_alone[i]];
+                    be_alone =
+                        workloads::MeasureAloneRate(ls.machine, *ls.be);
                 }
             } else {
                 spec.policy = exp::PolicyKind::kNoColocation;
@@ -211,18 +139,18 @@ class ClusterSim
             leaf.be_alone = be_alone;
             if (colocate && !scheduled) leaf.pinned = ls.be;
             if (scheduled) {
-                leaf.alone_by_job.resize(num_jobs);
-                for (int j = 0; j < num_jobs; ++j) {
-                    leaf.alone_by_job[j] =
-                        alone[j * num_variants + variant[i]];
+                // A scheduled job can land on any leaf, so each leaf
+                // carries every job's alone rate on its machine.
+                for (const workloads::BeProfile& job : cfg_.be_jobs) {
+                    leaf.alone_by_job.push_back(
+                        workloads::MeasureAloneRate(ls.machine, job));
                 }
             }
             leaves_.push_back(std::move(leaf));
         }
 
         crashed_.assign(static_cast<size_t>(n), false);
-        batching_ =
-            LeafBatching::Resolve(leaves_.size(), cfg_.leaf_batch);
+        batching_ = LeafBatching::Resolve(leaves_.size());
         topo_ = MakeTopology(cfg_.topology, n, cfg_.shards,
                              cfg_.rack_size, cfg_.seed ^ 0x70B0C0DEull);
         if (scheduled) {

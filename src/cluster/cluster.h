@@ -130,28 +130,16 @@ struct ClusterConfig {
     uint64_t seed = 42;
 
     /**
-     * Worker threads for the run: the assembly work (BE alone-rate
-     * baselines, per-leaf bandwidth-model profiling) and the epoch
-     * engine's per-barrier leaf fan-out both use this width, through
-     * one pool (capped at the leaf count) that ClusterExperiment shares
-     * across its target-defining and colocated runs. Results never
-     * depend on it — leaves exchange state only at deterministic
-     * epoch barriers, so jobs=N is bit-identical to jobs=1. Defaults to
-     * the tree's shared policy (HERACLES_JOBS env var, else hardware
-     * concurrency).
+     * Worker threads for the run: the epoch engine's per-barrier leaf
+     * fan-out uses this width, through one pool (capped at the leaf
+     * count) that ClusterExperiment shares across its target-defining
+     * and colocated runs, and a cold fingerprint grid (kPredictive)
+     * fans its cells over as many threads. Results never depend on it —
+     * leaves exchange state only at deterministic epoch barriers, so
+     * jobs=N is bit-identical to jobs=1. Defaults to the tree's shared
+     * policy (HERACLES_JOBS env var, else hardware concurrency).
      */
     int jobs = runner::DefaultJobs();
-
-    /**
-     * Leaves per epoch-engine task: each barrier fans the leaves out in
-     * contiguous batches of this size, cutting the per-barrier dispatch
-     * overhead (submit/wake/notify per task) that dominates at thousands
-     * of leaves. The mapping depends only on the leaf count and this
-     * value — never on `jobs` — so results are identical for every
-     * batch size. 0 = auto (8 once the cluster has >= 64 leaves, else
-     * unbatched); 1 = one task per leaf.
-     */
-    int leaf_batch = 0;
 };
 
 /**

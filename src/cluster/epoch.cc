@@ -7,17 +7,9 @@
 namespace heracles::cluster {
 
 LeafBatching
-LeafBatching::Resolve(size_t leaves, int configured)
+LeafBatching::Resolve(size_t leaves)
 {
-    LeafBatching b;
-    b.leaves = leaves;
-    if (configured > 0) {
-        b.batch_size = std::min<size_t>(
-            static_cast<size_t>(configured), std::max<size_t>(leaves, 1));
-    } else {
-        b.batch_size = leaves >= 64 ? 8 : 1;
-    }
-    return b;
+    return LeafBatching{leaves, leaves >= 64 ? 8u : 1u};
 }
 
 BarrierClock

@@ -34,22 +34,21 @@ namespace heracles::cluster {
  * (submit, wake, notify) proportional to the leaf count; at thousands of
  * leaves and ~25 ms barrier intervals that overhead rivals the simulated
  * work. Batching runs `batch_size` consecutive leaves per task. The
- * mapping is a pure function of (leaf count, configured batch size) —
- * never of the thread count — so batch boundaries cannot perturb
- * results: leaves stay thread-confined within an epoch regardless of
- * which task executes them.
+ * mapping is a pure function of the leaf count — never of the thread
+ * count — so batch boundaries cannot perturb results: leaves stay
+ * thread-confined within an epoch regardless of which task executes
+ * them.
  */
 struct LeafBatching {
     size_t leaves = 0;
     size_t batch_size = 1;
 
     /**
-     * Resolves the configured batch size: @p configured > 0 is clamped
-     * to [1, leaves]; 0 picks the default policy — 8 leaves per task
-     * once the cluster is large enough (>= 64 leaves) for dispatch
-     * overhead to matter, else one task per leaf.
+     * The batching policy: 8 leaves per task once the cluster is large
+     * enough (>= 64 leaves) for dispatch overhead to matter, else one
+     * task per leaf.
      */
-    static LeafBatching Resolve(size_t leaves, int configured);
+    static LeafBatching Resolve(size_t leaves);
 
     /** Number of batches (ceil(leaves / batch_size); 0 for no leaves). */
     size_t batches() const {

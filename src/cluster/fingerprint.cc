@@ -1,12 +1,13 @@
 #include "cluster/fingerprint.h"
 
 #include <algorithm>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "exp/characterization.h"
 #include "runner/pool.h"
 #include "sim/log.h"
+#include "sim/once_cache.h"
 #include "workloads/lc_configs.h"
 
 namespace heracles::cluster {
@@ -97,36 +98,23 @@ FingerprintFor(const hw::MachineConfig& machine,
                const std::string& lc_name, int jobs)
 {
     // Keyed on (machine shape, LC): the seed is zeroed out because
-    // clusters stamp a per-leaf seed into the machine. A handful of
-    // entries, so a linear scan does.
-    struct Entry {
-        hw::MachineConfig shape;
-        std::string lc_name;
-        LcFingerprint fp;
-    };
-    static std::mutex mu;
-    static std::vector<Entry>* cache = new std::vector<Entry>();
+    // clusters stamp a per-leaf seed into the machine.
+    using Key = std::pair<hw::MachineConfig, std::string>;
+    static auto* cache = new sim::OnceCache<Key, LcFingerprint>();
 
     hw::MachineConfig shape = machine;
     shape.seed = 0;
-    std::lock_guard<std::mutex> lock(mu);
-    for (const Entry& e : *cache) {
-        if (e.shape == shape && e.lc_name == lc_name) return e.fp;
-    }
-
-    const workloads::LcParams* canonical = nullptr;
-    static std::vector<workloads::LcParams>* all =
-        new std::vector<workloads::LcParams>(workloads::AllLcWorkloads());
-    for (const workloads::LcParams& p : *all) {
-        if (p.name == lc_name) canonical = &p;
-    }
-    HERACLES_CHECK_MSG(canonical != nullptr,
-                       "no canonical LC workload named " << lc_name);
-
-    const LcFingerprint fp = MeasureLcFingerprint(
-        shape, *canonical, kFingerprintWarmup, kFingerprintMeasure, jobs);
-    cache->push_back({shape, lc_name, fp});
-    return fp;
+    return cache->Get(Key{shape, lc_name}, [&] {
+        const std::vector<workloads::LcParams> all =
+            workloads::AllLcWorkloads();
+        const auto canonical = std::find_if(
+            all.begin(), all.end(),
+            [&](const workloads::LcParams& p) { return p.name == lc_name; });
+        HERACLES_CHECK_MSG(canonical != all.end(),
+                           "no canonical LC workload named " << lc_name);
+        return MeasureLcFingerprint(shape, *canonical, kFingerprintWarmup,
+                                    kFingerprintMeasure, jobs);
+    });
 }
 
 BePressure

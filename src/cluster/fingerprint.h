@@ -95,12 +95,12 @@ LcFingerprint MeasureLcFingerprint(
  * per-leaf SLO overrides or scenario-specific seeds still share one
  * cache entry; the key is the machine shape with the seed excluded.
  *
- * Thread-safe. A cold key is measured once, by its first caller, with
- * the cells fanned over @p jobs threads (jobs <= 1 runs them inline);
- * the cache lock is held across that measurement, so concurrent
- * callers — for any key — wait for it rather than measure twice.
- * Results are bit-identical for every @p jobs. Aborts on an unknown
- * workload name.
+ * Thread-safe (sim::OnceCache). A cold key is measured once, by its
+ * first caller, with the cells fanned over @p jobs threads (jobs <= 1
+ * runs them inline); concurrent callers of the same key wait for that
+ * measurement rather than measure twice, while distinct cold keys
+ * measure in parallel. Results are bit-identical for every @p jobs.
+ * Aborts on an unknown workload name.
  */
 LcFingerprint FingerprintFor(const hw::MachineConfig& machine,
                              const std::string& lc_name,

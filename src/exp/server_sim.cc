@@ -1,5 +1,6 @@
 #include "exp/server_sim.h"
 
+#include "heracles/bw_model.h"
 #include "sim/log.h"
 
 namespace heracles::exp {
@@ -74,9 +75,7 @@ ServerSim::ServerSim(const ServerSpec& spec, sim::EventQueue& queue)
       case PolicyKind::kHeracles: {
         plat_->ApplyInitialPlacement();
         ctl::LcBwModel model =
-            spec.bw_model
-                ? *spec.bw_model
-                : ctl::LcBwModel::Profile(spec.lc, spec.machine);
+            ctl::LcBwModel::Profile(spec.lc, spec.machine);
         // The controller actuates through the fault-injection decorator
         // (pass-through on an empty plan — the 22 frozen goldens pin
         // that) and is observed by the safety-invariant checker, which

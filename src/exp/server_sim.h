@@ -23,7 +23,6 @@
 #include "chaos/fault_plan.h"
 #include "chaos/faulty_platform.h"
 #include "chaos/invariants.h"
-#include "heracles/bw_model.h"
 #include "heracles/config.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
@@ -66,12 +65,6 @@ struct ServerSpec {
     std::optional<workloads::BeProfile> be;  ///< No BE when unset.
     PolicyKind policy = PolicyKind::kHeracles;
     ctl::HeraclesConfig heracles;
-    /**
-     * Pre-built LC bandwidth model for the Heracles controller (not
-     * owned; may outlive profiling cost when many servers share one
-     * model). When null the model is profiled during assembly.
-     */
-    const ctl::LcBwModel* bw_model = nullptr;
 
     /**
      * Resolved fault-injection plan for this server (chaos scenarios).

@@ -57,7 +57,8 @@ struct MachineConfig {
 
     // --- Derived helpers ----------------------------------------------------
     /** Field-wise equality (seed included) — keep in sync when adding
-     *  fields. Clusters dedupe per-machine baselines through this. */
+     *  fields. The memoized offline measurements (alone rates,
+     *  fingerprints) key on this. */
     bool
     operator==(const MachineConfig& o) const
     {

@@ -96,19 +96,6 @@ ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn)
 }
 
 void
-ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn)
-{
-    if (pool == nullptr || pool->threads() <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i) fn(i);
-        return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-        pool->Submit([&fn, i] { fn(i); });
-    }
-    pool->Wait();
-}
-
-void
 ParallelFor(Pool* pool, const std::vector<size_t>& order,
             const std::function<void(size_t)>& fn)
 {

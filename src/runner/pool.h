@@ -78,22 +78,16 @@ class Pool
 void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
 
 /**
- * ParallelFor over an existing pool, for callers that fan out repeatedly
- * (the epoch engine dispatches its leaves every barrier interval — a
- * thread spawn per epoch would dominate short intervals). @p pool may be
- * nullptr, which runs inline in index order like jobs <= 1. Blocks until
- * every index has completed; the caller must not submit other work to
- * @p pool concurrently.
- */
-void ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn);
-
-/**
- * ParallelFor over an explicit submission order: runs fn(i) for every i
- * in @p order, submitting (or, with a null/single-thread pool, running
- * inline) in that sequence. The epoch engine submits its largest leaf
- * batches first so the pool's FIFO dispatch starts the long poles before
- * the stragglers — pure scheduling: tasks must be independent, so the
- * order can never change results. Blocks until every entry has run.
+ * ParallelFor over an existing pool and an explicit submission order,
+ * for callers that fan out repeatedly (the epoch engine dispatches its
+ * leaves every barrier interval — a thread spawn per epoch would
+ * dominate short intervals). Runs fn(i) for every i in @p order,
+ * submitting (or, with a null/single-thread pool, running inline) in
+ * that sequence. The epoch engine submits its largest leaf batches
+ * first so the pool's FIFO dispatch starts the long poles before the
+ * stragglers — pure scheduling: tasks must be independent, so the order
+ * can never change results. Blocks until every entry has run; the
+ * caller must not submit other work to @p pool concurrently.
  */
 void ParallelFor(Pool* pool, const std::vector<size_t>& order,
                  const std::function<void(size_t)>& fn);

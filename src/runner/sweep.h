@@ -7,7 +7,8 @@
  * fans them across a pool, preserves each job's derived seeds (they are a
  * pure function of the config and load, never of scheduling), and merges
  * results in submission order, so parallel output is bit-identical to
- * serial.
+ * serial. Jobs that share a config share its BE alone-rate baseline
+ * through workloads::MeasureAloneRate's memo, not through the sweep.
  */
 #ifndef HERACLES_RUNNER_SWEEP_H
 #define HERACLES_RUNNER_SWEEP_H
@@ -25,21 +26,13 @@ struct SweepJob {
     double load = 0.0;          ///< LC load fraction for this point.
     /** Optional caller tag (row label, variant name); carried through. */
     std::string tag;
-    /**
-     * Jobs with the same non-negative row share one config and hence
-     * one Experiment (so the BE alone-rate baseline is measured once
-     * per row, not once per load point). AppendLoadJobs assigns rows;
-     * -1 means "standalone job, build its own Experiment".
-     */
-    int row = -1;
 };
 
 /**
- * Runs every job across @p jobs threads, building one Experiment per
- * row (or per stand-alone job). Results arrive in submission order;
- * jobs <= 1 is the serial reference path producing identical bytes.
- * (To sweep the loads of one already-built Experiment, use
- * Experiment::Sweep.)
+ * Runs every job across @p jobs threads, each as Experiment(cfg)
+ * .RunAt(load). Results arrive in submission order; jobs <= 1 is the
+ * serial reference path producing identical bytes. (To sweep the loads
+ * of one already-built Experiment, use Experiment::Sweep.)
  */
 std::vector<exp::LoadPointResult> RunSweep(
     const std::vector<SweepJob>& sweep, int jobs);

@@ -292,10 +292,9 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
     cfg.seed = opts.seed.value_or(spec.seed);
     // The epoch engine makes cluster runs thread-count-invariant, so
     // this only sets how wide one scenario fans its leaves (and its
-    // assembly profiling). The default of 1 keeps nested catalog
+    // cold fingerprint grids). The default of 1 keeps nested catalog
     // sweeps from stacking pools.
     cfg.jobs = std::max(opts.cluster_jobs, 1);
-    cfg.leaf_batch = std::max(opts.cluster_leaf_batch, 0);
     return cfg;
 }
 

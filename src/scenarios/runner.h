@@ -35,19 +35,13 @@ struct RunOptions {
     /** Overrides the spec's cluster leaf count when positive. */
     int cluster_leaves = 0;
     /**
-     * Worker threads for the cluster epoch engine (and assembly-time
-     * profiling) of each cluster scenario — the --cluster-jobs flag.
+     * Worker threads for the cluster epoch engine (and cold fingerprint
+     * grids) of each cluster scenario — the --cluster-jobs flag.
      * Metrics are bit-identical across values; 1 keeps a catalog sweep's
      * per-scenario work serial so RunScenarios' own fan-out composes
      * without oversubscription.
      */
     int cluster_jobs = 1;
-    /**
-     * Leaves per epoch-engine task for cluster scenarios (the
-     * --cluster-leaf-batch flag; cluster::ClusterConfig::leaf_batch).
-     * Metrics are bit-identical across values. 0 = auto.
-     */
-    int cluster_leaf_batch = 0;
 
     /** Reduced-scale preset used by the golden regression harness. */
     static RunOptions Golden();

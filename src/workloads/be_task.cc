@@ -1,6 +1,9 @@
 #include "workloads/be_task.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "sim/once_cache.h"
 
 namespace heracles::workloads {
 
@@ -165,15 +168,19 @@ BeTask::ResetThroughput()
 double
 MeasureAloneRate(const hw::MachineConfig& cfg, const BeProfile& profile)
 {
-    sim::EventQueue queue;
-    hw::Machine machine(cfg, queue);
-    BeTask task(machine, profile);
-    task.SetCpus(hw::CpuSet::Range(0, cfg.LogicalCpus()));
-    machine.ResolveNow();
-    task.ResetThroughput();
-    queue.RunFor(sim::Seconds(2));
-    const double rate = task.AvgRate();
-    return rate > 1e-9 ? rate : 1.0;
+    using Key = std::pair<hw::MachineConfig, BeProfile>;
+    static auto* cache = new sim::OnceCache<Key, double>();
+    return cache->Get(Key{cfg, profile}, [&] {
+        sim::EventQueue queue;
+        hw::Machine machine(cfg, queue);
+        BeTask task(machine, profile);
+        task.SetCpus(hw::CpuSet::Range(0, cfg.LogicalCpus()));
+        machine.ResolveNow();
+        task.ResetThroughput();
+        queue.RunFor(sim::Seconds(2));
+        const double rate = task.AvgRate();
+        return rate > 1e-9 ? rate : 1.0;
+    });
 }
 
 }  // namespace heracles::workloads

@@ -51,9 +51,9 @@ struct BeProfile {
     /** Network-bound: throughput tracks granted egress bandwidth. */
     bool network_bound = false;
 
-    /** Field-wise equality — keep in sync when adding fields. Clusters
-     *  dedupe per-job alone-rate baselines through this (a same-named
-     *  profile resolved against a different machine can differ). */
+    /** Field-wise equality — keep in sync when adding fields.
+     *  MeasureAloneRate memoizes on this (a same-named profile resolved
+     *  against a different machine can differ). */
     bool
     operator==(const BeProfile& o) const
     {
@@ -132,7 +132,9 @@ class BeTask : public hw::ResourceClient
  * Measures the task's throughput running *alone* on the whole machine
  * (every core, full cache, unshaped network) for normalization. Runs a
  * short standalone simulation with a fresh machine of the same
- * configuration.
+ * configuration, once per distinct (@p cfg, @p profile) pair — seed
+ * included — per process: later calls read the memoized value
+ * (sim::OnceCache), which is bit-identical to a fresh run. Thread-safe.
  */
 double MeasureAloneRate(const hw::MachineConfig& cfg,
                         const BeProfile& profile);

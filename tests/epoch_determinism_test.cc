@@ -74,67 +74,48 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-class BatchingInvariance : public ::testing::TestWithParam<std::string>
+TEST(BatchingInvariance, BatchedParallelMatchesSerial)
 {
-};
-
-TEST_P(BatchingInvariance, BatchedParallelMatchesUnbatchedSerial)
-{
-    // The strongest pairing of the engine's two scheduling knobs: a
-    // serial unbatched run against a parallel run with leaf batching
-    // forced on (batch of 2 over the golden harness's 3 leaves exercises
-    // an uneven final batch). Any leakage of the batch mapping or the
-    // batch submission order into simulation state shows up here.
+    // Leaf batching switches on at 64 leaves: 68 leaves step in nine
+    // batches of up to 8, the last holding four. A serial run steps the
+    // leaves one by one; the parallel run submits the batches largest
+    // first. Any leakage of the batch mapping or the batch submission
+    // order into simulation state shows up here.
     const scenarios::ScenarioSpec& spec =
-        scenarios::MustFindScenario(GetParam());
+        scenarios::MustFindScenario("cluster_scale_rack_sharded");
 
     scenarios::RunOptions serial = scenarios::RunOptions::Golden();
+    serial.cluster_leaves = 68;
     serial.cluster_jobs = 1;
-    serial.cluster_leaf_batch = 1;
-    scenarios::RunOptions batched = scenarios::RunOptions::Golden();
+    scenarios::RunOptions batched = serial;
     batched.cluster_jobs = 4;
-    batched.cluster_leaf_batch = 2;
 
     const scenarios::ScenarioMetrics a =
         scenarios::RunScenario(spec, serial);
     const scenarios::ScenarioMetrics b =
         scenarios::RunScenario(spec, batched);
     EXPECT_TRUE(a.ExactlyEquals(b))
-        << spec.name
-        << ": jobs=4 leaf_batch=2 diverged from jobs=1 leaf_batch=1\n"
+        << spec.name << ": batched jobs=4 diverged from serial jobs=1\n"
         << "serial:\n"
         << scenarios::MetricsToJson(a) << "batched:\n"
         << scenarios::MetricsToJson(b);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Catalog, BatchingInvariance,
-    ::testing::ValuesIn(ClusterScenarioNames()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-        return info.param;
-    });
-
 TEST(LeafBatching, AutoPolicyBatchesOnlyLargeClusters)
 {
-    // The mapping is configuration-only: leaf count + configured size.
-    EXPECT_EQ(cluster::LeafBatching::Resolve(3, 0).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(63, 0).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(64, 0).batch_size, 8u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(1024, 0).batch_size, 8u);
-}
-
-TEST(LeafBatching, ExplicitSizeIsClampedToLeafCount)
-{
-    EXPECT_EQ(cluster::LeafBatching::Resolve(3, 8).batch_size, 3u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(100, 16).batch_size, 16u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(0, 5).batches(), 0u);
+    // The mapping is configuration-only: a function of the leaf count.
+    EXPECT_EQ(cluster::LeafBatching::Resolve(3).batch_size, 1u);
+    EXPECT_EQ(cluster::LeafBatching::Resolve(63).batch_size, 1u);
+    EXPECT_EQ(cluster::LeafBatching::Resolve(64).batch_size, 8u);
+    EXPECT_EQ(cluster::LeafBatching::Resolve(1024).batch_size, 8u);
+    EXPECT_EQ(cluster::LeafBatching::Resolve(0).batches(), 0u);
 }
 
 TEST(LeafBatching, MappingPinsContiguousBatches)
 {
     // 10 leaves in batches of 4: [0..3], [4..7], [8..9]. This exact
     // mapping is what makes a batched run reproducible — pin it.
-    const cluster::LeafBatching b = cluster::LeafBatching::Resolve(10, 4);
+    const cluster::LeafBatching b{10, 4};
     EXPECT_EQ(b.batches(), 3u);
     EXPECT_EQ(b.BatchOf(0), 0u);
     EXPECT_EQ(b.BatchOf(3), 0u);

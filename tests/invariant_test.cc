@@ -69,6 +69,10 @@ TEST(FaultPlan, RejectsMalformedClauses)
         "crash:leaf@0.1-0.5",      // leaf with no index
         "crash:leaf1.9@0.1-0.5",   // fractional leaf index
         "crash:leaf1e1@0.1-0.5",   // exponent-form leaf index
+        "drop:cores@nan-0.6",      // NaN window bound
+        "noise:tail*nan@0.1-0.5",  // NaN noise sigma
+        "burst*inf@0.1-0.5",       // infinite burst scale
+        "drop:cores@ 0.1-0.5",     // leading whitespace
     };
     for (const char* spec : bad) {
         FaultPlan plan;

@@ -95,25 +95,5 @@ TEST(ServerSim, BeProfileIgnoredWithoutColocation)
     EXPECT_EQ(server.be(), nullptr);
 }
 
-TEST(ServerSim, SharedBwModelMatchesProfiledOne)
-{
-    // A cluster hands every leaf one pre-profiled model; the assembled
-    // controller must behave exactly as if it profiled its own.
-    ServerSpec spec = BaseSpec(PolicyKind::kHeracles);
-    const ctl::LcBwModel shared =
-        ctl::LcBwModel::Profile(spec.lc, spec.machine);
-
-    sim::EventQueue q1;
-    ServerSim own(spec, q1);
-    spec.bw_model = &shared;
-    sim::EventQueue q2;
-    ServerSim given(spec, q2);
-
-    ASSERT_NE(own.controller(), nullptr);
-    ASSERT_NE(given.controller(), nullptr);
-    // Same event schedule out of assembly.
-    EXPECT_EQ(q1.pending(), q2.pending());
-}
-
 }  // namespace
 }  // namespace heracles::exp

@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit tests for the simulation core: event queue, RNG, statistics and
- * load traces.
+ * Unit tests for the simulation core: event queue, RNG, statistics,
+ * load traces and the once-cache.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/once_cache.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -710,6 +714,67 @@ TEST(TraceDeath, CsvRejectsNonIncreasingTime)
 TEST(TraceDeath, CsvRejectsEmpty)
 {
     EXPECT_DEATH(CsvTrace::FromString(""), "empty");
+}
+
+// --------------------------------------------------------------------------
+// OnceCache
+
+TEST(OnceCache, ConcurrentColdCallersShareOneComputation)
+{
+    OnceCache<int, int> cache;
+    std::atomic<int> computations{0};
+    std::atomic<bool> go{false};
+    std::vector<int> got(8, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < got.size(); ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load()) std::this_thread::yield();
+            got[t] = cache.Get(7, [&] {
+                ++computations;
+                // Hold the computation open so the other callers
+                // arrive while the key is still cold.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                return 42;
+            });
+        });
+    }
+    go = true;
+    for (std::thread& th : threads) th.join();
+
+    EXPECT_EQ(computations.load(), 1);
+    for (int v : got) EXPECT_EQ(v, 42);
+    EXPECT_EQ(cache.Get(7, [] { return -1; }), 42);  // now warm
+}
+
+TEST(OnceCache, DistinctColdKeysComputeInParallel)
+{
+    // Each key's computation waits for the other's to start. A lock
+    // held across a computation serializes them, and the first one
+    // gives up after the deadline and reports false.
+    OnceCache<int, bool> cache;
+    std::atomic<bool> started[2] = {false, false};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool saw_other[2] = {false, false};
+    std::vector<std::thread> threads;
+    for (int k = 0; k < 2; ++k) {
+        threads.emplace_back([&, k] {
+            saw_other[k] = cache.Get(k, [&] {
+                started[k] = true;
+                while (!started[1 - k].load()) {
+                    if (std::chrono::steady_clock::now() > deadline) {
+                        return false;
+                    }
+                    std::this_thread::yield();
+                }
+                return true;
+            });
+        });
+    }
+    for (std::thread& th : threads) th.join();
+
+    EXPECT_TRUE(saw_other[0]);
+    EXPECT_TRUE(saw_other[1]);
 }
 
 }  // namespace

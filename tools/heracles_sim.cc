@@ -14,7 +14,7 @@
  *                [--sweep 0.1,0.3,0.5|paper] [--jobs N]
  *                [--list-scenarios] [--scenario NAME|all]
  *                [--scale F] [--json] [--faults SPEC]
- *                [--cluster-jobs N] [--cluster-leaf-batch N]
+ *                [--cluster-jobs N]
  *                [--cluster-policy static-split|greedy-slack|
  *                                  round-robin|predictive]
  *
@@ -32,10 +32,7 @@
  * epoch engine fans its leaves across per barrier interval (metrics are
  * bit-identical for every value). Default: hardware concurrency for a
  * single cluster scenario, 1 for --scenario all (where --jobs already
- * parallelizes across scenarios). --cluster-leaf-batch pins how many
- * leaves the engine steps per worker task (default: automatic — 8 at
- * 64+ leaves, else 1); like --cluster-jobs it cannot change metrics,
- * only wall time.
+ * parallelizes across scenarios).
  *
  * Scenario mode composes from the catalog (src/scenarios/registry.cc)
  * instead of the ad-hoc flags: --list-scenarios prints the catalog,
@@ -73,6 +70,7 @@ using namespace heracles;
 using tools::kPositive;
 using tools::ParseNumber;
 using tools::ParsePositiveInt;
+using tools::ParseUint64;
 
 namespace {
 
@@ -86,7 +84,7 @@ Usage(const char* argv0)
                  "[--sweep F,F,...|paper] [--jobs N] "
                  "[--list-scenarios] [--scenario NAME|all] "
                  "[--scale F] [--json] [--faults SPEC] "
-                 "[--cluster-jobs N] [--cluster-leaf-batch N] "
+                 "[--cluster-jobs N] "
                  "[--cluster-policy NAME]\n",
                  argv0);
     std::exit(2);
@@ -383,8 +381,6 @@ main(int argc, char** argv)
     int jobs = runner::DefaultJobs();
     int cluster_jobs = 0;
     bool cluster_jobs_given = false;
-    int cluster_leaf_batch = 0;
-    bool cluster_leaf_batch_given = false;
     std::string cluster_policy;
 
     for (int i = 1; i < argc; ++i) {
@@ -415,16 +411,7 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--seed")) {
             // Garbage must not silently become seed 0 — the run would
             // "reproduce" something the user never asked for.
-            const char* v = next();
-            char* end = nullptr;
-            seed = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0') {
-                std::fprintf(stderr,
-                             "error: --seed wants a non-negative "
-                             "integer, got '%s'\n",
-                             v);
-                return 2;
-            }
+            seed = ParseUint64("--seed", next());
             seed_given = true;
         } else if (!std::strcmp(argv[i], "--sweep")) {
             sweep_loads = ParseSweep(adhoc_next());
@@ -448,10 +435,6 @@ main(int argc, char** argv)
             // serial (or die in the pool); fail loudly like --seed.
             cluster_jobs = ParsePositiveInt("--cluster-jobs", next());
             cluster_jobs_given = true;
-        } else if (!std::strcmp(argv[i], "--cluster-leaf-batch")) {
-            cluster_leaf_batch =
-                ParsePositiveInt("--cluster-leaf-batch", next());
-            cluster_leaf_batch_given = true;
         } else if (!std::strcmp(argv[i], "--cluster-policy")) {
             cluster_policy = next();
         } else if (!std::strcmp(argv[i], "--faults")) {
@@ -466,11 +449,10 @@ main(int argc, char** argv)
 
     if (scenario_name.empty() &&
         (scale_given || json || faults_given || cluster_jobs_given ||
-         cluster_leaf_batch_given || !cluster_policy.empty())) {
+         !cluster_policy.empty())) {
         std::fprintf(stderr,
                      "--scale/--json/--faults/--cluster-jobs/"
-                     "--cluster-leaf-batch/--cluster-policy only apply "
-                     "to --scenario runs\n");
+                     "--cluster-policy only apply to --scenario runs\n");
         return 2;
     }
     chaos::FaultPlan faults;
@@ -504,7 +486,6 @@ main(int argc, char** argv)
             cluster_jobs_given
                 ? cluster_jobs
                 : (scenario_name == "all" ? 1 : runner::DefaultJobs());
-        opts.cluster_leaf_batch = cluster_leaf_batch;
         return RunScenarioMode(scenario_name, opts, jobs, json,
                                faults_given ? &faults : nullptr,
                                cluster_policy);
