@@ -12,8 +12,9 @@
  *    implementation (std::function payloads in the heap nodes plus
  *    unordered_set pending/cancelled bookkeeping) — so the recorded
  *    speedup is a measured ratio, not a claim.
- *  - Stats streaming: WindowedTailTracker record/roll throughput and
- *    LatencyHistogram percentile queries, the per-request stats cost.
+ *  - Stats streaming: LcApp's per-request stats path (one bucket
+ *    lookup feeding three WindowedTailTrackers and an overall
+ *    LatencyHistogram) plus percentile queries.
  *
  * Binaries that want allocs/event must define the global allocation
  * counter with HERACLES_BENCH_DEFINE_ALLOC_COUNTER in exactly one
@@ -254,15 +255,20 @@ RunEventQueueChurn(uint64_t total_events, int window = 2048)
 
 /**
  * Streaming-tail driver: records @p total_samples latencies drawn from
- * the exponential ballpark of a websearch service time into a
- * WindowedTailTracker (2 s fast window, the controller's poll cadence),
- * advancing simulated time so windows keep closing, then issues p95/p99
- * queries per window roll. Reports samples/sec.
+ * the exponential ballpark of a websearch service time the way
+ * LcApp::OnCompletion does — one BucketOf per sample feeding the
+ * report (60 s), controller (15 s) and fast (2 s) window trackers and
+ * the overall histogram — advancing simulated time so windows keep
+ * closing, with a p95 and a partial-window tail read every 16384
+ * samples. Reports samples/sec.
  */
 inline BenchResult
 RunStatsStreaming(uint64_t total_samples)
 {
-    sim::WindowedTailTracker tracker(sim::Seconds(2), 0.99);
+    sim::WindowedTailTracker report(sim::Seconds(60), 0.99);
+    sim::WindowedTailTracker ctl(sim::Seconds(15), 0.99);
+    sim::WindowedTailTracker fast(sim::Seconds(2), 0.99);
+    sim::LatencyHistogram overall;
     sim::Rng rng(7);
     sim::SimTime now = 0;
     sim::Duration sink = 0;
@@ -273,10 +279,14 @@ RunStatsStreaming(uint64_t total_samples)
             now += sim::Micros(100);  // ~10k samples per 1 s of sim time
             const auto lat =
                 static_cast<sim::Duration>(1 + rng.Exponential(4e6));
-            tracker.Record(now, lat);
+            const int bucket = sim::LatencyHistogram::BucketOf(lat);
+            overall.RecordBucket(bucket, lat, 1);
+            report.RecordBucket(now, bucket, lat, 1);
+            ctl.RecordBucket(now, bucket, lat, 1);
+            fast.RecordBucket(now, bucket, lat, 1);
             if ((i & 0x3FFF) == 0) {
-                sink += tracker.OverallPercentile(0.95);
-                sink += tracker.CurrentWindowTail();
+                sink += overall.Percentile(0.95);
+                sink += fast.CurrentWindowTail();
             }
         }
     });

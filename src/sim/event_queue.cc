@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace heracles::sim {
@@ -52,15 +53,44 @@ EventQueue::ReleaseSlot(uint32_t idx)
     free_head_ = idx;
 }
 
-EventQueue::EventId
-EventQueue::Push(SimTime when, Duration period, InlineFn fn)
+void
+EventQueue::HeapPush(HeapItem item)
 {
-    const uint32_t idx = AcquireSlot();
-    Slot& s = slots_[idx];
-    s.fn = std::move(fn);
-    s.period = period;
-    heap_.push(HeapItem{when, next_seq_++, idx});
-    return (static_cast<EventId>(s.gen) << 32) | idx;
+    // Sift up: move parents down into the hole until item fits.
+    size_t i = heap_.size();
+    heap_.emplace_back();
+    while (i > 0) {
+        const size_t parent = (i - 1) / 4;
+        if (!(item < heap_[parent])) break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = item;
+}
+
+void
+EventQueue::HeapPop()
+{
+    // Sift the last record down from the root, moving the smallest child
+    // up into the hole until it fits.
+    const HeapItem last = heap_.back();
+    heap_.pop_back();
+    const size_t n = heap_.size();
+    if (n == 0) return;
+    size_t i = 0;
+    for (;;) {
+        const size_t first = 4 * i + 1;
+        if (first >= n) break;
+        const size_t end = std::min(first + 4, n);
+        size_t best = first;
+        for (size_t c = first + 1; c < end; ++c) {
+            if (heap_[c] < heap_[best]) best = c;
+        }
+        if (!(heap_[best] < last)) break;
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
 }
 
 void
@@ -78,10 +108,10 @@ EventQueue::RunUntilBefore(SimTime until)
 void
 EventQueue::RunLoop(SimTime until, bool inclusive)
 {
-    while (!heap_.empty() && (inclusive ? heap_.top().when <= until
-                                        : heap_.top().when < until)) {
-        const HeapItem item = heap_.top();
-        heap_.pop();
+    while (!heap_.empty() && (inclusive ? heap_[0].when <= until
+                                        : heap_[0].when < until)) {
+        const HeapItem item = heap_[0];
+        HeapPop();
         // The deque keeps slot addresses stable across callbacks, but a
         // reference would still dangle conceptually; re-index after fn().
         Slot& s = slots_[item.slot];
@@ -108,7 +138,7 @@ EventQueue::RunLoop(SimTime until, bool inclusive)
                 --cancelled_;
                 ReleaseSlot(item.slot);
             } else {
-                heap_.push(
+                HeapPush(
                     HeapItem{now_ + after.period, next_seq_++, item.slot});
             }
         }

@@ -8,20 +8,19 @@
  * queue; nothing observes wall-clock time.
  *
  * Events live in a slab pool of fixed slots with free-list reuse: the
- * callback is stored in the slot via small-buffer InlineFn storage (zero
- * heap traffic for the closures the simulation layers schedule), the
- * binary heap orders plain 24-byte (time, seq, slot) records, and
- * EventIds carry a generation tag so Cancel is an O(1) slot lookup with
- * no side-table bookkeeping — a stale id (already fired, already
- * cancelled, or from a recycled slot) simply misses its generation and
- * is a no-op.
+ * callback is constructed directly in its slot's small-buffer InlineFn
+ * storage (zero heap traffic for the closures the simulation layers
+ * schedule), a 4-ary min-heap orders plain 24-byte (time, seq, slot)
+ * records, and EventIds carry a generation tag so Cancel is an O(1)
+ * slot lookup with no side-table bookkeeping — a stale id (already
+ * fired, already cancelled, or from a recycled slot) simply misses its
+ * generation and is a no-op.
  */
 #ifndef HERACLES_SIM_EVENT_QUEUE_H
 #define HERACLES_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -67,7 +66,7 @@ class EventQueue
         HERACLES_CHECK_MSG(
             when >= now_,
             "scheduling into the past: " << when << " < " << now_);
-        return Push(when, /*period=*/0, InlineFn(std::forward<Fn>(fn)));
+        return Push(when, /*period=*/0, std::forward<Fn>(fn));
     }
 
     /** Schedules @p fn to run @p delay after the current time. */
@@ -76,8 +75,7 @@ class EventQueue
     ScheduleAfter(Duration delay, Fn&& fn)
     {
         HERACLES_CHECK_MSG(delay >= 0, "negative delay " << delay);
-        return Push(now_ + delay, /*period=*/0,
-                    InlineFn(std::forward<Fn>(fn)));
+        return Push(now_ + delay, /*period=*/0, std::forward<Fn>(fn));
     }
 
     /**
@@ -91,7 +89,7 @@ class EventQueue
         HERACLES_CHECK_MSG(period > 0,
                            "period must be positive: " << period);
         HERACLES_CHECK(phase >= 0);
-        return Push(now_ + phase, period, InlineFn(std::forward<Fn>(fn)));
+        return Push(now_ + phase, period, std::forward<Fn>(fn));
     }
 
     /**
@@ -179,30 +177,48 @@ class EventQueue
         State state = kFree;
     };
 
-    /** What the binary heap orders: plain data, no callback payload. */
+    /** What the heap orders: plain data, no callback payload. */
     struct HeapItem {
         SimTime when;
         uint64_t seq;  ///< Tie-breaker: insertion order.
         uint32_t slot;
 
+        /** Fires first: (when, seq) is a strict total order. */
         bool
-        operator>(const HeapItem& o) const
+        operator<(const HeapItem& o) const
         {
-            if (when != o.when) return when > o.when;
-            return seq > o.seq;
+            if (when != o.when) return when < o.when;
+            return seq < o.seq;
         }
     };
 
     static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
     static uint32_t GenOf(EventId id) { return static_cast<uint32_t>(id >> 32); }
 
-    EventId Push(SimTime when, Duration period, InlineFn fn);
+    /** Acquires a slot, constructs the callable in it and queues it. */
+    template <typename Fn>
+    EventId
+    Push(SimTime when, Duration period, Fn&& fn)
+    {
+        const uint32_t idx = AcquireSlot();
+        Slot& s = slots_[idx];
+        s.fn.Emplace(std::forward<Fn>(fn));
+        s.period = period;
+        HeapPush(HeapItem{when, next_seq_++, idx});
+        return (static_cast<EventId>(s.gen) << 32) | idx;
+    }
+
     uint32_t AcquireSlot();
     void ReleaseSlot(uint32_t idx);
     void RunLoop(SimTime until, bool inclusive);
+    void HeapPush(HeapItem item);
+    /** Removes heap_[0]. @pre !heap_.empty(). */
+    void HeapPop();
 
-    std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>
-        heap_;
+    /** 4-ary min-heap on (when, seq): the children of i are 4i+1..4i+4.
+     *  Half the depth of a binary heap, and a node's four children share
+     *  one or two cache lines. */
+    std::vector<HeapItem> heap_;
     /** Slab pool. std::deque: slot addresses stay stable while a firing
      *  callback schedules new events (which may extend the pool). */
     std::deque<Slot> slots_;

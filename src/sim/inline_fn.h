@@ -41,18 +41,7 @@ class InlineFn
                   !std::is_same_v<std::decay_t<Fn>, InlineFn>>>
     InlineFn(Fn&& fn)  // NOLINT(google-explicit-constructor)
     {
-        using T = std::decay_t<Fn>;
-        static_assert(std::is_invocable_r_v<void, T&>,
-                      "InlineFn requires a void() callable");
-        if constexpr (FitsInline<T>) {
-            ::new (static_cast<void*>(buf_)) T(std::forward<Fn>(fn));
-            ops_ = &kInlineOps<T>;
-        } else {
-            // Heap fallback: store the T* in the buffer.
-            T* p = new T(std::forward<Fn>(fn));
-            ::new (static_cast<void*>(buf_)) T*(p);
-            ops_ = &kHeapOps<T>;
-        }
+        Emplace(std::forward<Fn>(fn));
     }
 
     InlineFn(InlineFn&& other) noexcept : ops_(other.ops_)
@@ -81,6 +70,31 @@ class InlineFn
     InlineFn& operator=(const InlineFn&) = delete;
 
     ~InlineFn() { Reset(); }
+
+    /**
+     * Replaces the held callable with one constructed in place from
+     * @p fn: a single construction, no intermediate InlineFn to relocate.
+     */
+    template <typename Fn,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<Fn>, InlineFn>>>
+    void
+    Emplace(Fn&& fn)
+    {
+        using T = std::decay_t<Fn>;
+        static_assert(std::is_invocable_r_v<void, T&>,
+                      "InlineFn requires a void() callable");
+        Reset();
+        if constexpr (FitsInline<T>) {
+            ::new (static_cast<void*>(buf_)) T(std::forward<Fn>(fn));
+            ops_ = &kInlineOps<T>;
+        } else {
+            // Heap fallback: store the T* in the buffer.
+            T* p = new T(std::forward<Fn>(fn));
+            ::new (static_cast<void*>(buf_)) T*(p);
+            ops_ = &kHeapOps<T>;
+        }
+    }
 
     /** Destroys the held callable (if any), leaving this empty. */
     void

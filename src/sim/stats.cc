@@ -2,52 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/log.h"
 
 namespace heracles::sim {
 
-namespace {
-// 64 octaves (1ns .. ~584 years) is more than enough dynamic range.
-constexpr int kOctaves = 64;
-}  // namespace
-
-LatencyHistogram::LatencyHistogram(int buckets_per_octave)
-    : buckets_per_octave_(buckets_per_octave),
-      buckets_(static_cast<size_t>(kOctaves) * buckets_per_octave, 0)
-{
-    HERACLES_CHECK(buckets_per_octave >= 1);
-}
-
-int
-LatencyHistogram::BucketIndex(Duration v) const
-{
-    if (v < 1) v = 1;
-    const double lg = std::log2(static_cast<double>(v));
-    int idx = static_cast<int>(lg * buckets_per_octave_);
-    const int max_idx = static_cast<int>(buckets_.size()) - 1;
-    return std::min(idx, max_idx);
-}
-
 Duration
-LatencyHistogram::BucketUpperEdge(int idx) const
+LatencyHistogram::BucketUpperEdge(int idx)
 {
     const double edge =
-        std::exp2(static_cast<double>(idx + 1) / buckets_per_octave_);
+        std::exp2(static_cast<double>(idx + 1) / kBucketsPerOctave);
+    // The top buckets' edges pass 2^63, which no Duration can hold.
+    if (edge >= 0x1p63) return std::numeric_limits<Duration>::max();
     return static_cast<Duration>(edge);
-}
-
-void
-LatencyHistogram::RecordN(Duration v, uint64_t n)
-{
-    if (n == 0) return;
-    const int idx = BucketIndex(v);
-    buckets_[idx] += n;
-    if (idx < lo_ || lo_ > hi_) lo_ = idx;
-    if (idx > hi_) hi_ = idx;
-    count_ += n;
-    sum_ns_ += static_cast<double>(v) * static_cast<double>(n);
-    max_ = std::max(max_, v);
 }
 
 Duration
@@ -91,7 +59,6 @@ LatencyHistogram::Reset()
 void
 LatencyHistogram::Merge(const LatencyHistogram& other)
 {
-    HERACLES_CHECK(buckets_per_octave_ == other.buckets_per_octave_);
     if (other.lo_ <= other.hi_) {
         for (int i = other.lo_; i <= other.hi_; ++i) {
             buckets_[i] += other.buckets_[i];
@@ -114,23 +81,6 @@ WindowedTailTracker::WindowedTailTracker(Duration window, double percentile)
 {
     HERACLES_CHECK(window > 0);
     HERACLES_CHECK(percentile > 0.0 && percentile < 1.0);
-}
-
-void
-WindowedTailTracker::Record(SimTime now, Duration latency, uint64_t n)
-{
-    MaybeRoll(now);
-    current_.RecordN(latency, n);
-    all_.RecordN(latency, n);
-}
-
-void
-WindowedTailTracker::MaybeRoll(SimTime now)
-{
-    while (now >= window_end_) {
-        CloseWindow();
-        window_end_ += window_;
-    }
 }
 
 void

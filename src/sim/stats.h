@@ -7,6 +7,7 @@
 #define HERACLES_SIM_STATS_H
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -19,28 +20,59 @@ namespace heracles::sim {
 /**
  * Log-bucketed latency histogram (HDR-histogram style).
  *
- * Values are bucketed with a fixed relative precision (default ~2%) over a
- * huge dynamic range, so one histogram type covers memkeyval (~100us SLO)
- * and websearch (~10ms SLO). Percentile queries return the upper edge of
- * the bucket containing the requested rank.
+ * Values are bucketed with a fixed relative precision (32 buckets per
+ * octave, ~2.2% error) over a huge dynamic range, so one histogram type
+ * covers memkeyval (~100us SLO) and websearch (~10ms SLO). Percentile
+ * queries return the upper edge of the bucket containing the requested
+ * rank.
  *
- * The histogram tracks its occupied bucket range, so the streaming-tail
- * hot path (WindowedTailTracker closes a window every few simulated
- * seconds: one Percentile + one Reset each) touches only the few dozen
- * buckets a workload actually populates instead of the whole 2048-bucket
- * backing array.
+ * The bucket of a sample is a pure function of its value (BucketOf), so
+ * a caller feeding one sample into several histograms computes it once
+ * and records it with RecordBucket. The histogram tracks its occupied
+ * bucket range, so the streaming-tail hot path (WindowedTailTracker
+ * closes a window every few simulated seconds: one Percentile + one
+ * Reset each) touches only the few dozen buckets a workload actually
+ * populates instead of the whole 2048-bucket backing array.
  */
 class LatencyHistogram
 {
   public:
-    /** @param buckets_per_octave precision knob; 32 gives ~2.2% error. */
-    explicit LatencyHistogram(int buckets_per_octave = 32);
+    /** Buckets per power of two: ~2.2% relative precision. */
+    static constexpr int kBucketsPerOctave = 32;
+    /** 64 octaves (1ns .. ~584 years) is more than enough range. */
+    static constexpr int kBuckets = 64 * kBucketsPerOctave;
+
+    LatencyHistogram() : buckets_(kBuckets, 0) {}
+
+    /** Bucket index of a sample of @p v nanoseconds (clamped to >= 1). */
+    static int
+    BucketOf(Duration v)
+    {
+        if (v < 1) v = 1;
+        const int idx = static_cast<int>(std::log2(static_cast<double>(v)) *
+                                         kBucketsPerOctave);
+        return std::min(idx, kBuckets - 1);
+    }
 
     /** Records one latency sample (@p v in nanoseconds, clamped to >= 1). */
     void Record(Duration v) { RecordN(v, 1); }
 
     /** Records @p n identical samples (used by batched request models). */
-    void RecordN(Duration v, uint64_t n);
+    void RecordN(Duration v, uint64_t n) { RecordBucket(BucketOf(v), v, n); }
+
+    /** Records @p n samples of @p v into @p idx, which must equal
+     *  BucketOf(v). */
+    void
+    RecordBucket(int idx, Duration v, uint64_t n)
+    {
+        if (n == 0) return;
+        buckets_[idx] += n;
+        if (idx < lo_ || lo_ > hi_) lo_ = idx;
+        if (idx > hi_) hi_ = idx;
+        count_ += n;
+        sum_ns_ += static_cast<double>(v) * static_cast<double>(n);
+        max_ = std::max(max_, v);
+    }
 
     /** Returns the p-quantile (p in [0,1]); 0 if the histogram is empty. */
     Duration Percentile(double p) const;
@@ -61,10 +93,8 @@ class LatencyHistogram
     void Merge(const LatencyHistogram& other);
 
   private:
-    int BucketIndex(Duration v) const;
-    Duration BucketUpperEdge(int idx) const;
+    static Duration BucketUpperEdge(int idx);
 
-    int buckets_per_octave_;
     std::vector<uint64_t> buckets_;
     /** Occupied range [lo_, hi_]; lo_ > hi_ when empty. Percentile scans
      *  and Reset fills touch only this range. */
@@ -81,7 +111,9 @@ class LatencyHistogram
  * The paper reports the worst 60-second-window tail observed during an
  * experiment, and the Heracles controller polls the tail of the most
  * recently completed window. This class supports both: it rotates a
- * histogram every @p window and remembers per-window percentiles.
+ * histogram every @p window and remembers per-window percentiles. It
+ * keeps no all-time histogram; a caller that wants percentiles over a
+ * whole run records into its own LatencyHistogram.
  */
 class WindowedTailTracker
 {
@@ -89,13 +121,33 @@ class WindowedTailTracker
     WindowedTailTracker(Duration window, double percentile);
 
     /** Records a sample taken at simulated time @p now. */
-    void Record(SimTime now, Duration latency, uint64_t n = 1);
+    void
+    Record(SimTime now, Duration latency)
+    {
+        RecordBucket(now, LatencyHistogram::BucketOf(latency), latency, 1);
+    }
+
+    /** Records @p n samples of @p latency, whose precomputed bucket is
+     *  @p bucket == LatencyHistogram::BucketOf(latency). */
+    void
+    RecordBucket(SimTime now, int bucket, Duration latency, uint64_t n)
+    {
+        MaybeRoll(now);
+        current_.RecordBucket(bucket, latency, n);
+    }
 
     /**
      * Finishes the current window if @p now passed its end. Call before
      * reading; records also roll windows automatically.
      */
-    void MaybeRoll(SimTime now);
+    void
+    MaybeRoll(SimTime now)
+    {
+        while (now >= window_end_) {
+            CloseWindow();
+            window_end_ += window_;
+        }
+    }
 
     /** Tail of the last *completed* window; 0 if none completed yet. */
     Duration LastWindowTail() const { return last_window_tail_; }
@@ -105,9 +157,6 @@ class WindowedTailTracker
 
     /** Worst per-window tail across the whole run; 0 if none completed. */
     Duration WorstWindowTail() const { return worst_window_tail_; }
-
-    /** Any percentile over *all* samples ever recorded (p in [0,1]). */
-    Duration OverallPercentile(double p) const { return all_.Percentile(p); }
 
     /** Tail of the in-progress (partial) window; 0 if empty. */
     Duration CurrentWindowTail() const {
@@ -132,7 +181,6 @@ class WindowedTailTracker
     double percentile_;
     SimTime window_end_;
     LatencyHistogram current_;
-    LatencyHistogram all_;
     Duration last_window_tail_ = 0;
     uint64_t last_window_count_ = 0;
     Duration worst_window_tail_ = 0;

@@ -196,9 +196,13 @@ LcApp::OnCompletion(const Request& req)
     }
     const sim::Duration latency = (now - arrival) + net;
 
-    report_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
-    ctl_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
-    fast_tail_.Record(now, latency, static_cast<uint64_t>(params_.batch));
+    // One bucket lookup feeds all four histograms.
+    const int bucket = sim::LatencyHistogram::BucketOf(latency);
+    const auto n = static_cast<uint64_t>(params_.batch);
+    overall_.RecordBucket(bucket, latency, n);
+    report_tail_.RecordBucket(now, bucket, latency, n);
+    ctl_tail_.RecordBucket(now, bucket, latency, n);
+    fast_tail_.RecordBucket(now, bucket, latency, n);
 
     if (req.tracked && completion_fn_) completion_fn_(req.tag, latency);
 
@@ -436,7 +440,7 @@ LcApp::WorstReportTail() const
 sim::Duration
 LcApp::OverallPercentile(double p) const
 {
-    return report_tail_.OverallPercentile(p);
+    return overall_.Percentile(p);
 }
 
 void
@@ -451,6 +455,7 @@ LcApp::ResetStats()
 {
     report_tail_ = sim::WindowedTailTracker(params_.report_window,
                                             params_.slo_percentile);
+    overall_.Reset();
     ctl_tail_ = sim::WindowedTailTracker(params_.ctl_window,
                                          params_.slo_percentile);
     fast_tail_ = sim::WindowedTailTracker(params_.fast_window,

@@ -275,6 +275,8 @@ class LcApp : public hw::ResourceClient
     mutable sim::WindowedTailTracker report_tail_;
     mutable sim::WindowedTailTracker ctl_tail_;
     mutable sim::WindowedTailTracker fast_tail_;
+    /** Every request completed since the last ResetStats. */
+    sim::LatencyHistogram overall_;
 
     // Rate measurement.
     uint64_t arrivals_in_sec_ = 0;

@@ -126,6 +126,57 @@ TEST(EventPool, CancelledSlotsReturnToFreeList)
     EXPECT_EQ(q.pool_free(), 64u);
 }
 
+/** Counts its own move constructions, copies and calls. */
+struct MoveCounter {
+    int* moves;
+    int* copies;
+    int* calls;
+
+    MoveCounter(int* m, int* c, int* k) : moves(m), copies(c), calls(k) {}
+    MoveCounter(const MoveCounter& o)
+        : moves(o.moves), copies(o.copies), calls(o.calls)
+    {
+        ++*copies;
+    }
+    MoveCounter(MoveCounter&& o) noexcept
+        : moves(o.moves), copies(o.copies), calls(o.calls)
+    {
+        ++*moves;
+    }
+    MoveCounter& operator=(const MoveCounter&) = delete;
+    MoveCounter& operator=(MoveCounter&&) = delete;
+
+    void operator()() { ++*calls; }
+};
+
+TEST(EventPool, OneShotCallableMovesIntoItsSlotAndOutOnce)
+{
+    // Built in its slot straight from the rvalue (one move), then moved
+    // out before the call so the slot can be released (a second move).
+    EventQueue q;
+    int moves = 0, copies = 0, calls = 0;
+    q.ScheduleAfter(5, MoveCounter(&moves, &copies, &calls));
+    EXPECT_EQ(moves, 1);
+    q.RunFor(10);
+    EXPECT_EQ(moves, 2);
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(EventPool, PeriodicCallableRunsInItsSlot)
+{
+    EventQueue q;
+    int moves = 0, copies = 0, calls = 0;
+    const auto id =
+        q.SchedulePeriodic(10, 10, MoveCounter(&moves, &copies, &calls));
+    q.RunFor(50);
+    q.Cancel(id);
+    q.RunFor(20);
+    EXPECT_EQ(moves, 1);  // into the slot; every fire runs it there
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(calls, 5);
+}
+
 TEST(EventPool, FiredSlotIsImmediatelyReusableInsideCallback)
 {
     // A one-shot's slot is released before its callback runs, so an

@@ -10,6 +10,10 @@
  * Cancel bookkeeping: cancelling pending, fired, periodic and
  * already-cancelled events must never change what else fires.
  *
+ * A tie-storm mix piles more than a thousand events onto at most four
+ * distinct timestamps, so the queue's 4-ary heap (depth 5 past 341
+ * records) breaks almost every sift on insertion order alone.
+ *
  * Failures shrink: the harness bisects the op sequence to the shortest
  * failing prefix and reports the seed plus that length, so a regression
  * reproduces from two integers.
@@ -78,6 +82,21 @@ class RefQueue
     SimTime now() const { return now_; }
     size_t pending() const { return evs_.size(); }
 
+    /** Distinct timestamps among pending events, counted up to @p cap. */
+    size_t
+    DistinctWhens(size_t cap) const
+    {
+        std::vector<SimTime> seen;
+        for (const Ev& e : evs_) {
+            if (std::find(seen.begin(), seen.end(), e.when) != seen.end()) {
+                continue;
+            }
+            seen.push_back(e.when);
+            if (seen.size() >= cap) break;
+        }
+        return seen.size();
+    }
+
   private:
     struct Ev {
         SimTime when;
@@ -129,11 +148,52 @@ GenOps(uint64_t seed, size_t n)
 }
 
 /**
+ * A tie storm: every delay, phase and period is 1..4 and runs advance
+ * the clock by 0 or 1, so all pending events sit on at most four
+ * distinct timestamps; schedules far outnumber runs, so the backlog
+ * passes a thousand events.
+ */
+std::vector<Op>
+GenTieStormOps(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    std::vector<Op> ops;
+    ops.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        Op op;
+        const uint64_t dice = rng.UniformInt(100);
+        if (dice < 50) {
+            op.kind = Op::kOneShot;
+            op.a = static_cast<Duration>(1 + rng.UniformInt(4));
+        } else if (dice < 83) {
+            op.kind = Op::kPeriodic;
+            op.a = static_cast<Duration>(1 + rng.UniformInt(4));
+            op.b = static_cast<Duration>(1 + rng.UniformInt(4));
+        } else if (dice < 98) {
+            op.kind = Op::kCancel;
+            op.target = rng.Next64();
+        } else {
+            op.kind = Op::kRun;
+            op.a = static_cast<Duration>(rng.UniformInt(2));
+        }
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+/** What a run reached: the depth a heap test must prove it covered. */
+struct RunStats {
+    size_t peak_pending = 0;   ///< Most live events pending at once.
+    size_t max_distinct = 0;   ///< Most distinct pending timestamps.
+};
+
+/**
  * Executes the first @p n ops against both queues, then drains. Returns
  * an empty string on agreement, else a description of the divergence.
+ * Fills @p stats, when given, from the reference queue after every op.
  */
 std::string
-RunOps(const std::vector<Op>& ops, size_t n)
+RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
 {
     EventQueue q;
     RefQueue ref;
@@ -181,6 +241,11 @@ RunOps(const std::vector<Op>& ops, size_t n)
         }
         if (got.size() != want.size() || got != want) {
             return "firing-log divergence after op " + std::to_string(i);
+        }
+        if (stats != nullptr) {
+            stats->peak_pending = std::max(stats->peak_pending, ref.pending());
+            stats->max_distinct =
+                std::max(stats->max_distinct, ref.DistinctWhens(5));
         }
     }
 
@@ -242,6 +307,29 @@ TEST(EventQueueStress, RandomInterleavingsMatchNaiveReference)
                    << " ops: rerun RunOps(GenOps(" << seed << ", " << kOps
                    << "), " << minimal << "))";
         }
+    }
+}
+
+TEST(EventQueueStress, TieStormMatchesNaiveReference)
+{
+    // Past 341 records a 4-ary heap is five levels deep; with every
+    // pending event on one of four timestamps, each sift below that
+    // depth orders equal-`when` records by insertion sequence alone.
+    // 400 ops cannot hold a thousand pending events, hence the length.
+    constexpr size_t kStormOps = 4000;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        const std::vector<Op> ops = GenTieStormOps(seed, kStormOps);
+        RunStats stats;
+        const std::string failure = RunOps(ops, ops.size(), &stats);
+        if (!failure.empty()) {
+            const size_t minimal = Shrink(ops, ops.size());
+            FAIL() << failure << " (tie storm, seed " << seed
+                   << ", shrinks to first " << minimal << " of " << kStormOps
+                   << " ops: rerun RunOps(GenTieStormOps(" << seed << ", "
+                   << kStormOps << "), " << minimal << "))";
+        }
+        EXPECT_GE(stats.peak_pending, 1000u) << "seed " << seed;
+        EXPECT_LE(stats.max_distinct, 4u) << "seed " << seed;
     }
 }
 

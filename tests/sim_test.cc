@@ -506,6 +506,59 @@ TEST(Histogram, MergeDisjointRangesSpansBoth)
     EXPECT_EQ(low.MaxNs(), Millis(80));
 }
 
+TEST(Histogram, PrecomputedBucketMatchesRecordN)
+{
+    // Every bucket boundary that fits in a Duration, one off either side,
+    // and the extremes: recording through BucketOf + RecordBucket must
+    // answer exactly as RecordN, sample by sample and in aggregate.
+    std::vector<Duration> values = {0, 1, 2, Duration{1} << 62,
+                                    std::numeric_limits<Duration>::max()};
+    for (int k = 0;; ++k) {
+        const double edge = std::exp2(k / 32.0);
+        if (edge + 1 >= 0x1p63) break;
+        const auto v = static_cast<Duration>(edge);
+        values.insert(values.end(), {v - 1, v, v + 1});
+    }
+    const double ps[] = {0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0};
+    LatencyHistogram all_n, all_b;
+    uint64_t n = 0;
+    for (const Duration v : values) {
+        n = n % 3 + 1;
+        LatencyHistogram one_n, one_b;
+        one_n.RecordN(v, n);
+        one_b.RecordBucket(LatencyHistogram::BucketOf(v), v, n);
+        all_n.RecordN(v, n);
+        all_b.RecordBucket(LatencyHistogram::BucketOf(v), v, n);
+        for (const double p : ps) {
+            ASSERT_EQ(one_b.Percentile(p), one_n.Percentile(p))
+                << "v=" << v << " p=" << p;
+        }
+        ASSERT_EQ(one_b.MeanNs(), one_n.MeanNs()) << "v=" << v;
+        ASSERT_EQ(one_b.MaxNs(), one_n.MaxNs()) << "v=" << v;
+    }
+    for (const double p : ps) {
+        EXPECT_EQ(all_b.Percentile(p), all_n.Percentile(p)) << "p=" << p;
+    }
+    EXPECT_EQ(all_b.MeanNs(), all_n.MeanNs());
+    EXPECT_EQ(all_b.MaxNs(), all_n.MaxNs());
+    EXPECT_EQ(all_b.count(), all_n.count());
+}
+
+TEST(Histogram, TopBucketEdgeSaturates)
+{
+    // INT64_MAX lands in bucket 2016, whose upper edge is 2^63.03: the
+    // edge saturates at INT64_MAX instead of overflowing the cast.
+    constexpr Duration kMax = std::numeric_limits<Duration>::max();
+    EXPECT_EQ(LatencyHistogram::BucketOf(kMax), 2016);
+    LatencyHistogram h;
+    h.Record(kMax);
+    h.Record(Duration{1} << 62);
+    // 2^62 sits at the bottom of bucket 1984: its edge, below the max.
+    EXPECT_EQ(h.Percentile(0.5), static_cast<Duration>(std::exp2(1985 / 32.0)));
+    EXPECT_EQ(h.Percentile(1.0), kMax);
+    EXPECT_EQ(h.MaxNs(), kMax);
+}
+
 // --------------------------------------------------------------------------
 // WindowedTailTracker
 

@@ -327,6 +327,43 @@ TEST(LcApp, ExternalInjectionReportsCompletions)
     EXPECT_GT(last, 0);
 }
 
+TEST(LcApp, OverallPercentileMatchesCompletedRequests)
+{
+    // The overall histogram must hold exactly the requests completed
+    // since the last ResetStats: compare it against a reference fed from
+    // the completion callback, before and after a mid-run reset (with
+    // requests still in flight across it).
+    LcRig rig(Memkeyval());
+    rig.app.SetCpus(rig.machine.topology().PhysicalCores(0, 4));
+    rig.app.StartExternal();
+    const auto batch = static_cast<uint64_t>(rig.app.params().batch);
+    sim::LatencyHistogram ref;
+    rig.app.SetCompletionCallback([&](uint64_t, sim::Duration lat) {
+        ref.RecordN(lat, batch);
+    });
+    uint64_t tag = 0;
+    auto drive = [&](sim::Duration span) {
+        const sim::SimTime end = rig.queue.Now() + span;
+        while (rig.queue.Now() < end) {
+            for (int i = 0; i < 8; ++i) rig.app.InjectRequest(++tag);
+            rig.queue.RunFor(sim::Micros(500));
+        }
+    };
+    auto expect_equal = [&](const char* phase) {
+        ASSERT_GT(ref.count(), 0u) << phase;
+        for (const double p : {0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+            EXPECT_EQ(rig.app.OverallPercentile(p), ref.Percentile(p))
+                << phase << " p=" << p;
+        }
+    };
+    drive(sim::Seconds(3));
+    expect_equal("before reset");
+    rig.app.ResetStats();
+    ref.Reset();
+    drive(sim::Seconds(3));
+    expect_equal("after reset");
+}
+
 TEST(LcAppDeath, InjectWithoutExternalAborts)
 {
     LcRig rig(Websearch());
