@@ -8,18 +8,21 @@
  * sit on the knee: safe yet close to maximal EMU.
  */
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
-#include "runner/sweep.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
 namespace {
 
-runner::SweepJob
-Job(const std::string& label, const ctl::HeraclesConfig& hcfg)
+constexpr double kLoad = 0.5;
+
+std::pair<std::string, exp::ExperimentConfig>
+Variant(const std::string& label, const ctl::HeraclesConfig& hcfg)
 {
     const hw::MachineConfig machine;
     exp::ExperimentConfig cfg;
@@ -30,7 +33,7 @@ Job(const std::string& label, const ctl::HeraclesConfig& hcfg)
     cfg.heracles = hcfg;
     cfg.warmup = bench::Scaled(sim::Seconds(180), sim::Seconds(90));
     cfg.measure = bench::Scaled(sim::Seconds(150), sim::Seconds(60));
-    return runner::SweepJob{cfg, 0.5, label};
+    return {label, cfg};
 }
 
 void
@@ -55,49 +58,52 @@ main(int argc, char** argv)
         {"variant", "tail (% SLO)", "SLO ok", "EMU", "BE cores"});
 
     // The variants are independent runs; fan them across the pool.
-    std::vector<runner::SweepJob> sweep;
-    sweep.push_back(Job("defaults (paper constants)", {}));
+    std::vector<std::pair<std::string, exp::ExperimentConfig>> variants;
+    variants.push_back(Variant("defaults (paper constants)", {}));
     for (double limit : {0.70, 0.80, 0.95}) {
         ctl::HeraclesConfig c;
         c.dram_limit_frac = limit;
-        sweep.push_back(Job(
+        variants.push_back(Variant(
             "DRAM limit " + exp::FormatPct(limit) + " (default 90%)", c));
     }
     {
         ctl::HeraclesConfig c;
         c.slack_disallow_growth = 0.20;
         c.slack_shrink = 0.10;
-        sweep.push_back(
-            Job("conservative slack thresholds (20%/10%)", c));
+        variants.push_back(
+            Variant("conservative slack thresholds (20%/10%)", c));
     }
     {
         ctl::HeraclesConfig c;
         c.top_period = sim::Seconds(30);
-        sweep.push_back(Job("slow top-level poll (30s)", c));
+        variants.push_back(Variant("slow top-level poll (30s)", c));
     }
     {
         ctl::HeraclesConfig c;
         c.use_fast_slack = false;
         c.fast_shrink = false;
-        sweep.push_back(
-            Job("no fast-slack stabilizer (pure 15s slack)", c));
+        variants.push_back(
+            Variant("no fast-slack stabilizer (pure 15s slack)", c));
     }
     {
         ctl::HeraclesConfig c;
         c.fast_growth_margin = 0.10;
-        sweep.push_back(Job("narrow growth hysteresis (10%)", c));
+        variants.push_back(Variant("narrow growth hysteresis (10%)", c));
     }
     {
         ctl::HeraclesConfig c;
         c.use_hw_bw_accounting = true;
         c.use_bw_model = false;
-        sweep.push_back(Job(
+        variants.push_back(Variant(
             "hw per-task bw accounting, no offline model (Sec. 7)", c));
     }
 
-    const auto results = runner::RunSweep(sweep, jobs);
+    const auto results =
+        runner::ParallelMap(jobs, variants.size(), [&](size_t i) {
+            return exp::Experiment(variants[i].second).RunAt(kLoad);
+        });
     for (size_t i = 0; i < results.size(); ++i) {
-        AddRow(table, sweep[i].tag, results[i]);
+        AddRow(table, variants[i].first, results[i]);
     }
     table.Print();
     std::printf(

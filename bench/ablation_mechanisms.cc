@@ -13,17 +13,16 @@
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
-#include "runner/sweep.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
 namespace {
 
-runner::SweepJob
-Job(const workloads::LcParams& lc, const std::string& be_name,
-    const ctl::HeraclesConfig& hcfg, double load)
+exp::ExperimentConfig
+Config(const workloads::LcParams& lc, const std::string& be_name,
+       const ctl::HeraclesConfig& hcfg)
 {
-    // (load chosen per case: the resource must actually be contended)
     const hw::MachineConfig machine;
     exp::ExperimentConfig cfg;
     cfg.machine = machine;
@@ -33,7 +32,7 @@ Job(const workloads::LcParams& lc, const std::string& be_name,
     cfg.heracles = hcfg;
     cfg.warmup = bench::Scaled(sim::Seconds(180), sim::Seconds(90));
     cfg.measure = bench::Scaled(sim::Seconds(150), sim::Seconds(60));
-    return runner::SweepJob{cfg, load, ""};
+    return cfg;
 }
 
 }  // namespace
@@ -86,16 +85,16 @@ main(int argc, char** argv)
                       "EMU", "BE disables"});
 
     // Full-controller and ablated runs for every case are independent
-    // simulations: fan all of them across the pool at once.
-    std::vector<runner::SweepJob> sweep;
-    for (const auto& c : cases) {
-        for (bool ablated : {false, true}) {
+    // simulations: fan all of them across the pool at once, run 2i full
+    // and run 2i+1 ablated. Each case picks its own load, one at which
+    // the resource is actually contended.
+    const auto results =
+        runner::ParallelMap(jobs, 2 * cases.size(), [&](size_t i) {
+            const Case& c = cases[i / 2];
             ctl::HeraclesConfig hcfg;
-            if (ablated) c.mutate(hcfg);
-            sweep.push_back(Job(c.lc, c.be, hcfg, c.load));
-        }
-    }
-    const auto results = runner::RunSweep(sweep, jobs);
+            if (i % 2 == 1) c.mutate(hcfg);
+            return exp::Experiment(Config(c.lc, c.be, hcfg)).RunAt(c.load);
+        });
 
     for (size_t i = 0; i < cases.size(); ++i) {
         const auto& c = cases[i];

@@ -72,15 +72,17 @@ EmitRecord(const std::string& json, const std::string& path)
 /**
  * Parses --jobs N (or --jobs=N) from the command line; every other
  * argument is ignored so benches with their own flags can share it.
- * Anything but a positive integer exits 2 (tools/flags.h).
+ * Anything but a positive integer — a trailing --jobs with no value
+ * included — exits 2 (tools/flags.h).
  */
 inline int
 ParseJobs(int argc, char** argv)
 {
     int jobs = runner::DefaultJobs();
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = tools::ParsePositiveInt("--jobs", argv[++i]);
+        if (!std::strcmp(argv[i], "--jobs")) {
+            jobs = tools::ParsePositiveInt("--jobs",
+                                           i + 1 < argc ? argv[++i] : "");
         } else if (!std::strncmp(argv[i], "--jobs=", 7)) {
             jobs = tools::ParsePositiveInt("--jobs", argv[i] + 7);
         }

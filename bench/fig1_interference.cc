@@ -16,6 +16,7 @@
 #include "bench_common.h"
 #include "exp/characterization.h"
 #include "exp/reporting.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
@@ -46,23 +47,27 @@ main(int argc, char** argv)
         }
         exp::Table table(headers);
 
+        // One flat fan-out: a row per antagonist, then the baseline row
+        // (not in the paper's figure, but needed to judge the
+        // interference deltas).
         const auto kinds = exp::AllAntagonists();
-        const auto grid = rig.RunGrid(kinds, loads, jobs);
-        for (size_t k = 0; k < kinds.size(); ++k) {
+        const size_t cols = loads.size();
+        const std::vector<double> cells = runner::ParallelMap(
+            jobs, (kinds.size() + 1) * cols, [&](size_t i) {
+                const double load = loads[i % cols];
+                return i / cols < kinds.size()
+                           ? rig.RunCell(kinds[i / cols], load)
+                           : rig.RunBaseline(load);
+            });
+        for (size_t k = 0; k <= kinds.size(); ++k) {
             std::vector<std::string> row = {
-                exp::AntagonistName(kinds[k])};
-            for (double cell : grid[k]) {
-                row.push_back(exp::FormatTailFrac(cell));
+                k < kinds.size() ? exp::AntagonistName(kinds[k])
+                                 : "(baseline)"};
+            for (size_t l = 0; l < cols; ++l) {
+                row.push_back(exp::FormatTailFrac(cells[k * cols + l]));
             }
             table.AddRow(std::move(row));
         }
-        // Baseline row for reference (not in the paper's figure, but
-        // needed to judge the interference deltas).
-        std::vector<std::string> base = {"(baseline)"};
-        for (double cell : rig.RunBaselineRow(loads, jobs)) {
-            base.push_back(exp::FormatTailFrac(cell));
-        }
-        table.AddRow(std::move(base));
         table.Print();
         std::fflush(stdout);
     }

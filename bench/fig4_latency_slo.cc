@@ -11,14 +11,15 @@
  * to network interference).
  *
  * Every (row, load) cell is an independent simulation; the whole figure
- * is flattened into one runner sweep (--jobs N threads).
+ * is flattened into one runner::ParallelMap (--jobs N threads).
  */
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
-#include "runner/sweep.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
@@ -44,7 +45,7 @@ main(int argc, char** argv)
         exp::Table table(headers);
 
         // Baseline (LC alone) plus one row per colocated BE job.
-        std::vector<runner::SweepJob> sweep;
+        std::vector<std::pair<std::string, exp::ExperimentConfig>> rows;
         {
             exp::ExperimentConfig cfg;
             cfg.machine = machine;
@@ -52,7 +53,7 @@ main(int argc, char** argv)
             cfg.policy = exp::PolicyKind::kNoColocation;
             cfg.warmup = warmup;
             cfg.measure = measure;
-            runner::AppendLoadJobs(sweep, cfg, loads, "baseline");
+            rows.emplace_back("baseline", cfg);
         }
         for (const auto& be : workloads::EvaluationBeSet(machine)) {
             // The paper omits these network-insensitive combinations.
@@ -64,18 +65,22 @@ main(int argc, char** argv)
             cfg.policy = exp::PolicyKind::kHeracles;
             cfg.warmup = warmup;
             cfg.measure = measure;
-            runner::AppendLoadJobs(sweep, cfg, loads, be.name);
+            rows.emplace_back(be.name, cfg);
         }
 
-        const auto results = runner::RunSweep(sweep, jobs);
+        const size_t cols = loads.size();
+        const auto results =
+            runner::ParallelMap(jobs, rows.size() * cols, [&](size_t i) {
+                return exp::Experiment(rows[i / cols].second)
+                    .RunAt(loads[i % cols]);
+            });
 
-        for (size_t i = 0; i < results.size(); i += loads.size()) {
-            std::vector<std::string> row = {sweep[i].tag};
-            for (size_t j = 0; j < loads.size(); ++j) {
-                const auto& r = results[i + j];
-                if (sweep[i].tag != "baseline" && r.slo_violated) {
-                    ++violations;
-                }
+        for (size_t k = 0; k < rows.size(); ++k) {
+            const std::string& name = rows[k].first;
+            std::vector<std::string> row = {name};
+            for (size_t l = 0; l < cols; ++l) {
+                const auto& r = results[k * cols + l];
+                if (name != "baseline" && r.slo_violated) ++violations;
                 row.push_back(exp::FormatTailFrac(r.tail_frac_slo));
             }
             table.AddRow(std::move(row));

@@ -8,11 +8,12 @@
  * websearch with DRAM-bound streetview).
  */
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
-#include "runner/sweep.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
@@ -42,8 +43,8 @@ main(int argc, char** argv)
     }
 
     // All (colocation, load) cells are independent: flatten them into
-    // one runner sweep.
-    std::vector<runner::SweepJob> sweep;
+    // one fan-out.
+    std::vector<std::pair<std::string, exp::ExperimentConfig>> rows;
     for (const auto& lc : workloads::AllLcWorkloads()) {
         for (const std::string be_name : {"brain", "streetview"}) {
             exp::ExperimentConfig cfg;
@@ -53,26 +54,29 @@ main(int argc, char** argv)
             cfg.policy = exp::PolicyKind::kHeracles;
             cfg.warmup = warmup;
             cfg.measure = measure;
-            runner::AppendLoadJobs(sweep, cfg, loads,
-                                   lc.name + "+" + be_name);
+            rows.emplace_back(lc.name + "+" + be_name, cfg);
         }
     }
-    const auto results = runner::RunSweep(sweep, jobs);
+    const size_t cols = loads.size();
+    const auto results =
+        runner::ParallelMap(jobs, rows.size() * cols, [&](size_t i) {
+            return exp::Experiment(rows[i / cols].second)
+                .RunAt(loads[i % cols]);
+        });
 
     double total_emu = 0.0;
-    int points = 0;
-    for (size_t i = 0; i < results.size(); i += loads.size()) {
-        std::vector<std::string> row = {sweep[i].tag};
-        for (size_t j = 0; j < loads.size(); ++j) {
-            row.push_back(exp::FormatPct(results[i + j].emu));
-            total_emu += results[i + j].emu;
-            ++points;
+    for (size_t k = 0; k < rows.size(); ++k) {
+        std::vector<std::string> row = {rows[k].first};
+        for (size_t l = 0; l < cols; ++l) {
+            const double emu = results[k * cols + l].emu;
+            row.push_back(exp::FormatPct(emu));
+            total_emu += emu;
         }
         table.AddRow(std::move(row));
     }
     table.Print();
     std::printf("\nAverage EMU across colocations and loads: %s\n",
-                exp::FormatPct(total_emu / points).c_str());
+                exp::FormatPct(total_emu / results.size()).c_str());
     std::printf("(the paper reports an average of ~90%%)\n");
     return 0;
 }

@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
@@ -39,8 +40,15 @@ main(int argc, char** argv)
         for (double l : loads) headers.push_back(exp::FormatPct(l));
         exp::Table table(headers);
 
+        // Runs @p cfg at every load (independent points, fanned across
+        // the pool) and adds its three metric rows.
         auto add_rows = [&](const std::string& name,
-                            const std::vector<exp::LoadPointResult>& rs) {
+                            const exp::ExperimentConfig& cfg) {
+            const exp::Experiment e(cfg);
+            const auto rs =
+                runner::ParallelMap(jobs, loads.size(), [&](size_t i) {
+                    return e.RunAt(loads[i]);
+                });
             std::vector<std::string> dram = {name, "DRAM BW"};
             std::vector<std::string> cpu = {"", "CPU util"};
             std::vector<std::string> pwr = {"", "CPU power"};
@@ -62,8 +70,7 @@ main(int argc, char** argv)
             cfg.policy = exp::PolicyKind::kNoColocation;
             cfg.warmup = warmup;
             cfg.measure = measure;
-            exp::Experiment e(cfg);
-            add_rows("baseline", e.Sweep(loads, jobs));
+            add_rows("baseline", cfg);
             std::fflush(stdout);
         }
 
@@ -76,8 +83,7 @@ main(int argc, char** argv)
             cfg.policy = exp::PolicyKind::kHeracles;
             cfg.warmup = warmup;
             cfg.measure = measure;
-            exp::Experiment e(cfg);
-            add_rows(be.name, e.Sweep(loads, jobs));
+            add_rows(be.name, cfg);
             std::fflush(stdout);
         }
         table.Print();

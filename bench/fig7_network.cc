@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
+#include "runner/pool.h"
 
 using namespace heracles;
 
@@ -34,45 +35,40 @@ main(int argc, char** argv)
     for (double l : loads) headers.push_back(exp::FormatPct(l));
     exp::Table table(headers);
 
-    // Baseline: memkeyval alone.
-    std::vector<std::string> base_lc = {"baseline LC tx"};
-    {
-        exp::ExperimentConfig cfg;
-        cfg.machine = machine;
-        cfg.lc = workloads::Memkeyval();
-        cfg.policy = exp::PolicyKind::kNoColocation;
-        cfg.warmup = warmup;
-        cfg.measure = measure;
-        exp::Experiment e(cfg);
-        for (const auto& r : e.Sweep(loads, jobs)) {
-            base_lc.push_back(exp::FormatPct(r.telemetry.lc_tx_gbps /
-                                             machine.nic_gbps));
-        }
-    }
-    table.AddRow(std::move(base_lc));
-    std::fflush(stdout);
+    // Row 0 is memkeyval alone, row 1 memkeyval + iperf under Heracles;
+    // their load points are independent runs, fanned out together.
+    exp::ExperimentConfig baseline;
+    baseline.machine = machine;
+    baseline.lc = workloads::Memkeyval();
+    baseline.policy = exp::PolicyKind::kNoColocation;
+    baseline.warmup = warmup;
+    baseline.measure = measure;
+    exp::ExperimentConfig heracles = baseline;
+    heracles.be = workloads::Iperf();
+    heracles.policy = exp::PolicyKind::kHeracles;
+    const std::vector<exp::ExperimentConfig> rows = {baseline, heracles};
+    const size_t cols = loads.size();
+    const auto results =
+        runner::ParallelMap(jobs, rows.size() * cols, [&](size_t i) {
+            return exp::Experiment(rows[i / cols]).RunAt(loads[i % cols]);
+        });
 
-    // Heracles: memkeyval + iperf.
+    std::vector<std::string> base_lc = {"baseline LC tx"};
     std::vector<std::string> lc_tx = {"heracles LC tx"};
     std::vector<std::string> be_tx = {"heracles BE tx (iperf)"};
     std::vector<std::string> tail = {"LC tail (% SLO)"};
-    {
-        exp::ExperimentConfig cfg;
-        cfg.machine = machine;
-        cfg.lc = workloads::Memkeyval();
-        cfg.be = workloads::Iperf();
-        cfg.policy = exp::PolicyKind::kHeracles;
-        cfg.warmup = warmup;
-        cfg.measure = measure;
-        exp::Experiment e(cfg);
-        for (const auto& r : e.Sweep(loads, jobs)) {
-            lc_tx.push_back(exp::FormatPct(r.telemetry.lc_tx_gbps /
-                                           machine.nic_gbps));
-            be_tx.push_back(exp::FormatPct(r.telemetry.be_tx_gbps /
-                                           machine.nic_gbps));
-            tail.push_back(exp::FormatTailFrac(r.tail_frac_slo));
-        }
+    for (size_t l = 0; l < cols; ++l) {
+        const auto& b = results[l];
+        const auto& h = results[cols + l];
+        base_lc.push_back(
+            exp::FormatPct(b.telemetry.lc_tx_gbps / machine.nic_gbps));
+        lc_tx.push_back(
+            exp::FormatPct(h.telemetry.lc_tx_gbps / machine.nic_gbps));
+        be_tx.push_back(
+            exp::FormatPct(h.telemetry.be_tx_gbps / machine.nic_gbps));
+        tail.push_back(exp::FormatTailFrac(h.tail_frac_slo));
     }
+    table.AddRow(std::move(base_lc));
     table.AddRow(std::move(lc_tx));
     table.AddRow(std::move(be_tx));
     table.AddRow(std::move(tail));

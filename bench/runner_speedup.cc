@@ -17,6 +17,7 @@
 
 #include "bench_common.h"
 #include "exp/experiment.h"
+#include "runner/pool.h"
 #include "sim/json.h"
 
 using namespace heracles;
@@ -58,11 +59,15 @@ main(int argc, char** argv)
     const std::vector<double> loads = {0.1, 0.2, 0.3, 0.4, 0.5,
                                        0.6, 0.7, 0.8, 0.9};
 
+    const auto sweep = [&](int n) {
+        return runner::ParallelMap(n, loads.size(), [&](size_t i) {
+            return e.RunAt(loads[i]);
+        });
+    };
     std::vector<exp::LoadPointResult> serial, parallel;
-    const double serial_s =
-        bench::WallSeconds([&] { serial = e.Sweep(loads, 1); });
+    const double serial_s = bench::WallSeconds([&] { serial = sweep(1); });
     const double parallel_s =
-        bench::WallSeconds([&] { parallel = e.Sweep(loads, jobs); });
+        bench::WallSeconds([&] { parallel = sweep(jobs); });
 
     bool identical = serial.size() == parallel.size();
     for (size_t i = 0; identical && i < serial.size(); ++i) {

@@ -33,22 +33,31 @@ main()
     for (double l : loads) headers.push_back(exp::FormatPct(l));
     exp::Table table(headers);
 
-    for (const auto kind :
-         {exp::AntagonistKind::kLlcMedium, exp::AntagonistKind::kLlcBig,
-          exp::AntagonistKind::kDram, exp::AntagonistKind::kHyperThread,
-          exp::AntagonistKind::kCpuPower, exp::AntagonistKind::kNetwork,
-          exp::AntagonistKind::kBrainOsOnly}) {
-        std::vector<std::string> row = {exp::AntagonistName(kind)};
-        for (double cell : rig.RunRow(kind, loads, jobs)) {
-            row.push_back(exp::FormatTailFrac(cell));
+    const std::vector<exp::AntagonistKind> kinds = {
+        exp::AntagonistKind::kLlcMedium, exp::AntagonistKind::kLlcBig,
+        exp::AntagonistKind::kDram,      exp::AntagonistKind::kHyperThread,
+        exp::AntagonistKind::kCpuPower,  exp::AntagonistKind::kNetwork,
+        exp::AntagonistKind::kBrainOsOnly};
+
+    // Every cell is an independent simulation: fan the whole matrix (one
+    // row per antagonist, then the baseline row) out at once.
+    const size_t cols = loads.size();
+    const std::vector<double> cells = runner::ParallelMap(
+        jobs, (kinds.size() + 1) * cols, [&](size_t i) {
+            const double load = loads[i % cols];
+            return i / cols < kinds.size()
+                       ? rig.RunCell(kinds[i / cols], load)
+                       : rig.RunBaseline(load);
+        });
+    for (size_t k = 0; k <= kinds.size(); ++k) {
+        std::vector<std::string> row = {
+            k < kinds.size() ? exp::AntagonistName(kinds[k])
+                             : "(baseline)"};
+        for (size_t l = 0; l < cols; ++l) {
+            row.push_back(exp::FormatTailFrac(cells[k * cols + l]));
         }
         table.AddRow(std::move(row));
     }
-    std::vector<std::string> base = {"(baseline)"};
-    for (double cell : rig.RunBaselineRow(loads, jobs)) {
-        base.push_back(exp::FormatTailFrac(cell));
-    }
-    table.AddRow(std::move(base));
     table.Print();
 
     std::printf(

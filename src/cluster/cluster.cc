@@ -18,6 +18,22 @@
 namespace heracles::cluster {
 namespace {
 
+/** Root-level SLO window (mu/30s in the paper). */
+constexpr sim::Duration kRootWindow = sim::Seconds(30);
+/** One-way network hop latency root <-> leaf. */
+constexpr sim::Duration kHop = sim::Micros(250);
+/** Load used to define the root latency target (paper: 90%). */
+constexpr double kTargetLoad = 0.90;
+/** Centralized controller: fraction of root slack converted into
+ *  leaf-target increase. */
+constexpr double kCentralGain = 0.5;
+/** Centralized controller: a leaf target never exceeds this multiple of
+ *  the static target. */
+constexpr double kCentralMaxBoost = 1.6;
+/** Cluster scheduler re-evaluation period (two top-level controller
+ *  polls). */
+constexpr sim::Duration kSchedulerPeriod = sim::Seconds(30);
+
 /**
  * One assembled cluster: machines, leaves, per-leaf Heracles, a root
  * topology and (optionally) the cluster-level BE scheduler.
@@ -220,9 +236,8 @@ class ClusterSim
         // shared queue).
         ApplyFaultBoundaries(0);
         const BarrierClock clock = BarrierClock::Build(
-            duration, cfg_.root_window,
-            scheduler_ != nullptr ? cfg_.scheduler.period : 0,
-            cluster_faults_);
+            duration, kRootWindow,
+            scheduler_ != nullptr ? kSchedulerPeriod : 0, cluster_faults_);
         epochs_ += clock.size();
 
         for (const sim::SimTime t : clock.barriers) {
@@ -231,8 +246,8 @@ class ClusterSim
             FanOutLeaves(t, /*inclusive=*/false);
             DrainOutboxes();
             ApplyFaultBoundaries(t);
-            if (t % cfg_.root_window == 0) CloseWindow(t);
-            if (scheduler_ != nullptr && t % cfg_.scheduler.period == 0) {
+            if (t % kRootWindow == 0) CloseWindow(t);
+            if (scheduler_ != nullptr && t % kSchedulerPeriod == 0) {
                 SchedulerTick(t);
             }
         }
@@ -247,7 +262,7 @@ class ClusterSim
     /**
      * Centralized controller step: convert root-level slack into
      * per-leaf tail targets between each leaf's static base and
-     * base * central_max_boost.
+     * base * kCentralMaxBoost.
      */
     void
     AdjustLeafTargets(double window_mean)
@@ -256,9 +271,8 @@ class ClusterSim
         const double root_slack =
             (static_cast<double>(target_) - window_mean) /
             static_cast<double>(target_);
-        const double boost = std::clamp(
-            1.0 + cfg_.central_gain * root_slack, 1.0,
-            cfg_.central_max_boost);
+        const double boost = std::clamp(1.0 + kCentralGain * root_slack,
+                                        1.0, kCentralMaxBoost);
         for (auto& leaf : leaves_) {
             leaf.lc().SetSloLatency(static_cast<sim::Duration>(
                 static_cast<double>(leaf.base_slo) * boost));
@@ -507,8 +521,7 @@ class ClusterSim
         q.max_latency = std::max(q.max_latency, latency);
         if (--q.remaining == 0) {
             const sim::Duration root_latency =
-                q.max_latency +
-                2 * cfg_.hop * topo_->HopLevels();
+                q.max_latency + 2 * kHop * topo_->HopLevels();
             window_sum_ += root_latency;
             // CloseWindow divides it as a double: exact below 2^53.
             HERACLES_CHECK(window_sum_ < (int64_t{1} << 53));
@@ -738,7 +751,7 @@ ClusterExperiment::MeasureTarget()
 {
     if (target_ > 0) return target_;
     const std::vector<LeafSpec>& specs = ResolveSpecs();
-    sim::ConstantTrace trace(cfg_.target_load);
+    sim::ConstantTrace trace(kTargetLoad);
     ClusterSim sim(cfg_, SharedPool(), specs, trace, /*colocate=*/false,
                    /*target=*/0);
     sim.Run(cfg_.target_run, cfg_.run_warmup);

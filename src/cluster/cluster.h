@@ -94,12 +94,6 @@ struct ClusterConfig {
      *  controller's time constants are NOT scaled. */
     sim::Duration duration = sim::Minutes(25);
 
-    /** Root-level SLO window (mu/30s in the paper). */
-    sim::Duration root_window = sim::Seconds(30);
-    /** One-way network hop latency root <-> leaf. */
-    sim::Duration hop = sim::Micros(250);
-    /** Load used to define the root latency target (paper: 90%). */
-    double target_load = 0.90;
     /** Length of the target-defining run (MeasureTarget). */
     sim::Duration target_run = sim::Minutes(3);
     /** Warmup excluded from every run's window statistics. */
@@ -113,10 +107,6 @@ struct ClusterConfig {
      * a uniform static per-leaf target).
      */
     bool central_controller = false;
-    /** Fraction of root slack converted into leaf-target increase. */
-    double central_gain = 0.5;
-    /** Leaf target never exceeds this multiple of the static target. */
-    double central_max_boost = 1.6;
 
     /**
      * Deterministic fault-injection plan for the *colocated* run only
@@ -191,10 +181,10 @@ class ClusterExperiment
     explicit ClusterExperiment(ClusterConfig cfg);
 
     /**
-     * Measures the root latency target (worst mu/30s window at
-     * target_load with no colocation) and the per-leaf tail targets
-     * derived from the same run, "set such that the latency at the
-     * root satisfies the SLO" (Section 5.3). Cached.
+     * Measures the root latency target (worst mu/30s window at the
+     * paper's 90% target-defining load with no colocation) and the
+     * per-leaf tail targets derived from the same run, "set such that
+     * the latency at the root satisfies the SLO" (Section 5.3). Cached.
      */
     sim::Duration MeasureTarget();
 

@@ -5,6 +5,40 @@
 #include "sim/log.h"
 
 namespace heracles::cluster {
+namespace {
+
+/** Greedy never places a job on a leaf with less slack than this. */
+constexpr double kPlaceMinSlack = 0.10;
+/** Greedy considers migrating a job away below this source slack. */
+constexpr double kMigrateLowSlack = 0.05;
+/** A slack-triggered migration needs the destination to beat the
+ *  source by at least this much (hysteresis against ping-pong). */
+constexpr double kMigrateMinGain = 0.10;
+
+/**
+ * A predictive migration needs the destination's predicted tail
+ * fraction to beat the source's by at least this much (the
+ * prediction-space analogue of kMigrateMinGain). An eviction (source
+ * leaf starving the job) waives the margin but not the direction: even
+ * a starved job only moves to a leaf predicted strictly better than the
+ * one it is leaving — panic-hopping onto a worse-fingerprint machine
+ * trades zero throughput now for zero throughput plus churn.
+ */
+constexpr double kPredictMinGain = 0.05;
+
+/**
+ * Predictive placement refuses leaves predicted worse than this factor
+ * times the job's best predicted leaf anywhere in the pod (crashed or
+ * busy leaves included in the reference): when every machine left
+ * standing is a predicted-terrible host, holding the job queued until a
+ * sane one frees up beats feeding it to a leaf whose controller will
+ * starve it on arrival. Greedy has no such notion and will chase any
+ * roomy-looking export — which is exactly what the stale-telemetry
+ * chaos scenarios punish.
+ */
+constexpr double kPredictPlaceTolerance = 1.6;
+
+}  // namespace
 
 std::string
 SchedulerPolicyName(SchedulerPolicy p)
@@ -98,13 +132,13 @@ ClusterScheduler::PickPredicted(int job,
         predicted_[static_cast<size_t>(job)];
     double pod_best = row[0];
     for (double p : row) pod_best = std::min(pod_best, p);
-    const double cap = pod_best * cfg_.predict_place_tolerance;
+    const double cap = pod_best * kPredictPlaceTolerance;
     int best = -1;
     for (int i = 0; i < static_cast<int>(leaves.size()); ++i) {
         if (taken[i] || leaves[i].in_cooldown || leaves[i].crashed) {
             continue;
         }
-        if (leaves[i].slack < cfg_.place_min_slack) continue;
+        if (leaves[i].slack < kPlaceMinSlack) continue;
         if (row[i] > cap) continue;
         if (best < 0 || row[i] < row[best]) best = i;
     }
@@ -136,7 +170,7 @@ ClusterScheduler::PickLeaf(int job, const std::vector<LeafState>& leaves,
         if (taken[i] || leaves[i].in_cooldown || leaves[i].crashed) {
             continue;
         }
-        if (leaves[i].slack < cfg_.place_min_slack) continue;
+        if (leaves[i].slack < kPlaceMinSlack) continue;
         if (best < 0 || leaves[i].slack > leaves[best].slack) best = i;
     }
     return best;
@@ -193,7 +227,7 @@ ClusterScheduler::Tick(const std::vector<LeafState>& leaves)
             for (int i = 0; i < static_cast<int>(leaves.size()); ++i) {
                 if (taken[i] || leaves[i].in_cooldown ||
                     leaves[i].crashed ||
-                    leaves[i].slack < cfg_.place_min_slack) {
+                    leaves[i].slack < kPlaceMinSlack) {
                     continue;
                 }
                 if (best < 0 || row[i] < best) {
@@ -250,7 +284,7 @@ ClusterScheduler::Tick(const std::vector<LeafState>& leaves)
         const bool starved = !src.be_enabled;
         const bool tight =
             cfg_.policy != SchedulerPolicy::kRoundRobin &&
-            src.slack < cfg_.migrate_low_slack;
+            src.slack < kMigrateLowSlack;
         if (!starved && !tight) continue;
 
         const int to = PickLeaf(j, leaves, taken);
@@ -272,13 +306,13 @@ ClusterScheduler::Tick(const std::vector<LeafState>& leaves)
                                        [static_cast<size_t>(to)];
             acceptable =
                 to >= 0 &&
-                (starved ? gain > 0.0 : gain > cfg_.predict_min_gain);
+                (starved ? gain > 0.0 : gain > kPredictMinGain);
         } else {
             acceptable =
                 to >= 0 &&
                 (cfg_.policy == SchedulerPolicy::kRoundRobin || starved ||
                  leaves[static_cast<size_t>(to)].slack >
-                     src.slack + cfg_.migrate_min_gain);
+                     src.slack + kMigrateMinGain);
         }
         if (monitor && PickPredicted(j, leaves, taken) !=
                            (acceptable ? to : -1)) {

@@ -60,44 +60,10 @@ std::string SchedulerPolicyName(SchedulerPolicy p);
 struct SchedulerConfig {
     SchedulerPolicy policy = SchedulerPolicy::kStaticSplit;
 
-    /** Re-evaluation period (two top-level controller polls). */
-    sim::Duration period = sim::Seconds(30);
-
-    /** Greedy never places a job on a leaf with less slack than this. */
-    double place_min_slack = 0.10;
-    /** Greedy considers migrating a job away below this source slack. */
-    double migrate_low_slack = 0.05;
-    /** A slack-triggered migration needs the destination to beat the
-     *  source by at least this much (hysteresis against ping-pong). */
-    double migrate_min_gain = 0.10;
     /** Ticks a job must stay on a leaf before it may migrate again —
      *  the hosting controller needs at least one top-level poll to
      *  enable the job at all. */
     int min_resident_ticks = 2;
-
-    /**
-     * A predictive migration needs the destination's predicted tail
-     * fraction to beat the source's by at least this much (the
-     * prediction-space analogue of migrate_min_gain). An eviction
-     * (source leaf starving the job) waives the margin but not the
-     * direction: even a starved job only moves to a leaf predicted
-     * strictly better than the one it is leaving — panic-hopping onto
-     * a worse-fingerprint machine trades zero throughput now for zero
-     * throughput plus churn.
-     */
-    double predict_min_gain = 0.05;
-
-    /**
-     * Predictive placement refuses leaves predicted worse than this
-     * factor times the job's best predicted leaf anywhere in the pod
-     * (crashed or busy leaves included in the reference): when every
-     * machine left standing is a predicted-terrible host, holding the
-     * job queued until a sane one frees up beats feeding it to a leaf
-     * whose controller will starve it on arrival. Greedy has no such
-     * notion and will chase any roomy-looking export — which is
-     * exactly what the stale-telemetry chaos scenarios punish.
-     */
-    double predict_place_tolerance = 1.6;
 
     /**
      * CPI2-style monitoring-only ablation (kPredictive only): the

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "hw/machine.h"
-#include "runner/pool.h"
 #include "workloads/antagonists.h"
 #include "workloads/be_task.h"
 #include "workloads/lc_app.h"
@@ -64,51 +63,6 @@ CharacterizationRig::PaperLoads()
 
 double
 CharacterizationRig::RunBaseline(double load) const
-{
-    return RunBaselineImpl(load);
-}
-
-std::vector<double>
-CharacterizationRig::RunRow(AntagonistKind kind,
-                            const std::vector<double>& loads,
-                            int jobs) const
-{
-    return runner::ParallelMap(jobs, loads.size(), [&](size_t i) {
-        return RunCell(kind, loads[i]);
-    });
-}
-
-std::vector<double>
-CharacterizationRig::RunBaselineRow(const std::vector<double>& loads,
-                                    int jobs) const
-{
-    return runner::ParallelMap(jobs, loads.size(), [&](size_t i) {
-        return RunBaselineImpl(loads[i]);
-    });
-}
-
-std::vector<std::vector<double>>
-CharacterizationRig::RunGrid(const std::vector<AntagonistKind>& kinds,
-                             const std::vector<double>& loads,
-                             int jobs) const
-{
-    // Flatten the matrix so the pool stays busy across row boundaries.
-    const size_t cols = loads.size();
-    const std::vector<double> cells =
-        runner::ParallelMap(jobs, kinds.size() * cols, [&](size_t i) {
-            return RunCell(kinds[i / cols], loads[i % cols]);
-        });
-
-    std::vector<std::vector<double>> grid(kinds.size());
-    for (size_t k = 0; k < kinds.size(); ++k) {
-        grid[k].assign(cells.begin() + k * cols,
-                       cells.begin() + (k + 1) * cols);
-    }
-    return grid;
-}
-
-double
-CharacterizationRig::RunBaselineImpl(double load) const
 {
     sim::EventQueue queue;
     hw::MachineConfig mcfg = machine_;

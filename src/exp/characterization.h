@@ -40,7 +40,11 @@ std::string AntagonistName(AntagonistKind kind);
 /** All rows in the figure's order. */
 std::vector<AntagonistKind> AllAntagonists();
 
-/** One characterization matrix runner for one LC workload. */
+/**
+ * One characterization matrix runner for one LC workload. Every cell is
+ * an independent simulation seeded only by (kind, load), so callers fan
+ * a grid out with runner::ParallelMap.
+ */
 class CharacterizationRig
 {
   public:
@@ -60,28 +64,10 @@ class CharacterizationRig
     double RunBaseline(double load) const;
 
     /**
-     * Runs one row (all @p loads for @p kind), fanning the independent
-     * cells across @p jobs threads. Identical to calling RunCell per
-     * load; cell seeds depend only on (kind, load).
+     * The paper's load grid: 5%, 10%, ..., 95%, each point built from a
+     * whole percent so it is the exact decimal (0.15, not
+     * 0.15000000000000002).
      */
-    std::vector<double> RunRow(AntagonistKind kind,
-                               const std::vector<double>& loads,
-                               int jobs = 1) const;
-
-    /** Baseline row over @p loads, parallel like RunRow. */
-    std::vector<double> RunBaselineRow(const std::vector<double>& loads,
-                                       int jobs = 1) const;
-
-    /**
-     * Runs the whole matrix: one row per antagonist in @p kinds over
-     * @p loads, all cells flattened across @p jobs threads. Returned in
-     * row-major (kinds) order, bit-identical to the serial path.
-     */
-    std::vector<std::vector<double>> RunGrid(
-        const std::vector<AntagonistKind>& kinds,
-        const std::vector<double>& loads, int jobs = 1) const;
-
-    /** The paper's load grid: 5%, 10%, ..., 95%. */
     static std::vector<double> PaperLoads();
 
     /**
@@ -92,8 +78,6 @@ class CharacterizationRig
     void SetSizingUtil(double util);
 
   private:
-    double RunBaselineImpl(double load) const;
-
     double sizing_util_ = 0.75;
 
     hw::MachineConfig machine_;

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "runner/pool.h"
-
 namespace heracles::exp {
 
 Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg))
@@ -13,14 +11,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg))
         be_alone_rate_ =
             workloads::MeasureAloneRate(cfg_.machine, *cfg_.be);
     }
-}
-
-std::vector<double>
-Experiment::PaperLoads(double step)
-{
-    std::vector<double> loads;
-    for (double l = 0.05; l <= 0.951; l += step) loads.push_back(l);
-    return loads;
 }
 
 LoadPointResult
@@ -89,16 +79,6 @@ Experiment::RunAt(double load) const
         trace, static_cast<uint64_t>(std::lround(load * 1000)), {});
     r.load = load;
     return r;
-}
-
-std::vector<LoadPointResult>
-Experiment::Sweep(const std::vector<double>& loads, int jobs) const
-{
-    // Each RunAt builds a completely fresh simulation whose seeds derive
-    // only from (config, load), so fanning the points across threads
-    // cannot change any result.
-    return runner::ParallelMap(jobs, loads.size(),
-                               [&](size_t i) { return RunAt(loads[i]); });
 }
 
 }  // namespace heracles::exp

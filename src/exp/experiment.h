@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "exp/server_sim.h"
@@ -90,22 +89,8 @@ class Experiment
     /** Runs warmup + measurement at a fixed load fraction. */
     LoadPointResult RunAt(double load) const;
 
-    /**
-     * Runs the whole sweep (one fresh simulation per point). Load points
-     * are fully independent, so with @p jobs > 1 they fan out across a
-     * runner::Pool; results are merged in load order and bit-identical
-     * to the serial (@p jobs <= 1) path.
-     */
-    std::vector<LoadPointResult> Sweep(const std::vector<double>& loads,
-                                       int jobs = 1) const;
-
     /** The BE job's standalone throughput (units/s), for normalization. */
     double BeAloneRate() const { return be_alone_rate_; }
-
-    const ExperimentConfig& config() const { return cfg_; }
-
-    /** Default load sweep used across the paper's figures: 5%..95%. */
-    static std::vector<double> PaperLoads(double step = 0.10);
 
   private:
     ExperimentConfig cfg_;

@@ -2,12 +2,14 @@
  * @file
  * Shared single-server assembly.
  *
- * Every scenario in this library — a single-server experiment load point,
- * a characterization cell, a cluster leaf — boils down to the same build:
- * a fresh machine, the LC workload, an optional BE job, the platform
- * binding and (policy permitting) a Heracles controller. ServerSim is
- * that building block, extracted from exp/experiment.cc and
- * cluster/cluster.cc so both layers compose one implementation.
+ * A single-server experiment load point and a cluster leaf boil down to
+ * the same build: a fresh machine, the LC workload, an optional BE job,
+ * the platform binding and (policy permitting) a Heracles controller.
+ * ServerSim is that building block, extracted from exp/experiment.cc and
+ * cluster/cluster.cc so both layers compose one implementation. (A
+ * characterization cell is not built here: CharacterizationRig pins the
+ * LC app and a raw antagonist on its own machine, with no platform or
+ * controller.)
  *
  * Construction order is fixed (machine, LC app, BE task, platform,
  * controller) so that, for a given spec, the events scheduled during

@@ -72,13 +72,6 @@ TEST(Reporting, PolicyNames)
 // --------------------------------------------------------------------------
 // Experiment runner
 
-TEST(Experiment, PaperLoadsCoverRange)
-{
-    const auto loads = Experiment::PaperLoads(0.10);
-    EXPECT_NEAR(loads.front(), 0.05, 1e-9);
-    EXPECT_GE(loads.back(), 0.90);
-}
-
 TEST(Experiment, BaselineMeetsSlo)
 {
     ExperimentConfig cfg = QuickConfig();
@@ -140,7 +133,7 @@ TEST(Experiment, BeAloneRateComputedOnce)
     EXPECT_GT(e.BeAloneRate(), 1.0);
 }
 
-TEST(Experiment, SweepReturnsOnePerLoad)
+TEST(Experiment, RunAtTracksLoad)
 {
     ExperimentConfig cfg = QuickConfig();
     cfg.warmup = sim::Seconds(30);
@@ -148,12 +141,11 @@ TEST(Experiment, SweepReturnsOnePerLoad)
     cfg.lc = workloads::Websearch();
     cfg.policy = PolicyKind::kNoColocation;
     Experiment e(cfg);
-    const auto rs = e.Sweep({0.2, 0.5, 0.8});
-    ASSERT_EQ(rs.size(), 3u);
-    EXPECT_DOUBLE_EQ(rs[0].load, 0.2);
-    EXPECT_DOUBLE_EQ(rs[2].load, 0.8);
-    EXPECT_LT(rs[0].telemetry.cpu_utilization,
-              rs[2].telemetry.cpu_utilization);
+    const auto lo = e.RunAt(0.2);
+    const auto hi = e.RunAt(0.8);
+    EXPECT_DOUBLE_EQ(lo.load, 0.2);
+    EXPECT_DOUBLE_EQ(hi.load, 0.8);
+    EXPECT_LT(lo.telemetry.cpu_utilization, hi.telemetry.cpu_utilization);
 }
 
 TEST(Experiment, ResultsDeterministicForSeed)
@@ -215,7 +207,13 @@ TEST(Characterization, NamesAndOrder)
     ASSERT_EQ(all.size(), 8u);
     EXPECT_EQ(AntagonistName(all[0]), "LLC (small)");
     EXPECT_EQ(AntagonistName(all[7]), "brain");
-    EXPECT_EQ(CharacterizationRig::PaperLoads().size(), 19u);
+
+    // 5%..95% in whole percents: every point is the exact decimal.
+    const auto loads = CharacterizationRig::PaperLoads();
+    ASSERT_EQ(loads.size(), 19u);
+    EXPECT_EQ(loads.front(), 0.05);
+    EXPECT_EQ(loads[2], 0.15);
+    EXPECT_EQ(loads.back(), 0.95);
 }
 
 TEST(Characterization, BrainOsOnlyAlwaysViolates)
@@ -252,31 +250,6 @@ TEST(Characterization, MemkeyvalKilledByNetworkAntagonist)
                             sim::Seconds(10), sim::Seconds(15));
     EXPECT_LT(rig.RunCell(AntagonistKind::kNetwork, 0.25), 1.0);
     EXPECT_GT(rig.RunCell(AntagonistKind::kNetwork, 0.5), 3.0);
-}
-
-TEST(Characterization, ParallelRowsIdenticalToPerCellRuns)
-{
-    CharacterizationRig rig(hw::MachineConfig{}, workloads::Websearch(),
-                            sim::Seconds(5), sim::Seconds(10));
-    const std::vector<double> loads = {0.3, 0.7};
-
-    const auto row = rig.RunRow(AntagonistKind::kDram, loads, /*jobs=*/4);
-    ASSERT_EQ(row.size(), loads.size());
-    for (size_t i = 0; i < loads.size(); ++i) {
-        EXPECT_DOUBLE_EQ(row[i],
-                         rig.RunCell(AntagonistKind::kDram, loads[i]));
-    }
-
-    const auto grid = rig.RunGrid(
-        {AntagonistKind::kDram, AntagonistKind::kHyperThread}, loads,
-        /*jobs=*/4);
-    ASSERT_EQ(grid.size(), 2u);
-    EXPECT_EQ(grid[0], row);
-    EXPECT_EQ(grid[1], rig.RunRow(AntagonistKind::kHyperThread, loads, 1));
-
-    const auto base = rig.RunBaselineRow(loads, /*jobs=*/4);
-    ASSERT_EQ(base.size(), loads.size());
-    EXPECT_DOUBLE_EQ(base[0], rig.RunBaseline(loads[0]));
 }
 
 TEST(Characterization, BaselineComfortableAtMidLoad)

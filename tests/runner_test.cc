@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the runner subsystem: pool semantics, ParallelFor/Map
- * ordering, and the core guarantee that a parallel sweep is
- * bit-identical to the serial path.
+ * ordering, and the core guarantee that a parallel fan-out of
+ * simulations is bit-identical to the serial path.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "exp/experiment.h"
 #include "runner/pool.h"
-#include "runner/sweep.h"
 
 namespace heracles::runner {
 namespace {
@@ -105,21 +104,9 @@ TEST(HardwareJobs, AtLeastOne)
 }
 
 // --------------------------------------------------------------------------
-// Sweep determinism: the acceptance criterion. A parallel sweep (jobs=4)
-// must produce results identical to the serial path for fixed seeds.
-
-exp::ExperimentConfig
-SweepConfig()
-{
-    exp::ExperimentConfig cfg;
-    cfg.lc = workloads::Websearch();
-    cfg.be = workloads::Brain();
-    cfg.policy = exp::PolicyKind::kHeracles;
-    cfg.warmup = sim::Seconds(30);
-    cfg.measure = sim::Seconds(30);
-    cfg.seed = 7;
-    return cfg;
-}
+// Fan-out determinism: the acceptance criterion. Simulations fanned out by
+// ParallelMap (jobs=4) must produce results identical to the serial path
+// for fixed seeds.
 
 void
 ExpectIdentical(const exp::LoadPointResult& a,
@@ -139,39 +126,37 @@ ExpectIdentical(const exp::LoadPointResult& a,
     EXPECT_EQ(a.be_disables, b.be_disables);
 }
 
-TEST(SweepDeterminism, ParallelSweepIdenticalToSerial)
+TEST(FanOutDeterminism, ParallelRunsIdenticalToSerial)
 {
-    const exp::Experiment e(SweepConfig());
-    const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8};
-
-    const auto serial = e.Sweep(loads, /*jobs=*/1);
-    const auto parallel = e.Sweep(loads, /*jobs=*/4);
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        ExpectIdentical(serial[i], parallel[i]);
-    }
-}
-
-TEST(SweepDeterminism, RunSweepMatchesPerJobExperiments)
-{
-    std::vector<SweepJob> sweep;
-    exp::ExperimentConfig heracles = SweepConfig();
-    exp::ExperimentConfig baseline = SweepConfig();
+    exp::ExperimentConfig heracles;
+    heracles.lc = workloads::Websearch();
+    heracles.be = workloads::Brain();
+    heracles.policy = exp::PolicyKind::kHeracles;
+    heracles.warmup = sim::Seconds(30);
+    heracles.measure = sim::Seconds(30);
+    heracles.seed = 7;
+    exp::ExperimentConfig baseline = heracles;
     baseline.be.reset();
     baseline.policy = exp::PolicyKind::kNoColocation;
-    AppendLoadJobs(sweep, heracles, {0.3, 0.6}, "heracles");
-    AppendLoadJobs(sweep, baseline, {0.3, 0.6}, "baseline");
-    ASSERT_EQ(sweep.size(), 4u);
-    EXPECT_EQ(sweep[0].tag, "heracles");
-    EXPECT_EQ(sweep[3].tag, "baseline");
+    const std::vector<exp::ExperimentConfig> configs = {heracles, baseline};
+    const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8};
 
-    const auto parallel = RunSweep(sweep, /*jobs=*/4);
-    ASSERT_EQ(parallel.size(), 4u);
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        const auto serial =
-            exp::Experiment(sweep[i].cfg).RunAt(sweep[i].load);
-        ExpectIdentical(serial, parallel[i]);
+    // Configs x loads flattened into one index, as the figure programs
+    // fan out their grids.
+    const size_t cols = loads.size();
+    const auto run = [&](int jobs) {
+        return ParallelMap(jobs, configs.size() * cols, [&](size_t i) {
+            return exp::Experiment(configs[i / cols]).RunAt(loads[i % cols]);
+        });
+    };
+    const auto serial = run(/*jobs=*/1);
+    const auto parallel = run(/*jobs=*/4);
+
+    ASSERT_EQ(serial.size(), configs.size() * cols);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_DOUBLE_EQ(serial[i].load, loads[i % cols]);
+        ExpectIdentical(serial[i], parallel[i]);
     }
 }
 

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.h"
+#include "exp/characterization.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
 #include "flags.h"
@@ -323,7 +324,7 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
 std::vector<double>
 ParseSweep(const std::string& spec)
 {
-    if (spec == "paper") return exp::Experiment::PaperLoads(0.05);
+    if (spec == "paper") return exp::CharacterizationRig::PaperLoads();
     std::vector<double> loads;
     size_t pos = 0;
     do {
@@ -504,7 +505,10 @@ main(int argc, char** argv)
     exp::Experiment experiment(cfg);
 
     if (!sweep_loads.empty()) {
-        const auto results = experiment.Sweep(sweep_loads, jobs);
+        const auto results =
+            runner::ParallelMap(jobs, sweep_loads.size(), [&](size_t i) {
+                return experiment.RunAt(sweep_loads[i]);
+            });
 
         std::printf("%s + %s under %s, %zu load points (%d jobs):\n",
                     lc_name.c_str(), be_name.c_str(), policy_name.c_str(),
