@@ -1,8 +1,9 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
 #include "cluster/epoch.h"
 #include "cluster/fingerprint.h"
@@ -230,6 +231,14 @@ class ClusterSim
     void
     Run(sim::Duration duration, sim::Duration warmup)
     {
+        // Host time: everything but the leaf fan-out is the serial
+        // barrier section.
+        HostClock::time_point mark = HostClock::now();
+        const auto lap = [&mark](double* sum) {
+            const HostClock::time_point now = HostClock::now();
+            *sum += std::chrono::duration<double>(now - mark).count();
+            mark = now;
+        };
         warmup_end_ = warmup;
         // A fault window opening at t = 0 acts before the first epoch
         // (its one-shot had the smallest insertion seq on the old
@@ -243,8 +252,11 @@ class ClusterSim
         for (const sim::SimTime t : clock.barriers) {
             for (auto& leaf : leaves_) leaf.inbox.clear();
             PumpArrivals(/*limit=*/t);
+            lap(&barrier_s_);
             FanOutLeaves(t, /*inclusive=*/false);
+            lap(&fanout_s_);
             DrainOutboxes();
+            ReclaimClosed();
             ApplyFaultBoundaries(t);
             if (t % kRootWindow == 0) CloseWindow(t);
             if (scheduler_ != nullptr && t % kSchedulerPeriod == 0) {
@@ -256,7 +268,9 @@ class ClusterSim
         // them (and any arrival at exactly `duration`) last.
         for (auto& leaf : leaves_) leaf.inbox.clear();
         PumpArrivals(duration + 1);
+        lap(&barrier_s_);
         FanOutLeaves(duration, /*inclusive=*/true);
+        lap(&fanout_s_);
     }
 
     /**
@@ -305,6 +319,11 @@ class ClusterSim
     /** Barrier intervals executed (across Run calls). */
     uint64_t epochs() const { return epochs_; }
 
+    /** Host seconds in the serial barrier section and in the leaf
+     *  fan-out (across Run calls). */
+    double barrier_s() const { return barrier_s_; }
+    double fanout_s() const { return fanout_s_; }
+
     /** Events executed across every leaf's queue. */
     uint64_t
     leaf_events() const
@@ -330,6 +349,8 @@ class ClusterSim
     }
 
   private:
+    using HostClock = std::chrono::steady_clock;
+
     /** One staged root → leaf query injection. */
     struct Arrival {
         sim::SimTime when;
@@ -366,6 +387,7 @@ class ClusterSim
         workloads::BeTask* be() const { return server->be(); }
     };
 
+    /** One query's fan-out bookkeeping; closed once remaining is 0. */
     struct Query {
         int remaining = 0;
         sim::Duration max_latency = 0;
@@ -416,8 +438,9 @@ class ClusterSim
         for (int li : touched_) {
             if (!crashed_[static_cast<size_t>(li)]) ++alive;
         }
-        if (alive == 0) return;
-        pending_[tag] = Query{alive, 0};
+        // A lost query still takes its slot, born closed, so the slot
+        // of every tag stays head_ + (tag - oldest_tag_).
+        pending_.push_back(Query{alive, 0});
         for (int li : touched_) {
             if (crashed_[static_cast<size_t>(li)]) continue;
             leaves_[static_cast<size_t>(li)].inbox.push_back({when, tag});
@@ -515,9 +538,10 @@ class ClusterSim
     void
     HandleReply(uint64_t tag, sim::Duration latency)
     {
-        auto it = pending_.find(tag);
-        if (it == pending_.end()) return;
-        Query& q = it->second;
+        if (tag < oldest_tag_) return;
+        const size_t slot = head_ + (tag - oldest_tag_);
+        if (slot >= pending_.size() || pending_[slot].remaining == 0) return;
+        Query& q = pending_[slot];
         q.max_latency = std::max(q.max_latency, latency);
         if (--q.remaining == 0) {
             const sim::Duration root_latency =
@@ -526,7 +550,30 @@ class ClusterSim
             // CloseWindow divides it as a double: exact below 2^53.
             HERACLES_CHECK(window_sum_ < (int64_t{1} << 53));
             ++window_count_;
-            pending_.erase(it);
+        }
+    }
+
+    /**
+     * Advances the head past the closed slots and reclaims them: the
+     * whole table once it empties, else the closed prefix once it is
+     * more than half the table (the erase moves fewer slots than it
+     * frees, so it costs amortized O(1) a query). The table then spans
+     * only the queries from the oldest one still in flight.
+     */
+    void
+    ReclaimClosed()
+    {
+        while (head_ < pending_.size() && pending_[head_].remaining == 0) {
+            ++head_;
+            ++oldest_tag_;
+        }
+        if (head_ == pending_.size()) {
+            pending_.clear();
+            head_ = 0;
+        } else if (head_ > pending_.size() / 2) {
+            pending_.erase(pending_.begin(),
+                           pending_.begin() + static_cast<ptrdiff_t>(head_));
+            head_ = 0;
         }
     }
 
@@ -697,12 +744,18 @@ class ClusterSim
     sim::SimTime next_arrival_ = 0;  ///< Lookahead arrival instant.
     bool primed_ = false;
 
-    std::unordered_map<uint64_t, Query> pending_;
+    /** Queries by tag, oldest first: tag t sits in slot
+     *  head_ + (t - oldest_tag_); slots before head_ are reclaimable. */
+    std::vector<Query> pending_;
+    size_t head_ = 0;
+    uint64_t oldest_tag_ = 1;  ///< Tag held by slot head_.
     /** Root latencies of the window's completed queries (exact). */
     int64_t window_sum_ = 0;
     uint64_t window_count_ = 0;
     sim::SimTime warmup_end_ = 0;
     uint64_t epochs_ = 0;
+    double barrier_s_ = 0.0;  ///< Host time; not a simulation result.
+    double fanout_s_ = 0.0;
 
     sim::TimeSeries latency_;
     sim::TimeSeries emu_;
@@ -755,6 +808,8 @@ ClusterExperiment::MeasureTarget()
     ClusterSim sim(cfg_, SharedPool(), specs, trace, /*colocate=*/false,
                    /*target=*/0);
     sim.Run(cfg_.target_run, cfg_.run_warmup);
+    barrier_s_ += sim.barrier_s();
+    fanout_s_ += sim.fanout_s();
     // The worst mu/30s window at the defining load is the SLO target,
     // with a small confidence margin: the defining run observes only a
     // few windows, so its sample maximum understates the true worst
@@ -843,6 +898,8 @@ ClusterExperiment::Run()
     r.target = target_;
     r.epochs = sim.epochs();
     r.leaf_events = sim.leaf_events();
+    r.barrier_s = std::exchange(barrier_s_, 0.0) + sim.barrier_s();
+    r.fanout_s = std::exchange(fanout_s_, 0.0) + sim.fanout_s();
     return r;
 }
 

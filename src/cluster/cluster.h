@@ -169,6 +169,16 @@ struct ClusterResult : public exp::ActivityCounters {
     uint64_t epochs = 0;
     uint64_t leaf_events = 0;
 
+    // Host seconds, not simulation results: they vary run to run and
+    // stay out of every identity check and digest. barrier_s is the
+    // root's serial barrier section (arrival staging, reply drain,
+    // window close, fault boundaries, scheduler tick), fanout_s the
+    // parallel leaf fan-out. Both cover every run of the experiment
+    // since its previous Run(), so the first Run() includes the
+    // target-defining run.
+    double barrier_s = 0.0;
+    double fanout_s = 0.0;
+
     /** Deleted so `a == b` cannot silently compare only the inherited
      *  counters. */
     bool operator==(const ClusterResult&) const = delete;
@@ -216,6 +226,9 @@ class ClusterExperiment
     sim::Duration target_ = 0;
     sim::Duration leaf_target_ = 0;
     std::vector<sim::Duration> leaf_targets_;
+    /** Host time of runs not yet reported by Run(). */
+    double barrier_s_ = 0.0;
+    double fanout_s_ = 0.0;
 };
 
 }  // namespace heracles::cluster

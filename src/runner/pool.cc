@@ -1,6 +1,8 @@
 #include "runner/pool.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 
 namespace heracles::runner {
@@ -12,14 +14,36 @@ HardwareJobs()
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+std::optional<int>
+ParseJobCount(std::string_view v)
+{
+    if (v.empty()) return std::nullopt;
+    int n = 0;
+    for (const char c : v) {
+        const int digit = c - '0';
+        if (digit < 0 || digit > 9 || n > (INT_MAX - digit) / 10) {
+            return std::nullopt;
+        }
+        n = n * 10 + digit;
+    }
+    if (n == 0) return std::nullopt;
+    return n;
+}
+
 int
 DefaultJobs()
 {
-    if (const char* v = std::getenv("HERACLES_JOBS")) {
-        const int n = std::atoi(v);
-        if (n > 0) return n;
+    const char* v = std::getenv("HERACLES_JOBS");
+    if (v == nullptr) return HardwareJobs();
+    const std::optional<int> n = ParseJobCount(v);
+    if (!n.has_value()) {
+        std::fprintf(stderr,
+                     "error: HERACLES_JOBS wants a positive integer, "
+                     "got '%s'\n",
+                     v);
+        std::exit(2);
     }
-    return HardwareJobs();
+    return *n;
 }
 
 Pool::Pool(int threads)

@@ -17,6 +17,8 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,9 +29,18 @@ namespace heracles::runner {
 int HardwareJobs();
 
 /**
+ * A worker count: one or more decimal digits (no sign, no whitespace,
+ * no exponent) with a value in 1..INT_MAX. Anything else ("4x", " 4",
+ * "+4", "0", "-2", "", an overflow) is nullopt.
+ */
+std::optional<int> ParseJobCount(std::string_view v);
+
+/**
  * Worker count when the caller gives no --jobs flag: the HERACLES_JOBS
- * environment variable when set to a positive integer, else
- * HardwareJobs(). The single home of that policy for benches and tools.
+ * environment variable when set, else HardwareJobs(). A value that
+ * ParseJobCount rejects prints an error naming the variable and exits
+ * 2, so a typo never silently becomes some other thread count. The
+ * single home of that policy for benches and tools.
  */
 int DefaultJobs();
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos/fault_plan.h"
+#include "cluster/cluster.h"
 #include "cluster/epoch.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
@@ -99,6 +100,58 @@ TEST(BatchingInvariance, BatchedParallelMatchesSerial)
         << "serial:\n"
         << scenarios::MetricsToJson(a) << "batched:\n"
         << scenarios::MetricsToJson(b);
+}
+
+/** Two replicas of one shard, so every query touches exactly one leaf:
+ *  while leaf 0 is down, every query routed to it is lost. */
+cluster::ClusterResult
+RunLostQueryCluster(int jobs)
+{
+    cluster::ClusterConfig cfg;
+    cfg.leaves = 2;
+    cfg.topology = cluster::TopologyKind::kSharded;
+    cfg.shards = 1;
+    cfg.duration = sim::Minutes(4);
+    cfg.target_run = sim::Minutes(1);
+    cfg.run_warmup = sim::Seconds(30);
+    cfg.faults.faults = {chaos::LeafCrash(0, 0.3, 0.6)};
+    cfg.jobs = jobs;
+    return cluster::ClusterExperiment(std::move(cfg)).Run();
+}
+
+TEST(PendingTable, LostQueriesAreDeterministic)
+{
+    // Each epoch the root's pending-query table takes one slot per
+    // query, lost ones included, and reclaims its closed prefix at every
+    // barrier. Four minutes span a dozen barriers, so the table is
+    // reclaimed many times over, across the crash window that loses
+    // every query routed to leaf 0.
+    const cluster::ClusterResult a = RunLostQueryCluster(1);
+    const cluster::ClusterResult b = RunLostQueryCluster(4);
+    EXPECT_EQ(a.latency_frac.t, b.latency_frac.t);
+    EXPECT_EQ(a.latency_frac.v, b.latency_frac.v);
+    EXPECT_EQ(a.emu.t, b.emu.t);
+    EXPECT_EQ(a.emu.v, b.emu.v);
+    EXPECT_EQ(a.load.v, b.load.v);
+    EXPECT_EQ(a.target, b.target);
+    EXPECT_EQ(a.leaf_target, b.leaf_target);
+    EXPECT_TRUE(static_cast<const exp::ActivityCounters&>(a) == b);
+    EXPECT_EQ(a.epochs, b.epochs);
+    EXPECT_EQ(a.leaf_events, b.leaf_events);
+
+    // Pinned from the hash-map implementation the table replaced.
+    const std::vector<double> latency_frac = {
+        0.95245555915037161, 0.94722957787612538, 0.9029013298304962,
+        0.91323032776276258, 0.94757996615858731, 0.95149293247547084,
+        0.95417114215987309};
+    const std::vector<double> emu = {
+        0.34410762757319813, 0.11931906693839787, 0.086627461874383832,
+        0.17323932765104333, 0.31206800986817967, 0.43721056401289249,
+        0.50200562895026879};
+    EXPECT_EQ(a.latency_frac.v, latency_frac);
+    EXPECT_EQ(a.emu.v, emu);
+    EXPECT_EQ(a.target, 4292505);
+    EXPECT_EQ(a.leaf_target, 7692387);
 }
 
 TEST(LeafBatching, AutoPolicyBatchesOnlyLargeClusters)

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "exp/experiment.h"
@@ -101,6 +105,80 @@ TEST(ParallelMap, ResultsIndexedRegardlessOfJobs)
 TEST(HardwareJobs, AtLeastOne)
 {
     EXPECT_GE(HardwareJobs(), 1);
+}
+
+// The HERACLES_JOBS contract. These tests parse and read the variable
+// only; they construct no Pool, so they start no threads.
+TEST(ParseJobCount, AcceptsOnlyPositiveDecimalIntegers)
+{
+    const struct {
+        const char* in;
+        std::optional<int> want;
+    } cases[] = {
+        {"3", 3},
+        {"1", 1},
+        {"2147483647", INT_MAX},
+        {"4x", std::nullopt},
+        {" 4", std::nullopt},
+        {"4 ", std::nullopt},
+        {"+4", std::nullopt},
+        {"0", std::nullopt},
+        {"-2", std::nullopt},
+        {"", std::nullopt},
+        {"abc", std::nullopt},
+        {"2147483648", std::nullopt},
+        {"999999999999", std::nullopt},
+    };
+    for (const auto& c : cases) {
+        EXPECT_EQ(ParseJobCount(c.in), c.want) << "'" << c.in << "'";
+    }
+}
+
+/** Sets (or, with nullptr, unsets) HERACLES_JOBS for one scope. */
+class ScopedJobsEnv
+{
+  public:
+    explicit ScopedJobsEnv(const char* v)
+    {
+        if (const char* old = std::getenv("HERACLES_JOBS")) saved_ = old;
+        if (v != nullptr) {
+            setenv("HERACLES_JOBS", v, 1);
+        } else {
+            unsetenv("HERACLES_JOBS");
+        }
+    }
+    ~ScopedJobsEnv()
+    {
+        if (saved_.has_value()) {
+            setenv("HERACLES_JOBS", saved_->c_str(), 1);
+        } else {
+            unsetenv("HERACLES_JOBS");
+        }
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+TEST(DefaultJobs, ReadsTheEnvironmentStrictly)
+{
+    {
+        const ScopedJobsEnv env(nullptr);
+        EXPECT_EQ(DefaultJobs(), HardwareJobs());
+    }
+    {
+        const ScopedJobsEnv env("3");
+        EXPECT_EQ(DefaultJobs(), 3);
+    }
+    // Each case exits, so it runs in a freshly executed child rather
+    // than a fork of a process other tests may have made threaded.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char* bad : {"4x", "0", "-2", ""}) {
+        const ScopedJobsEnv env(bad);
+        EXPECT_EXIT(DefaultJobs(), ::testing::ExitedWithCode(2),
+                    "HERACLES_JOBS wants a positive integer")
+            << "'" << bad << "'";
+    }
 }
 
 // --------------------------------------------------------------------------

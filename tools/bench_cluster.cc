@@ -9,7 +9,8 @@
  * the two produce bit-identical results, which is the epoch engine's
  * core contract. The record carries the scenario's shape (leaves,
  * topology), its epoch/event counts, per-pass throughput
- * (epochs/s, aggregate leaf events/s) and the parallel speedup.
+ * (epochs/s, aggregate leaf events/s), per-pass host time in the serial
+ * barrier section and in the leaf fan-out, and the parallel speedup.
  *
  * Usage: bench_cluster [--scenario NAME] [--scale F] [--jobs N]
  *                      [--leaves N] [--out FILE]
@@ -48,7 +49,8 @@ SameSeries(const sim::TimeSeries& a, const sim::TimeSeries& b)
     return a.t == b.t && a.v == b.v;
 }
 
-/** Bit-exact equality of everything a cluster run reports. */
+/** Bit-exact equality of everything a cluster run simulates (the
+ *  host-time fields barrier_s and fanout_s are not results). */
 bool
 SameResult(const cluster::ClusterResult& a, const cluster::ClusterResult& b)
 {
@@ -118,9 +120,10 @@ main(int argc, char** argv)
         wall[p] =
             bench::WallSeconds([&] { results[p] = experiment.Run(); });
         std::fprintf(stderr,
-                     "jobs=%d: %.2fs wall, %llu epochs, %llu leaf "
-                     "events\n",
-                     widths[p], wall[p],
+                     "jobs=%d: %.2fs wall (%.2fs barrier, %.2fs "
+                     "fan-out), %llu epochs, %llu leaf events\n",
+                     widths[p], wall[p], results[p].barrier_s,
+                     results[p].fanout_s,
                      static_cast<unsigned long long>(results[p].epochs),
                      static_cast<unsigned long long>(
                          results[p].leaf_events));
@@ -151,6 +154,9 @@ main(int argc, char** argv)
             .Number(static_cast<double>(results[p].epochs) / wall[p]);
         w.Key("events_per_sec")
             .Number(static_cast<double>(results[p].leaf_events) / wall[p]);
+        w.Key("barrier_s").Number(results[p].barrier_s);
+        w.Key("fanout_s").Number(results[p].fanout_s);
+        w.Key("barrier_share").Number(results[p].barrier_s / wall[p]);
         w.EndObject();
     }
     w.EndArray();
