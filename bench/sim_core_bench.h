@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulation-core microbenchmarks shared by bench/sim_core_baseline and
- * tools/bench_record.
+ * Simulation-core microbenchmarks behind the "event_queue" and "stats"
+ * members of tools/bench_record's BENCH_sim_core.json.
  *
  * Two benches:
  *  - Event-queue churn: a fixed window of outstanding one-shot timers
@@ -36,7 +36,6 @@
 
 #include "bench_common.h"
 #include "sim/event_queue.h"
-#include "sim/json.h"
 #include "sim/random.h"
 #include "sim/stats.h"
 
@@ -301,35 +300,6 @@ RunStatsStreaming(uint64_t total_samples)
     r.allocs_per_event =
         static_cast<double>(allocs) / static_cast<double>(total_samples);
     return r;
-}
-
-/**
- * The shared core of the BENCH_sim_core.json record (see
- * docs/performance.md for the schema): the event-queue microbench pair
- * and the stats streaming bench, as the "event_queue" and "stats"
- * members of @p w's open object.
- */
-inline void
-WriteCoreBench(sim::JsonWriter& w, const BenchResult& pooled,
-               const BenchResult& legacy, const BenchResult& stats)
-{
-    w.Key("event_queue").BeginObject();
-    w.Key("events").Int(static_cast<int64_t>(pooled.events));
-    w.Key("pooled_events_per_sec").Number(pooled.per_sec);
-    w.Key("pooled_wall_s").Number(pooled.wall_s);
-    w.Key("pooled_allocs_per_event").Number(pooled.allocs_per_event);
-    w.Key("legacy_events_per_sec").Number(legacy.per_sec);
-    w.Key("legacy_wall_s").Number(legacy.wall_s);
-    w.Key("legacy_allocs_per_event").Number(legacy.allocs_per_event);
-    w.Key("speedup").Number(
-        pooled.per_sec / (legacy.per_sec > 0 ? legacy.per_sec : 1e-9));
-    w.EndObject();
-    w.Key("stats").BeginObject();
-    w.Key("samples").Int(static_cast<int64_t>(stats.events));
-    w.Key("samples_per_sec").Number(stats.per_sec);
-    w.Key("wall_s").Number(stats.wall_s);
-    w.Key("allocs_per_sample").Number(stats.allocs_per_event);
-    w.EndObject();
 }
 
 }  // namespace heracles::bench

@@ -360,7 +360,23 @@ main(int argc, char** argv)
     const int arb_steps = 600;
     const ArbRun arb_naive = RunArbitrationChurn(/*naive=*/true, arb_steps);
     const ArbRun arb_inc = RunArbitrationChurn(/*naive=*/false, arb_steps);
-    bench::WriteCoreBench(w, pooled, legacy, stats);
+    w.Key("event_queue").BeginObject();
+    w.Key("events").Int(static_cast<int64_t>(pooled.events));
+    w.Key("pooled_events_per_sec").Number(pooled.per_sec);
+    w.Key("pooled_wall_s").Number(pooled.wall_s);
+    w.Key("pooled_allocs_per_event").Number(pooled.allocs_per_event);
+    w.Key("legacy_events_per_sec").Number(legacy.per_sec);
+    w.Key("legacy_wall_s").Number(legacy.wall_s);
+    w.Key("legacy_allocs_per_event").Number(legacy.allocs_per_event);
+    w.Key("speedup").Number(
+        pooled.per_sec / (legacy.per_sec > 0 ? legacy.per_sec : 1e-9));
+    w.EndObject();
+    w.Key("stats").BeginObject();
+    w.Key("samples").Int(static_cast<int64_t>(stats.events));
+    w.Key("samples_per_sec").Number(stats.per_sec);
+    w.Key("wall_s").Number(stats.wall_s);
+    w.Key("allocs_per_sample").Number(stats.allocs_per_event);
+    w.EndObject();
     w.Key("machine_arbitration").BeginObject();
     w.Key("naive");
     WriteArbRun(w, arb_naive);
