@@ -12,6 +12,7 @@
 #include "hw/machine.h"
 #include "runner/pool.h"
 #include "sim/log.h"
+#include "sim/once_cache.h"
 #include "workloads/antagonists.h"
 #include "workloads/be_task.h"
 #include "workloads/lc_app.h"
@@ -251,8 +252,9 @@ class ClusterSim
 
         for (const sim::SimTime t : clock.barriers) {
             for (auto& leaf : leaves_) leaf.inbox.clear();
-            PumpArrivals(/*limit=*/t);
             lap(&barrier_s_);
+            PumpArrivals(/*limit=*/t);
+            lap(&pump_s_);
             FanOutLeaves(t, /*inclusive=*/false);
             lap(&fanout_s_);
             DrainOutboxes();
@@ -267,8 +269,9 @@ class ClusterSim
         // events at the final instant firing *after* the root's — run
         // them (and any arrival at exactly `duration`) last.
         for (auto& leaf : leaves_) leaf.inbox.clear();
-        PumpArrivals(duration + 1);
         lap(&barrier_s_);
+        PumpArrivals(duration + 1);
+        lap(&pump_s_);
         FanOutLeaves(duration, /*inclusive=*/true);
         lap(&fanout_s_);
     }
@@ -319,9 +322,11 @@ class ClusterSim
     /** Barrier intervals executed (across Run calls). */
     uint64_t epochs() const { return epochs_; }
 
-    /** Host seconds in the serial barrier section and in the leaf
-     *  fan-out (across Run calls). */
-    double barrier_s() const { return barrier_s_; }
+    /** Host seconds in the serial barrier section (the arrival pump
+     *  included), in the pump alone and in the leaf fan-out (across Run
+     *  calls). */
+    double barrier_s() const { return barrier_s_ + pump_s_; }
+    double pump_s() const { return pump_s_; }
     double fanout_s() const { return fanout_s_; }
 
     /** Events executed across every leaf's queue. */
@@ -755,6 +760,7 @@ class ClusterSim
     sim::SimTime warmup_end_ = 0;
     uint64_t epochs_ = 0;
     double barrier_s_ = 0.0;  ///< Host time; not a simulation result.
+    double pump_s_ = 0.0;     ///< Excluded from barrier_s_.
     double fanout_s_ = 0.0;
 
     sim::TimeSeries latency_;
@@ -799,35 +805,68 @@ ClusterExperiment::SharedPool()
     return pool_.get();
 }
 
-sim::Duration
-ClusterExperiment::MeasureTarget()
+TargetKey
+ClusterExperiment::MakeTargetKey()
 {
-    if (target_ > 0) return target_;
+    std::vector<std::pair<hw::MachineConfig, workloads::LcParams>> leaves;
+    for (const LeafSpec& s : ResolveSpecs()) {
+        hw::MachineConfig shape = s.machine;
+        shape.seed = 0;
+        leaves.emplace_back(shape, s.lc);
+    }
+    return {cfg_.seed,       cfg_.lc,         cfg_.topology,
+            cfg_.shards,     cfg_.rack_size,  cfg_.target_run,
+            cfg_.run_warmup, cfg_.jobs,       std::move(leaves)};
+}
+
+TargetRun
+ClusterExperiment::MeasureTargetRun()
+{
     const std::vector<LeafSpec>& specs = ResolveSpecs();
     sim::ConstantTrace trace(kTargetLoad);
     ClusterSim sim(cfg_, SharedPool(), specs, trace, /*colocate=*/false,
                    /*target=*/0);
     sim.Run(cfg_.target_run, cfg_.run_warmup);
     barrier_s_ += sim.barrier_s();
+    pump_s_ += sim.pump_s();
     fanout_s_ += sim.fanout_s();
+    const sim::TimeSeries& s = sim.latency_series();
+    TargetRun run{s.size() == 0, s.size() > 0 ? s.MaxValue() : 0.0,
+                  sim.MeanLeafTail(), {}};
+    for (size_t i = 0; i < specs.size(); ++i) {
+        run.leaf_tails.push_back(sim.LeafTail(static_cast<int>(i)));
+    }
+    return run;
+}
+
+const TargetRun&
+ClusterExperiment::MemoizedTargetRun()
+{
+    static auto* cache = new sim::OnceCache<TargetKey, TargetRun>();
+    return cache->Get(MakeTargetKey(), [this] { return MeasureTargetRun(); });
+}
+
+sim::Duration
+ClusterExperiment::MeasureTarget()
+{
+    if (target_ > 0) return target_;
+    const TargetRun& run = MemoizedTargetRun();
+    const std::vector<LeafSpec>& specs = ResolveSpecs();
     // The worst mu/30s window at the defining load is the SLO target,
     // with a small confidence margin: the defining run observes only a
     // few windows, so its sample maximum understates the true worst
     // window of a long run at the same load.
-    const sim::TimeSeries& s = sim.latency_series();
-    target_ = s.size() > 0 ? static_cast<sim::Duration>(1.05 * s.MaxValue())
-                           : cfg_.lc.slo_latency;
+    target_ = !run.empty ? static_cast<sim::Duration>(1.05 * run.max_window)
+                         : cfg_.lc.slo_latency;
     // Per-leaf tail targets from the same run: Heracles on each leaf
     // defends the tail observed at the defining load — the uniform mean
     // leaf tail by default (Section 5.3), each leaf's own tail under
     // per_leaf_targets, scaled/overridden by the leaf's spec.
-    const sim::Duration uniform = sim.MeanLeafTail();
     leaf_targets_.assign(specs.size(), 0);
     double sum = 0.0;
     for (size_t i = 0; i < specs.size(); ++i) {
-        sim::Duration derived = cfg_.per_leaf_targets
-                                    ? sim.LeafTail(static_cast<int>(i))
-                                    : uniform;
+        sim::Duration derived =
+            cfg_.per_leaf_targets ? run.leaf_tails[i] : run.mean_leaf_tail;
         if (derived <= 0) derived = specs[i].lc.slo_latency;
         const sim::Duration t =
             specs[i].tail_target_override > 0
@@ -899,6 +938,7 @@ ClusterExperiment::Run()
     r.epochs = sim.epochs();
     r.leaf_events = sim.leaf_events();
     r.barrier_s = std::exchange(barrier_s_, 0.0) + sim.barrier_s();
+    r.pump_s = std::exchange(pump_s_, 0.0) + sim.pump_s();
     r.fanout_s = std::exchange(fanout_s_, 0.0) + sim.fanout_s();
     return r;
 }

@@ -24,6 +24,8 @@
 #define HERACLES_CLUSTER_CLUSTER_H
 
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.h"
@@ -172,17 +174,42 @@ struct ClusterResult : public exp::ActivityCounters {
     // Host seconds, not simulation results: they vary run to run and
     // stay out of every identity check and digest. barrier_s is the
     // root's serial barrier section (arrival staging, reply drain,
-    // window close, fault boundaries, scheduler tick), fanout_s the
-    // parallel leaf fan-out. Both cover every run of the experiment
-    // since its previous Run(), so the first Run() includes the
-    // target-defining run.
+    // window close, fault boundaries, scheduler tick), pump_s the
+    // arrival pump inside it, fanout_s the parallel leaf fan-out. All
+    // three cover every run this experiment executed since its
+    // previous Run(): the first Run() includes the target-defining run
+    // only when this experiment ran it, not when the memo already held
+    // its key (MemoizedTargetRun).
     double barrier_s = 0.0;
+    double pump_s = 0.0;
     double fanout_s = 0.0;
 
     /** Deleted so `a == b` cannot silently compare only the inherited
      *  counters. */
     bool operator==(const ClusterResult&) const = delete;
 };
+
+/** The raw target-defining run, before any per-scenario derivation. */
+struct TargetRun {
+    bool empty = true;        ///< No mu/30s window closed after warmup.
+    double max_window = 0.0;  ///< Worst mu/30s window.
+    sim::Duration mean_leaf_tail = 0;
+    std::vector<sim::Duration> leaf_tails;
+
+    bool operator==(const TargetRun& o) const {
+        return empty == o.empty && max_window == o.max_window &&
+               mean_leaf_tail == o.mean_leaf_tail && leaf_tails == o.leaf_tails;
+    }
+};
+
+/** Everything the target-defining run reads: seed, root LC, topology,
+ *  shards, rack size, target_run, run_warmup, jobs (which cannot change
+ *  the run: keying on it keeps jobs=1 vs jobs=N checks two real runs),
+ *  and each resolved leaf's (machine with its seed zeroed, LC). */
+using TargetKey =
+    std::tuple<uint64_t, workloads::LcParams, TopologyKind, int, int,
+               sim::Duration, sim::Duration, int,
+               std::vector<std::pair<hw::MachineConfig, workloads::LcParams>>>;
 
 /** Runs the composed cluster under its load trace. */
 class ClusterExperiment
@@ -194,9 +221,19 @@ class ClusterExperiment
      * Measures the root latency target (worst mu/30s window at the
      * paper's 90% target-defining load with no colocation) and the
      * per-leaf tail targets derived from the same run, "set such that
-     * the latency at the root satisfies the SLO" (Section 5.3). Cached.
+     * the latency at the root satisfies the SLO" (Section 5.3). Cached;
+     * derived from MemoizedTargetRun(), so a scenario repeating another's
+     * key simulates nothing here.
      */
     sim::Duration MeasureTarget();
+
+    /** The memo key of this experiment's target-defining run. */
+    TargetKey MakeTargetKey();
+    /** Runs the target-defining cluster, uncached: always simulates. */
+    TargetRun MeasureTargetRun();
+    /** MeasureTargetRun memoized process-wide per MakeTargetKey(): a
+     *  hit runs nothing. Thread-safe (sim::OnceCache). */
+    const TargetRun& MemoizedTargetRun();
 
     /** Mean per-leaf tail target used by Heracles across the leaves. */
     sim::Duration LeafTarget();
@@ -228,6 +265,7 @@ class ClusterExperiment
     std::vector<sim::Duration> leaf_targets_;
     /** Host time of runs not yet reported by Run(). */
     double barrier_s_ = 0.0;
+    double pump_s_ = 0.0;
     double fanout_s_ = 0.0;
 };
 

@@ -90,6 +90,32 @@ struct LcParams {
     /** Short window for the fast (approximate) tail estimate used to gate
      *  resource-growth decisions between top-level polls. */
     sim::Duration fast_window = sim::Seconds(2);
+
+    /** Field-wise equality — keep in sync when adding fields. The
+     *  memoized cluster target run keys on this. */
+    bool
+    operator==(const LcParams& o) const
+    {
+        const CacheProfile &c = cache, &d = o.cache;
+        return name == o.name && slo_percentile == o.slo_percentile &&
+               slo_latency == o.slo_latency && peak_qps == o.peak_qps &&
+               mean_service == o.mean_service &&
+               service_sigma == o.service_sigma && mem_frac == o.mem_frac &&
+               c.instr_mb == d.instr_mb && c.data_base_mb == d.data_base_mb &&
+               c.data_slope_mb == d.data_slope_mb &&
+               c.footprint_load_exp == d.footprint_load_exp &&
+               c.instr_miss_penalty == d.instr_miss_penalty &&
+               c.mem_miss_ceil == d.mem_miss_ceil &&
+               peak_dram_frac == o.peak_dram_frac &&
+               bw_load_exp == o.bw_load_exp &&
+               access_weight_scale == o.access_weight_scale &&
+               resp_bytes == o.resp_bytes && req_bytes == o.req_bytes &&
+               power_intensity == o.power_intensity && batch == o.batch &&
+               ht_self_penalty == o.ht_self_penalty &&
+               ht_aggression == o.ht_aggression &&
+               report_window == o.report_window &&
+               ctl_window == o.ctl_window && fast_window == o.fast_window;
+    }
 };
 
 /**

@@ -14,14 +14,25 @@
  *     slack-freeze boundaries, end of run) is a barrier, the schedule
  *     is sorted and duplicate-free, and it depends only on the
  *     configuration — never on thread count or event timing.
+ *
+ *  3. The target-run memo has no hidden input: a memoized target run
+ *     equals a fresh one for every cluster scenario, every key field
+ *     splits the key, and every field outside it leaves the run as is.
  */
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "cluster/cluster.h"
 #include "cluster/epoch.h"
+#include "runner/pool.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
+#include "workloads/antagonists.h"
 
 namespace heracles {
 namespace {
@@ -258,6 +269,164 @@ TEST(BarrierClock, IgnoresFaultBoundariesOutsideTheRun)
     EXPECT_FALSE(clock.IsBarrier(0));
     EXPECT_FALSE(clock.IsBarrier(sim::Seconds(999)));
     EXPECT_EQ(clock.barriers.back(), sim::Seconds(90));
+}
+
+cluster::ClusterConfig
+GoldenClusterConfig(const std::string& name)
+{
+    return scenarios::ClusterConfigFor(scenarios::MustFindScenario(name),
+                                       scenarios::RunOptions::Golden());
+}
+
+cluster::TargetKey
+KeyOf(const cluster::ClusterConfig& cfg)
+{
+    return cluster::ClusterExperiment(cfg).MakeTargetKey();
+}
+
+/** A named edit of a cluster configuration. */
+using Mutation =
+    std::pair<std::string, std::function<void(cluster::ClusterConfig&)>>;
+
+TEST(TargetMemo, MemoizedRunEqualsFreshRunForEveryClusterScenario)
+{
+    const std::vector<std::string> names = ClusterScenarioNames();
+    std::vector<cluster::ClusterConfig> cfgs;
+    for (const std::string& name : names) {
+        cfgs.push_back(GoldenClusterConfig(name));
+    }
+    // Four scenarios at a time: catalog pairs that share a key race on
+    // one memo entry, and the fresh runs simulate concurrently.
+    const std::vector<const cluster::TargetRun*> memo =
+        runner::ParallelMap(4, cfgs.size(), [&](size_t i) {
+            return &cluster::ClusterExperiment(cfgs[i]).MemoizedTargetRun();
+        });
+    const std::vector<cluster::TargetRun> fresh =
+        runner::ParallelMap(4, cfgs.size(), [&](size_t i) {
+            return cluster::ClusterExperiment(cfgs[i]).MeasureTargetRun();
+        });
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        EXPECT_FALSE(fresh[i].empty) << names[i];
+        EXPECT_TRUE(*memo[i] == fresh[i])
+            << names[i] << ": the memoized target run differs from a "
+            << "fresh one, so its key misses an input";
+        for (size_t j = 0; j < i; ++j) {
+            // One key, one entry: a repeat of a key is a hit.
+            EXPECT_EQ(KeyOf(cfgs[i]) == KeyOf(cfgs[j]), memo[i] == memo[j])
+                << names[j] << " vs " << names[i];
+        }
+    }
+}
+
+TEST(TargetMemo, EveryKeyFieldSplitsTheKey)
+{
+    const cluster::ClusterConfig hetero =
+        GoldenClusterConfig("cluster_hetero_static");
+    const cluster::ClusterConfig uniform =
+        GoldenClusterConfig("cluster_websearch_heracles");
+    ASSERT_FALSE(hetero.leaf_specs.empty());
+    ASSERT_TRUE(uniform.leaf_specs.empty());
+    const std::vector<Mutation> mutations = {
+        {"seed", [](auto& c) { c.seed += 1; }},
+        {"lc", [](auto& c) { c.lc.peak_qps *= 1.01; }},
+        {"topology",
+         [](auto& c) { c.topology = cluster::TopologyKind::kSharded; }},
+        {"shards", [](auto& c) { c.shards = 2; }},
+        {"rack_size", [](auto& c) { c.rack_size = 2; }},
+        {"target_run", [](auto& c) { c.target_run += sim::Seconds(30); }},
+        {"run_warmup", [](auto& c) { c.run_warmup += sim::Seconds(1); }},
+        {"jobs", [](auto& c) { c.jobs += 1; }},
+        {"leaf lc", [](auto& c) { c.leaf_specs[1].lc.mean_service += 1; }},
+        {"leaf machine",
+         [](auto& c) { c.leaf_specs[0].machine.cores_per_socket -= 1; }},
+        {"leaf count", [](auto& c) { c.leaf_specs.pop_back(); }},
+    };
+    for (const auto& [name, mutate] : mutations) {
+        cluster::ClusterConfig cfg = hetero;
+        mutate(cfg);
+        EXPECT_FALSE(KeyOf(cfg) == KeyOf(hetero)) << name;
+    }
+    // A uniform cluster's leaves come from its leaf count, machine and
+    // root LC.
+    const std::vector<Mutation> synthesized = {
+        {"leaves", [](auto& c) { c.leaves += 1; }},
+        {"machine", [](auto& c) { c.machine.llc_ways -= 1; }},
+        {"lc", [](auto& c) { c.lc.mean_service += 1; }},
+    };
+    for (const auto& [name, mutate] : synthesized) {
+        cluster::ClusterConfig cfg = uniform;
+        mutate(cfg);
+        EXPECT_FALSE(KeyOf(cfg) == KeyOf(uniform)) << name;
+    }
+}
+
+TEST(TargetMemo, FieldsOutsideTheKeyHitAndMatchAFreshRun)
+{
+    const cluster::ClusterConfig base =
+        GoldenClusterConfig("cluster_hetero_static");
+    ASSERT_TRUE(base.leaf_specs[0].be.has_value());
+    const std::vector<Mutation> mutations = {
+        {"scheduler",
+         [](auto& c) {
+             c.scheduler.policy = cluster::SchedulerPolicy::kPredictive;
+         }},
+        {"be_jobs", [](auto& c) { c.be_jobs = {workloads::Brain()}; }},
+        {"faults",
+         [](auto& c) { c.faults.faults = {chaos::LeafCrash(0, 0.2, 0.4)}; }},
+        {"central_controller",
+         [](auto& c) { c.central_controller = !c.central_controller; }},
+        {"flash_crowd", [](auto& c) { c.flash_crowd = !c.flash_crowd; }},
+        {"duration", [](auto& c) { c.duration *= 2; }},
+        {"load_low", [](auto& c) { c.load_low += 0.05; }},
+        {"load_high", [](auto& c) { c.load_high -= 0.05; }},
+        {"per_leaf_targets",
+         [](auto& c) { c.per_leaf_targets = !c.per_leaf_targets; }},
+        {"heracles", [](auto& c) { c.heracles.top_period *= 2; }},
+        {"colocate", [](auto& c) { c.colocate = !c.colocate; }},
+        {"leaf be", [](auto& c) { c.leaf_specs[0].be.reset(); }},
+        {"leaf tail_scale", [](auto& c) { c.leaf_specs[0].tail_scale = 1.5; }},
+        {"leaf tail_target_override",
+         [](auto& c) {
+             c.leaf_specs[0].tail_target_override = sim::Millis(30);
+         }},
+        {"leaf machine seed",
+         [](auto& c) { c.leaf_specs[0].machine.seed = 99; }},
+    };
+    std::vector<cluster::ClusterConfig> cfgs;
+    for (const auto& m : mutations) {
+        cfgs.push_back(base);
+        m.second(cfgs.back());
+    }
+    const cluster::TargetRun& memo =
+        cluster::ClusterExperiment(base).MemoizedTargetRun();
+    const std::vector<cluster::TargetRun> fresh =
+        runner::ParallelMap(4, cfgs.size(), [&](size_t i) {
+            return cluster::ClusterExperiment(cfgs[i]).MeasureTargetRun();
+        });
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        const std::string& name = mutations[i].first;
+        EXPECT_TRUE(KeyOf(cfgs[i]) == KeyOf(base)) << name;
+        EXPECT_EQ(&cluster::ClusterExperiment(cfgs[i]).MemoizedTargetRun(),
+                  &memo)
+            << name;
+        EXPECT_TRUE(fresh[i] == memo)
+            << name << " changes the target run but is not in its key";
+    }
+}
+
+TEST(TargetMemo, FreshRunIsJobsInvariant)
+{
+    cluster::ClusterConfig serial =
+        GoldenClusterConfig("cluster_hetero_greedy_diurnal");
+    serial.jobs = 1;
+    cluster::ClusterConfig parallel = serial;
+    parallel.jobs = 4;
+    const cluster::TargetRun a =
+        cluster::ClusterExperiment(serial).MeasureTargetRun();
+    const cluster::TargetRun b =
+        cluster::ClusterExperiment(parallel).MeasureTargetRun();
+    EXPECT_EQ(a.leaf_tails.size(), 4u);
+    EXPECT_TRUE(a == b) << "cluster jobs=4 changed the target run";
 }
 
 }  // namespace

@@ -43,7 +43,10 @@ GoldenPath(const std::string& scenario)
 /**
  * The catalog's reduced-scale results for a given fan-out width, run
  * once per width and cached: the baseline comparison and the
- * jobs-invariance check share the same records.
+ * jobs-invariance check share the same records. Target-defining runs are
+ * memoized per process (ClusterExperiment::MemoizedTargetRun), so the
+ * second width reuses the first width's; TargetMemo.* in
+ * epoch_determinism_test compares memoized and fresh target runs.
  */
 const std::vector<ScenarioMetrics>&
 ResultsFor(int jobs)

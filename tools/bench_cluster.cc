@@ -10,7 +10,9 @@
  * core contract. The record carries the scenario's shape (leaves,
  * topology), its epoch/event counts, per-pass throughput
  * (epochs/s, aggregate leaf events/s), per-pass host time in the serial
- * barrier section and in the leaf fan-out, and the parallel speedup.
+ * barrier section, in the arrival pump inside it and in the leaf
+ * fan-out, and the parallel speedup. The passes differ in jobs, which
+ * the memoized target-defining run keys on, so each pass runs its own.
  *
  * Usage: bench_cluster [--scenario NAME] [--scale F] [--jobs N]
  *                      [--leaves N] [--out FILE]
@@ -50,7 +52,7 @@ SameSeries(const sim::TimeSeries& a, const sim::TimeSeries& b)
 }
 
 /** Bit-exact equality of everything a cluster run simulates (the
- *  host-time fields barrier_s and fanout_s are not results). */
+ *  host-time fields barrier_s, pump_s and fanout_s are not results). */
 bool
 SameResult(const cluster::ClusterResult& a, const cluster::ClusterResult& b)
 {
@@ -120,10 +122,11 @@ main(int argc, char** argv)
         wall[p] =
             bench::WallSeconds([&] { results[p] = experiment.Run(); });
         std::fprintf(stderr,
-                     "jobs=%d: %.2fs wall (%.2fs barrier, %.2fs "
-                     "fan-out), %llu epochs, %llu leaf events\n",
+                     "jobs=%d: %.2fs wall (%.2fs barrier of which "
+                     "%.2fs pump, %.2fs fan-out), %llu epochs, %llu "
+                     "leaf events\n",
                      widths[p], wall[p], results[p].barrier_s,
-                     results[p].fanout_s,
+                     results[p].pump_s, results[p].fanout_s,
                      static_cast<unsigned long long>(results[p].epochs),
                      static_cast<unsigned long long>(
                          results[p].leaf_events));
@@ -155,6 +158,7 @@ main(int argc, char** argv)
         w.Key("events_per_sec")
             .Number(static_cast<double>(results[p].leaf_events) / wall[p]);
         w.Key("barrier_s").Number(results[p].barrier_s);
+        w.Key("pump_s").Number(results[p].pump_s);
         w.Key("fanout_s").Number(results[p].fanout_s);
         w.Key("barrier_share").Number(results[p].barrier_s / wall[p]);
         w.EndObject();
