@@ -168,7 +168,6 @@ class ClusterSim
         }
 
         crashed_.assign(static_cast<size_t>(n), false);
-        batching_ = LeafBatching::Resolve(leaves_.size());
         topo_ = MakeTopology(cfg_.topology, n, cfg_.shards,
                              cfg_.rack_size, cfg_.seed ^ 0x70B0C0DEull);
         if (scheduled) {
@@ -368,7 +367,13 @@ class ClusterSim
         sim::Duration latency;
     };
 
-    struct Leaf {
+    /**
+     * One leaf's engine state. Cache-line aligned: pool workers step
+     * adjacent leaves at the same time, and each one writes its
+     * inbox_pos and outbox on every event, so two leaves sharing a line
+     * would bounce it between cores.
+     */
+    struct alignas(64) Leaf {
         /** The leaf's own clock: the partitioned engine's unit of
          *  parallelism. Owned here so ServerSim can keep borrowing. */
         std::unique_ptr<sim::EventQueue> queue;
@@ -487,40 +492,12 @@ class ClusterSim
         }
     }
 
-    /**
-     * Fans every leaf to the barrier at @p until, one pool task per leaf
-     * batch. Batches are submitted heaviest-first — ranked by cumulative
-     * executed events, the best deterministic proxy for how much work
-     * the next interval holds — so the FIFO pool starts the long poles
-     * before the stragglers instead of discovering them last. Both the
-     * batch mapping and the rank are pure functions of simulation state,
-     * never of thread count, and batch execution order cannot change
-     * results (leaves are thread-confined within an epoch).
-     */
+    /** Fans every leaf to the barrier at @p until across the pool. */
     void
     FanOutLeaves(sim::SimTime until, bool inclusive)
     {
-        const size_t nb = batching_.batches();
-        if (nb <= 1 || pool_ == nullptr || pool_->threads() <= 1) {
-            for (auto& leaf : leaves_) StepLeaf(leaf, until, inclusive);
-            return;
-        }
-        batch_work_.assign(nb, 0);
-        for (size_t i = 0; i < leaves_.size(); ++i) {
-            batch_work_[batching_.BatchOf(i)] +=
-                leaves_[i].queue->executed();
-        }
-        batch_order_.resize(nb);
-        for (size_t b = 0; b < nb; ++b) batch_order_[b] = b;
-        std::stable_sort(batch_order_.begin(), batch_order_.end(),
-                         [this](size_t a, size_t b) {
-                             return batch_work_[a] > batch_work_[b];
-                         });
-        runner::ParallelFor(pool_, batch_order_, [&](size_t b) {
-            const size_t end = batching_.BatchEnd(b);
-            for (size_t i = batching_.BatchBegin(b); i < end; ++i) {
-                StepLeaf(leaves_[i], until, inclusive);
-            }
+        runner::ParallelFor(pool_, leaves_.size(), [&](size_t i) {
+            StepLeaf(leaves_[i], until, inclusive);
         });
     }
 
@@ -733,11 +710,6 @@ class ClusterSim
     std::unique_ptr<ClusterScheduler> scheduler_;
     std::vector<int> touched_;  // per-query scratch
 
-    /** Deterministic leaf → pool-task mapping for the barrier fan-out. */
-    LeafBatching batching_;
-    std::vector<uint64_t> batch_work_;   // per-barrier scratch
-    std::vector<size_t> batch_order_;    // per-barrier scratch
-
     std::vector<chaos::TimedFault> cluster_faults_;
     std::vector<FrozenExport> frozen_;  // aligned with cluster_faults_
     std::vector<bool> crashed_;
@@ -861,19 +833,15 @@ ClusterExperiment::MeasureTarget()
     // Per-leaf tail targets from the same run: Heracles on each leaf
     // defends the tail observed at the defining load — the uniform mean
     // leaf tail by default (Section 5.3), each leaf's own tail under
-    // per_leaf_targets, scaled/overridden by the leaf's spec.
+    // per_leaf_targets, scaled by the leaf's spec.
     leaf_targets_.assign(specs.size(), 0);
     double sum = 0.0;
     for (size_t i = 0; i < specs.size(); ++i) {
         sim::Duration derived =
             cfg_.per_leaf_targets ? run.leaf_tails[i] : run.mean_leaf_tail;
         if (derived <= 0) derived = specs[i].lc.slo_latency;
-        const sim::Duration t =
-            specs[i].tail_target_override > 0
-                ? specs[i].tail_target_override
-                : static_cast<sim::Duration>(
-                      static_cast<double>(derived) *
-                      specs[i].tail_scale);
+        const sim::Duration t = static_cast<sim::Duration>(
+            static_cast<double>(derived) * specs[i].tail_scale);
         leaf_targets_[i] = t;
         sum += static_cast<double>(t);
     }

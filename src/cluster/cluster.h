@@ -238,7 +238,7 @@ class ClusterExperiment
     /** Mean per-leaf tail target used by Heracles across the leaves. */
     sim::Duration LeafTarget();
 
-    /** Per-leaf tail targets (after tail_scale / overrides). */
+    /** Per-leaf tail targets (after tail_scale). */
     const std::vector<sim::Duration>& LeafTargets();
 
     /** Runs the full trace and reports the Figure 8 series. */

@@ -6,12 +6,6 @@
 
 namespace heracles::cluster {
 
-LeafBatching
-LeafBatching::Resolve(size_t leaves)
-{
-    return LeafBatching{leaves, leaves >= 64 ? 8u : 1u};
-}
-
 BarrierClock
 BarrierClock::Build(sim::Duration duration, sim::Duration root_window,
                     sim::Duration scheduler_period,

@@ -27,47 +27,6 @@
 
 namespace heracles::cluster {
 
-/**
- * Deterministic leaf → batch mapping for the epoch engine's fan-out.
- *
- * Dispatching one pool task per leaf makes the per-barrier overhead
- * (submit, wake, notify) proportional to the leaf count; at thousands of
- * leaves and ~25 ms barrier intervals that overhead rivals the simulated
- * work. Batching runs `batch_size` consecutive leaves per task. The
- * mapping is a pure function of the leaf count — never of the thread
- * count — so batch boundaries cannot perturb results: leaves stay
- * thread-confined within an epoch regardless of which task executes
- * them.
- */
-struct LeafBatching {
-    size_t leaves = 0;
-    size_t batch_size = 1;
-
-    /**
-     * The batching policy: 8 leaves per task once the cluster is large
-     * enough (>= 64 leaves) for dispatch overhead to matter, else one
-     * task per leaf.
-     */
-    static LeafBatching Resolve(size_t leaves);
-
-    /** Number of batches (ceil(leaves / batch_size); 0 for no leaves). */
-    size_t batches() const {
-        return batch_size > 0 ? (leaves + batch_size - 1) / batch_size : 0;
-    }
-
-    /** Batch hosting @p leaf. */
-    size_t BatchOf(size_t leaf) const { return leaf / batch_size; }
-
-    /** First leaf of @p batch. */
-    size_t BatchBegin(size_t batch) const { return batch * batch_size; }
-
-    /** One past the last leaf of @p batch. */
-    size_t BatchEnd(size_t batch) const {
-        const size_t end = (batch + 1) * batch_size;
-        return end < leaves ? end : leaves;
-    }
-};
-
 /** The sorted, deduplicated barrier schedule of one cluster run. */
 struct BarrierClock {
     /** Barrier instants, strictly increasing, in (0, duration]. The

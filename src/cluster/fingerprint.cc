@@ -6,7 +6,6 @@
 
 #include "exp/characterization.h"
 #include "runner/pool.h"
-#include "sim/log.h"
 #include "sim/once_cache.h"
 #include "workloads/lc_configs.h"
 
@@ -105,15 +104,9 @@ FingerprintFor(const hw::MachineConfig& machine,
     hw::MachineConfig shape = machine;
     shape.seed = 0;
     return cache->Get(Key{shape, lc_name}, [&] {
-        const std::vector<workloads::LcParams> all =
-            workloads::AllLcWorkloads();
-        const auto canonical = std::find_if(
-            all.begin(), all.end(),
-            [&](const workloads::LcParams& p) { return p.name == lc_name; });
-        HERACLES_CHECK_MSG(canonical != all.end(),
-                           "no canonical LC workload named " << lc_name);
-        return MeasureLcFingerprint(shape, *canonical, kFingerprintWarmup,
-                                    kFingerprintMeasure, jobs);
+        return MeasureLcFingerprint(
+            shape, workloads::LcWorkloadByName(lc_name), kFingerprintWarmup,
+            kFingerprintMeasure, jobs);
     });
 }
 

@@ -91,9 +91,9 @@ LcFingerprint MeasureLcFingerprint(
 
 /**
  * Cached fingerprint lookup. @p lc_name is resolved to the *canonical*
- * workload parameters (workloads::AllLcWorkloads), so leaves that carry
- * per-leaf SLO overrides or scenario-specific seeds still share one
- * cache entry; the key is the machine shape with the seed excluded.
+ * workload parameters (workloads::LcWorkloadByName), so leaves that
+ * carry per-leaf SLO overrides or scenario-specific seeds still share
+ * one cache entry; the key is the machine shape with the seed excluded.
  *
  * Thread-safe (sim::OnceCache). A cold key is measured once, by its
  * first caller, with the cells fanned over @p jobs threads (jobs <= 1

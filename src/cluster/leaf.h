@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "hw/config.h"
-#include "sim/time.h"
 #include "workloads/be_task.h"
 #include "workloads/lc_app.h"
 
@@ -51,9 +50,6 @@ struct LeafSpec {
      * the root SLO is a window *mean* while leaves defend a *tail*.
      */
     double tail_scale = 1.0;
-
-    /** Absolute per-leaf tail target; overrides derivation when > 0. */
-    sim::Duration tail_target_override = 0;
 };
 
 }  // namespace heracles::cluster

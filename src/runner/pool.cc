@@ -1,6 +1,7 @@
 #include "runner/pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -106,31 +107,28 @@ Pool::WorkerLoop()
 }
 
 void
-ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn)
+ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn)
 {
-    if (jobs <= 1 || n <= 1) {
+    if (pool == nullptr || pool->threads() <= 1 || n <= 1) {
         for (size_t i = 0; i < n; ++i) fn(i);
         return;
     }
-    Pool pool(std::min<size_t>(static_cast<size_t>(jobs), n));
-    for (size_t i = 0; i < n; ++i) {
-        pool.Submit([&fn, i] { fn(i); });
+    std::atomic<size_t> next{0};
+    const size_t tasks = std::min<size_t>(pool->threads(), n);
+    for (size_t t = 0; t < tasks; ++t) {
+        pool->Submit([&next, &fn, n] {
+            for (size_t i = next++; i < n; i = next++) fn(i);
+        });
     }
-    pool.Wait();
+    pool->Wait();
 }
 
 void
-ParallelFor(Pool* pool, const std::vector<size_t>& order,
-            const std::function<void(size_t)>& fn)
+ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn)
 {
-    if (pool == nullptr || pool->threads() <= 1 || order.size() <= 1) {
-        for (size_t i : order) fn(i);
-        return;
-    }
-    for (size_t i : order) {
-        pool->Submit([&fn, i] { fn(i); });
-    }
-    pool->Wait();
+    if (jobs <= 1 || n <= 1) return ParallelFor(nullptr, n, fn);
+    Pool pool(static_cast<int>(std::min<size_t>(jobs, n)));
+    ParallelFor(&pool, n, fn);
 }
 
 }  // namespace heracles::runner

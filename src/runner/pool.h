@@ -82,26 +82,26 @@ class Pool
 };
 
 /**
- * Runs fn(0) .. fn(n-1). With @p jobs <= 1 (or a single item) the calls
- * run inline on the calling thread in index order — the serial reference
- * path; otherwise they fan out over a Pool of min(jobs, n) threads.
+ * Runs fn(0) .. fn(n-1) over @p pool, for callers that fan out
+ * repeatedly (the epoch engine steps its leaves every barrier interval;
+ * a thread spawn per epoch would dominate short intervals). Submits
+ * min(threads, n) tasks; each claims the next unclaimed index from one
+ * shared counter until none is left, so the work balances itself and
+ * the per-call overhead is per thread, not per index. With a null pool,
+ * a single-thread pool or n <= 1 the calls run inline in index order —
+ * the serial reference path. Tasks must be independent, so which
+ * thread runs which index can never change results. Blocks until every
+ * index has run; the caller must not submit other work to @p pool
+ * concurrently.
  */
-void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
+void ParallelFor(Pool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 /**
- * ParallelFor over an existing pool and an explicit submission order,
- * for callers that fan out repeatedly (the epoch engine dispatches its
- * leaves every barrier interval — a thread spawn per epoch would
- * dominate short intervals). Runs fn(i) for every i in @p order,
- * submitting (or, with a null/single-thread pool, running inline) in
- * that sequence. The epoch engine submits its largest leaf batches
- * first so the pool's FIFO dispatch starts the long poles before the
- * stragglers — pure scheduling: tasks must be independent, so the order
- * can never change results. Blocks until every entry has run; the
- * caller must not submit other work to @p pool concurrently.
+ * ParallelFor over a Pool of min(jobs, n) threads spawned for this call;
+ * with @p jobs <= 1 (or a single item) the calls run inline on the
+ * calling thread in index order.
  */
-void ParallelFor(Pool* pool, const std::vector<size_t>& order,
-                 const std::function<void(size_t)>& fn);
+void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& fn);
 
 /**
  * ParallelFor that collects fn(i) into a vector indexed by i. Results

@@ -7,18 +7,10 @@
 #include "sim/log.h"
 #include "sim/trace.h"
 #include "workloads/antagonists.h"
+#include "workloads/lc_configs.h"
 
 namespace heracles::scenarios {
 namespace {
-
-workloads::LcParams
-LcByName(const std::string& name)
-{
-    for (const auto& p : workloads::AllLcWorkloads()) {
-        if (p.name == name) return p;
-    }
-    HERACLES_FATAL("unknown LC workload in scenario: " << name);
-}
 
 bool
 HasBe(const ScenarioSpec& spec)
@@ -72,7 +64,7 @@ ComposeExperimentConfig(const ScenarioSpec& spec, const RunOptions& opts)
 {
     exp::ExperimentConfig cfg;
     cfg.machine = spec.machine;
-    cfg.lc = LcByName(spec.lc);
+    cfg.lc = workloads::LcWorkloadByName(spec.lc);
     if (HasBe(spec)) {
         cfg.be = workloads::BeProfileByName(spec.machine, spec.be);
     }
@@ -224,7 +216,7 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
                      ? opts.cluster_leaves
                      : spec.leaves;
     cfg.machine = spec.machine;
-    cfg.lc = LcByName(spec.lc);
+    cfg.lc = workloads::LcWorkloadByName(spec.lc);
     cfg.heracles = spec.heracles;
     cfg.colocate = spec.colocate;
     cfg.flash_crowd = spec.trace == TraceKind::kFlashCrowd;
@@ -240,7 +232,7 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
             spec.leaf_mix[i % spec.leaf_mix.size()];
         cluster::LeafSpec leaf;
         leaf.machine = MachineVariant(t.machine);
-        leaf.lc = LcByName(t.lc);
+        leaf.lc = workloads::LcWorkloadByName(t.lc);
         leaf.tail_scale = t.tail_scale;
         cfg.leaf_specs.push_back(std::move(leaf));
     }

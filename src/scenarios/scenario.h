@@ -80,7 +80,7 @@ struct ScenarioSpec {
     /** Server shape; every leaf of a cluster scenario uses the same. */
     hw::MachineConfig machine;
 
-    /** LC workload name resolved via workloads::AllLcWorkloads(). */
+    /** LC workload name resolved via workloads::LcWorkloadByName(). */
     std::string lc = "websearch";
     /** BE job name via workloads::BeProfileByName(); "none" = no BE. */
     std::string be = "brain";

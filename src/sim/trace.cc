@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "sim/log.h"
 
@@ -27,12 +26,6 @@ StepTrace::LoadAt(SimTime t) const
         steps_.begin(), steps_.end(), t,
         [](SimTime v, const Step& s) { return v < s.start; });
     return std::prev(it)->load;
-}
-
-Duration
-StepTrace::Length() const
-{
-    return steps_.back().start;
 }
 
 DiurnalTrace::DiurnalTrace(Duration length, double low, double high,
@@ -116,45 +109,6 @@ FlashCrowdTrace::LoadAt(SimTime t) const
         noise_.size() - 1,
         static_cast<size_t>(std::max<double>(ToSeconds(t), 0.0)));
     return std::clamp(level + noise_[second], 0.0, 1.0);
-}
-
-std::unique_ptr<CsvTrace>
-CsvTrace::FromString(const std::string& csv)
-{
-    auto trace = std::unique_ptr<CsvTrace>(new CsvTrace());
-    std::istringstream in(csv);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#') continue;
-        std::istringstream row(line);
-        double secs = 0.0, load = 0.0;
-        char comma = 0;
-        if (!(row >> secs >> comma >> load) || comma != ',') {
-            HERACLES_FATAL("malformed CSV trace row: '" << line << "'");
-        }
-        if (load > 1.5) load /= 100.0;  // percent notation
-        if (!trace->times_.empty() &&
-            Seconds(secs) <= trace->times_.back()) {
-            HERACLES_FATAL("CSV trace times must be increasing at: " << line);
-        }
-        trace->times_.push_back(Seconds(secs));
-        trace->loads_.push_back(std::clamp(load, 0.0, 1.0));
-    }
-    if (trace->times_.empty()) HERACLES_FATAL("empty CSV trace");
-    return trace;
-}
-
-double
-CsvTrace::LoadAt(SimTime t) const
-{
-    if (t <= times_.front()) return loads_.front();
-    if (t >= times_.back()) return loads_.back();
-    const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-    const size_t i = static_cast<size_t>(it - times_.begin());
-    const double frac =
-        static_cast<double>(t - times_[i - 1]) /
-        static_cast<double>(times_[i] - times_[i - 1]);
-    return loads_[i - 1] + frac * (loads_[i] - loads_[i - 1]);
 }
 
 }  // namespace heracles::sim

@@ -4,14 +4,12 @@
  *
  * The paper drives single-server sweeps with fixed load points and the
  * cluster experiment with an anonymized 12-hour production trace capturing
- * diurnal variation. This module provides constant, step, CSV-playback and
- * synthetic-diurnal traces with the same interface.
+ * diurnal variation. This module provides constant, step, synthetic-diurnal
+ * and flash-crowd traces with the same interface.
  */
 #ifndef HERACLES_SIM_TRACE_H
 #define HERACLES_SIM_TRACE_H
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/random.h"
@@ -53,8 +51,6 @@ class StepTrace : public LoadTrace
     explicit StepTrace(std::vector<Step> steps);
 
     double LoadAt(SimTime t) const override;
-    /** Start of the last step, after which the load holds. */
-    Duration Length() const;
 
   private:
     std::vector<Step> steps_;
@@ -105,23 +101,6 @@ class FlashCrowdTrace : public LoadTrace
     SimTime onset_;
     Duration ramp_, hold_, decay_;
     std::vector<double> noise_;  // precomputed per-second jitter
-};
-
-/**
- * Plays back "seconds,load" CSV rows (load either fraction or percent —
- * values > 1.5 are treated as percent). Linear interpolation between rows.
- */
-class CsvTrace : public LoadTrace
-{
-  public:
-    /** Parses CSV text. Throws HERACLES_FATAL on malformed input. */
-    static std::unique_ptr<CsvTrace> FromString(const std::string& csv);
-
-    double LoadAt(SimTime t) const override;
-
-  private:
-    std::vector<SimTime> times_;
-    std::vector<double> loads_;
 };
 
 }  // namespace heracles::sim

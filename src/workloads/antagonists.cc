@@ -1,5 +1,7 @@
 #include "workloads/antagonists.h"
 
+#include <utility>
+
 #include "sim/log.h"
 
 namespace heracles::workloads {
@@ -127,8 +129,8 @@ EvaluationBeSet(const hw::MachineConfig& cfg)
             Brain(),              Streetview(), Iperf()};
 }
 
-BeProfile
-BeProfileByName(const hw::MachineConfig& cfg, const std::string& name)
+std::optional<BeProfile>
+FindBeProfile(const hw::MachineConfig& cfg, const std::string& name)
 {
     if (name == "spinloop") return Spinloop();
     if (name == "stream-llc-small") return StreamLlcSmall(cfg);
@@ -141,7 +143,15 @@ BeProfileByName(const hw::MachineConfig& cfg, const std::string& name)
     if (name == "iperf") return Iperf();
     if (name == "brain") return Brain();
     if (name == "streetview") return Streetview();
-    HERACLES_FATAL("unknown BE profile: " << name);
+    return std::nullopt;
+}
+
+BeProfile
+BeProfileByName(const hw::MachineConfig& cfg, const std::string& name)
+{
+    std::optional<BeProfile> p = FindBeProfile(cfg, name);
+    if (!p.has_value()) HERACLES_FATAL("unknown BE profile: " << name);
+    return *std::move(p);
 }
 
 }  // namespace heracles::workloads

@@ -6,6 +6,7 @@
 #ifndef HERACLES_WORKLOADS_ANTAGONISTS_H
 #define HERACLES_WORKLOADS_ANTAGONISTS_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,7 +46,11 @@ BeProfile Streetview();
 /** The BE set used in the paper's Heracles evaluation (Section 5.1). */
 std::vector<BeProfile> EvaluationBeSet(const hw::MachineConfig& cfg);
 
-/** Profile by name ("brain", "stream-dram", ...); aborts if unknown. */
+/** Profile by name ("brain", "stream-dram", ...); nullopt if unknown. */
+std::optional<BeProfile> FindBeProfile(const hw::MachineConfig& cfg,
+                                       const std::string& name);
+
+/** FindBeProfile that aborts with a named diagnostic when unknown. */
 BeProfile BeProfileByName(const hw::MachineConfig& cfg,
                           const std::string& name);
 

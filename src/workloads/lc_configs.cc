@@ -1,5 +1,9 @@
 #include "workloads/lc_configs.h"
 
+#include <utility>
+
+#include "sim/log.h"
+
 namespace heracles::workloads {
 
 LcParams
@@ -101,6 +105,23 @@ std::vector<LcParams>
 AllLcWorkloads()
 {
     return {Websearch(), MlCluster(), Memkeyval()};
+}
+
+std::optional<LcParams>
+FindLcWorkload(const std::string& name)
+{
+    for (LcParams& p : AllLcWorkloads()) {
+        if (p.name == name) return std::move(p);
+    }
+    return std::nullopt;
+}
+
+LcParams
+LcWorkloadByName(const std::string& name)
+{
+    std::optional<LcParams> p = FindLcWorkload(name);
+    if (!p.has_value()) HERACLES_FATAL("unknown LC workload: " << name);
+    return *std::move(p);
 }
 
 LcParams

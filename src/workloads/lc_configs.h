@@ -22,6 +22,10 @@
 #ifndef HERACLES_WORKLOADS_LC_CONFIGS_H
 #define HERACLES_WORKLOADS_LC_CONFIGS_H
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "workloads/lc_app.h"
 
 namespace heracles::workloads {
@@ -37,6 +41,12 @@ LcParams Memkeyval();
 
 /** All three, for parameterized tests and sweeps. */
 std::vector<LcParams> AllLcWorkloads();
+
+/** The AllLcWorkloads() entry named @p name; nullopt if unknown. */
+std::optional<LcParams> FindLcWorkload(const std::string& name);
+
+/** FindLcWorkload that aborts with a named diagnostic when unknown. */
+LcParams LcWorkloadByName(const std::string& name);
 
 /**
  * Scales a workload's time constants (windows only, not SLO/service) by

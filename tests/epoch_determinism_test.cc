@@ -86,30 +86,30 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
-TEST(BatchingInvariance, BatchedParallelMatchesSerial)
+TEST(LargeClusterInvariance, ParallelMatchesSerial)
 {
-    // Leaf batching switches on at 64 leaves: 68 leaves step in nine
-    // batches of up to 8, the last holding four. A serial run steps the
-    // leaves one by one; the parallel run submits the batches largest
-    // first. Any leakage of the batch mapping or the batch submission
-    // order into simulation state shows up here.
+    // 68 leaves on four threads: every worker claims leaves one at a
+    // time from a shared counter, so which thread steps which leaf, and
+    // in what order, changes from barrier to barrier. A serial run steps
+    // the leaves in index order. Any leakage of the claim order into
+    // simulation state shows up here.
     const scenarios::ScenarioSpec& spec =
         scenarios::MustFindScenario("cluster_scale_rack_sharded");
 
     scenarios::RunOptions serial = scenarios::RunOptions::Golden();
     serial.cluster_leaves = 68;
     serial.cluster_jobs = 1;
-    scenarios::RunOptions batched = serial;
-    batched.cluster_jobs = 4;
+    scenarios::RunOptions parallel = serial;
+    parallel.cluster_jobs = 4;
 
     const scenarios::ScenarioMetrics a =
         scenarios::RunScenario(spec, serial);
     const scenarios::ScenarioMetrics b =
-        scenarios::RunScenario(spec, batched);
+        scenarios::RunScenario(spec, parallel);
     EXPECT_TRUE(a.ExactlyEquals(b))
-        << spec.name << ": batched jobs=4 diverged from serial jobs=1\n"
+        << spec.name << ": jobs=4 diverged from serial jobs=1\n"
         << "serial:\n"
-        << scenarios::MetricsToJson(a) << "batched:\n"
+        << scenarios::MetricsToJson(a) << "parallel:\n"
         << scenarios::MetricsToJson(b);
 }
 
@@ -163,37 +163,6 @@ TEST(PendingTable, LostQueriesAreDeterministic)
     EXPECT_EQ(a.emu.v, emu);
     EXPECT_EQ(a.target, 4292505);
     EXPECT_EQ(a.leaf_target, 7692387);
-}
-
-TEST(LeafBatching, AutoPolicyBatchesOnlyLargeClusters)
-{
-    // The mapping is configuration-only: a function of the leaf count.
-    EXPECT_EQ(cluster::LeafBatching::Resolve(3).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(63).batch_size, 1u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(64).batch_size, 8u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(1024).batch_size, 8u);
-    EXPECT_EQ(cluster::LeafBatching::Resolve(0).batches(), 0u);
-}
-
-TEST(LeafBatching, MappingPinsContiguousBatches)
-{
-    // 10 leaves in batches of 4: [0..3], [4..7], [8..9]. This exact
-    // mapping is what makes a batched run reproducible — pin it.
-    const cluster::LeafBatching b{10, 4};
-    EXPECT_EQ(b.batches(), 3u);
-    EXPECT_EQ(b.BatchOf(0), 0u);
-    EXPECT_EQ(b.BatchOf(3), 0u);
-    EXPECT_EQ(b.BatchOf(4), 1u);
-    EXPECT_EQ(b.BatchOf(7), 1u);
-    EXPECT_EQ(b.BatchOf(9), 2u);
-    EXPECT_EQ(b.BatchBegin(1), 4u);
-    EXPECT_EQ(b.BatchEnd(1), 8u);
-    EXPECT_EQ(b.BatchEnd(2), 10u);  // final batch is short
-    for (size_t leaf = 0; leaf < 10; ++leaf) {
-        const size_t batch = b.BatchOf(leaf);
-        EXPECT_GE(leaf, b.BatchBegin(batch));
-        EXPECT_LT(leaf, b.BatchEnd(batch));
-    }
 }
 
 TEST(BarrierClock, ContainsEveryWindowAndSchedulerTick)
@@ -385,10 +354,6 @@ TEST(TargetMemo, FieldsOutsideTheKeyHitAndMatchAFreshRun)
         {"colocate", [](auto& c) { c.colocate = !c.colocate; }},
         {"leaf be", [](auto& c) { c.leaf_specs[0].be.reset(); }},
         {"leaf tail_scale", [](auto& c) { c.leaf_specs[0].tail_scale = 1.5; }},
-        {"leaf tail_target_override",
-         [](auto& c) {
-             c.leaf_specs[0].tail_target_override = sim::Millis(30);
-         }},
         {"leaf machine seed",
          [](auto& c) { c.leaf_specs[0].machine.seed = 99; }},
     };

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/experiment.h"
@@ -91,6 +92,48 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
     std::vector<std::atomic<int>> hits(64);
     ParallelFor(4, hits.size(), [&hits](size_t i) { ++hits[i]; });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// The claim loop over a caller's pool, as the epoch engine uses it.
+TEST(ParallelFor, PoolClaimsEveryIndexExactlyOnce)
+{
+    Pool pool(4);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                           size_t{1000}}) {
+        std::vector<std::atomic<int>> hits(n);
+        ParallelFor(&pool, n, [&hits](size_t i) { ++hits[i]; });
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+        }
+    }
+}
+
+TEST(ParallelFor, OnePoolServesManyCalls)
+{
+    Pool pool(3);
+    std::vector<std::atomic<int>> hits(50);
+    for (int call = 0; call < 200; ++call) {
+        ParallelFor(&pool, hits.size(), [&hits](size_t i) { ++hits[i]; });
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 200);
+}
+
+TEST(ParallelFor, NullAndSingleThreadPoolsRunInlineInIndexOrder)
+{
+    Pool single(1);
+    for (Pool* pool : {static_cast<Pool*>(nullptr), &single}) {
+        std::vector<size_t> seen;
+        bool on_caller = true;
+        const std::thread::id caller = std::this_thread::get_id();
+        ParallelFor(pool, 10, [&](size_t i) {
+            seen.push_back(i);
+            on_caller &= std::this_thread::get_id() == caller;
+        });
+        std::vector<size_t> want(10);
+        std::iota(want.begin(), want.end(), 0);
+        EXPECT_EQ(seen, want);
+        EXPECT_TRUE(on_caller);
+    }
 }
 
 TEST(ParallelMap, ResultsIndexedRegardlessOfJobs)

@@ -697,7 +697,6 @@ TEST(Trace, StepSwitchesAtBoundaries)
     EXPECT_DOUBLE_EQ(t.LoadAt(Seconds(9)), 0.1);
     EXPECT_DOUBLE_EQ(t.LoadAt(Seconds(10)), 0.5);
     EXPECT_DOUBLE_EQ(t.LoadAt(Seconds(25)), 0.9);
-    EXPECT_EQ(t.Length(), Seconds(20));
 }
 
 TEST(TraceDeath, StepRequiresTimeZeroStart)
@@ -730,43 +729,6 @@ TEST(Trace, DiurnalDeterministicForSeed)
     for (int m = 0; m <= 60; ++m) {
         EXPECT_DOUBLE_EQ(a.LoadAt(Minutes(m)), b.LoadAt(Minutes(m)));
     }
-}
-
-TEST(Trace, CsvParsesAndInterpolates)
-{
-    auto t = CsvTrace::FromString("0,0.2\n10,0.4\n20,0.8\n");
-    EXPECT_DOUBLE_EQ(t->LoadAt(0), 0.2);
-    EXPECT_NEAR(t->LoadAt(Seconds(5)), 0.3, 1e-9);
-    EXPECT_DOUBLE_EQ(t->LoadAt(Seconds(20)), 0.8);
-    EXPECT_DOUBLE_EQ(t->LoadAt(Hours(1)), 0.8);  // holds last value
-}
-
-TEST(Trace, CsvAcceptsPercentNotation)
-{
-    auto t = CsvTrace::FromString("0,20\n10,80\n");
-    EXPECT_DOUBLE_EQ(t->LoadAt(0), 0.2);
-    EXPECT_DOUBLE_EQ(t->LoadAt(Seconds(10)), 0.8);
-}
-
-TEST(Trace, CsvSkipsCommentsAndBlankLines)
-{
-    auto t = CsvTrace::FromString("# header\n\n0,0.5\n");
-    EXPECT_DOUBLE_EQ(t->LoadAt(0), 0.5);
-}
-
-TEST(TraceDeath, CsvRejectsMalformedRow)
-{
-    EXPECT_DEATH(CsvTrace::FromString("garbage\n"), "malformed");
-}
-
-TEST(TraceDeath, CsvRejectsNonIncreasingTime)
-{
-    EXPECT_DEATH(CsvTrace::FromString("0,0.1\n0,0.2\n"), "increasing");
-}
-
-TEST(TraceDeath, CsvRejectsEmpty)
-{
-    EXPECT_DEATH(CsvTrace::FromString(""), "empty");
 }
 
 // --------------------------------------------------------------------------

@@ -19,8 +19,8 @@
  *   --scenario  cluster scenario to drive (default
  *               cluster_scale_rack_sharded, the 1024-leaf pod)
  *   --scale     time scale for the scenario's phases (default 1.0)
- *   --jobs      width of the parallel pass (default: hardware
- *               concurrency)
+ *   --jobs      width of the parallel pass, at least 2 (default:
+ *               hardware concurrency, at least 2)
  *   --leaves    overrides the scenario's leaf count (scenarios that pin
  *               their shape with fixed_leaves ignore this)
  *   --out       output path (default BENCH_cluster.json)
@@ -29,8 +29,10 @@
  * (a determinism regression — the record is still written, flagged);
  * 2 usage/IO error.
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench_common.h"
@@ -77,7 +79,10 @@ main(int argc, char** argv)
 {
     std::string scenario_name = "cluster_scale_rack_sharded";
     double scale = 1.0;
-    int jobs = runner::DefaultJobs();
+    // The parallel pass must be parallel: at width 1 both passes would
+    // share one target-run key, and the second would read the first's
+    // memoized run instead of repeating it.
+    int jobs = std::max(2, runner::DefaultJobs());
     int leaves = 0;
     std::string out_path = "BENCH_cluster.json";
     for (int i = 1; i < argc; ++i) {
@@ -88,7 +93,9 @@ main(int argc, char** argv)
                                        "a positive number up to 1000",
                                        tools::kPositive, 1000.0);
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = tools::ParsePositiveInt("--jobs", argv[++i]);
+            jobs = static_cast<int>(tools::ParseNumber(
+                "--jobs", argv[++i], "a positive integer of at least 2", 2,
+                std::numeric_limits<int>::max(), /*integer=*/true));
         } else if (!std::strcmp(argv[i], "--leaves") && i + 1 < argc) {
             leaves = tools::ParsePositiveInt("--leaves", argv[++i]);
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {

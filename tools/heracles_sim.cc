@@ -54,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,8 @@
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
 #include "sim/json.h"
+#include "workloads/antagonists.h"
+#include "workloads/lc_configs.h"
 
 using namespace heracles;
 using tools::kPositive;
@@ -345,17 +348,10 @@ ParsePolicy(const std::string& name)
     if (name == "baseline") return exp::PolicyKind::kNoColocation;
     if (name == "os-only") return exp::PolicyKind::kOsOnly;
     if (name == "static") return exp::PolicyKind::kStaticPartition;
-    std::fprintf(stderr, "unknown policy: %s\n", name.c_str());
-    std::exit(2);
-}
-
-workloads::LcParams
-ParseLc(const std::string& name)
-{
-    for (const auto& p : workloads::AllLcWorkloads()) {
-        if (p.name == name) return p;
-    }
-    std::fprintf(stderr, "unknown LC workload: %s\n", name.c_str());
+    std::fprintf(stderr,
+                 "error: unknown --policy '%s' (want heracles|baseline|"
+                 "os-only|static)\n",
+                 name.c_str());
     std::exit(2);
 }
 
@@ -493,9 +489,21 @@ main(int argc, char** argv)
     }
 
     exp::ExperimentConfig cfg;
-    cfg.lc = ParseLc(lc_name);
+    const std::optional<workloads::LcParams> lc =
+        workloads::FindLcWorkload(lc_name);
+    if (!lc.has_value()) {
+        std::fprintf(stderr, "error: unknown --lc workload '%s'\n",
+                     lc_name.c_str());
+        return 2;
+    }
+    cfg.lc = *lc;
     if (be_name != "none") {
-        cfg.be = workloads::BeProfileByName(cfg.machine, be_name);
+        cfg.be = workloads::FindBeProfile(cfg.machine, be_name);
+        if (!cfg.be.has_value()) {
+            std::fprintf(stderr, "error: unknown --be profile '%s'\n",
+                         be_name.c_str());
+            return 2;
+        }
     }
     cfg.policy = ParsePolicy(policy_name);
     cfg.warmup = sim::Seconds(warmup_s);
