@@ -60,13 +60,14 @@ EmitRecord(const std::string& json, const std::string& path)
     std::fputs(json.c_str(), stdout);
     if (path.empty()) return true;
     FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
+    bool ok = f != nullptr;
+    if (ok) {
+        // A full disk can fail either the write or the flush in fclose.
+        ok = std::fputs(json.c_str(), f) != EOF;
+        ok = std::fclose(f) == 0 && ok;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    return true;
+    if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok;
 }
 
 /**

@@ -63,6 +63,6 @@ main()
     std::printf(
         "\nml_cluster tolerates network antagonists but is destroyed by\n"
         "LLC/DRAM pressure — so a static or OS-only policy cannot \n"
-        "colocate it safely, while Heracles can (see fig4_latency_slo).\n");
+        "colocate it safely, while Heracles can (see fig4_7_colocation).\n");
     return 0;
 }

@@ -47,19 +47,6 @@ Table::Print(std::ostream& os) const
     for (const auto& row : rows_) print_row(row);
 }
 
-void
-Table::PrintCsv(std::ostream& os) const
-{
-    auto print_row = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            os << (c == 0 ? "" : ",") << row[c];
-        }
-        os << '\n';
-    };
-    print_row(headers_);
-    for (const auto& row : rows_) print_row(row);
-}
-
 std::string
 FormatPct(double fraction, int decimals)
 {

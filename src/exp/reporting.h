@@ -23,9 +23,6 @@ class Table
     /** Prints with space-aligned columns. */
     void Print(std::ostream& os = std::cout) const;
 
-    /** Prints as CSV (no alignment). */
-    void PrintCsv(std::ostream& os = std::cout) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

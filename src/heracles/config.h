@@ -3,8 +3,10 @@
  * Heracles controller configuration.
  *
  * Defaults are the constants from the paper's Algorithms 1-4 and the
- * surrounding text of Section 4.3. Everything is configurable so the
- * ablation benches can study each choice.
+ * surrounding text of Section 4.3. The fields here are the ones a
+ * bench, test or other module sets or reads; constants that nothing
+ * varies (subcontroller periods, load hysteresis, the initial BE
+ * allocation, DVFS stepping) live next to their one reader.
  */
 #ifndef HERACLES_HERACLES_CONFIG_H
 #define HERACLES_HERACLES_CONFIG_H
@@ -19,10 +21,6 @@ struct HeraclesConfig {
     /** Poll period: "every 15 seconds ... sufficient queries to calculate
      *  statistically meaningful tail latencies". */
     sim::Duration top_period = sim::Seconds(15);
-    /** Disable BE when LC load exceeds this fraction of peak. */
-    double load_disable = 0.85;
-    /** Re-enable BE when load drops below this (hysteresis). */
-    double load_enable = 0.80;
     /** Below this latency slack, BE growth is disallowed. */
     double slack_disallow_growth = 0.10;
     /** Below this slack, cores are taken away from BE immediately. */
@@ -32,15 +30,8 @@ struct HeraclesConfig {
     sim::Duration cooldown = sim::Minutes(5);
 
     // --- Core & memory subcontroller (Algorithm 2) -----------------------------
-    sim::Duration core_mem_period = sim::Seconds(2);
     /** DRAM_LIMIT as a fraction of peak streaming bandwidth. */
     double dram_limit_frac = 0.90;
-    /** A new BE job starts with one core and ~10% of the LLC. */
-    int initial_be_cores = 1;
-    double initial_be_llc_frac = 0.10;
-    /** Relative BE throughput gain below which a cache grow "did not
-     *  benefit" the BE task (BeBenefit test). */
-    double be_benefit_eps = 0.01;
     /**
      * Gate BE core growth on the *fast* (~2 s) tail estimate in addition
      * to the 15 s slack from the top level. The top-level slack is up to
@@ -74,22 +65,11 @@ struct HeraclesConfig {
     double fast_growth_margin = 0.20;
 
     // --- Power subcontroller (Algorithm 3) ---------------------------------------
-    sim::Duration power_period = sim::Seconds(2);
     /** Power threshold as a fraction of TDP (lower BE frequency above
      *  this when the LC cores are below guaranteed frequency). */
     double tdp_threshold = 0.90;
-    /**
-     * Raise the BE frequency cap only while power is below this fraction
-     * of TDP. The gap between the two thresholds is hysteresis: without
-     * it the controller saw-tooths across the RAPL limit, dipping the LC
-     * cores below guaranteed frequency every other tick.
-     */
-    double tdp_raise_threshold = 0.80;
-    /** DVFS steps applied per tick when shifting power. */
-    int dvfs_steps_per_tick = 2;
 
     // --- Network subcontroller (Algorithm 4) ---------------------------------------
-    sim::Duration net_period = sim::Seconds(1);
     /** Headroom = max(link_frac * LinkRate, lc_frac * LCBandwidth). */
     double net_headroom_link_frac = 0.05;
     double net_headroom_lc_frac = 0.10;

@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace heracles::ctl {
+namespace {
+
+/** Disable BE when LC load exceeds this fraction of peak. */
+constexpr double kLoadDisable = 0.85;
+/** Re-enable BE when load drops below this (hysteresis). */
+constexpr double kLoadEnable = 0.80;
+/** Tick periods of the core & memory, power and network subcontrollers
+ *  (Algorithms 2-4). */
+constexpr sim::Duration kCoreMemPeriod = sim::Seconds(2);
+constexpr sim::Duration kPowerPeriod = sim::Seconds(2);
+constexpr sim::Duration kNetPeriod = sim::Seconds(1);
+
+}  // namespace
 
 HeraclesController::HeraclesController(platform::Platform& platform,
                                        HeraclesConfig cfg, LcBwModel model)
@@ -29,16 +42,15 @@ HeraclesController::Start()
                                     [this] { TopTick(); });
     if (cfg_.enable_core_mem) {
         core_mem_event_ = q.SchedulePeriodic(
-            cfg_.core_mem_period, cfg_.core_mem_period,
+            kCoreMemPeriod, kCoreMemPeriod,
             [this] { core_mem_->Tick(can_grow_be_, last_slack_); });
     }
     if (cfg_.enable_power) {
-        power_event_ =
-            q.SchedulePeriodic(cfg_.power_period, cfg_.power_period,
-                               [this] { power_->Tick(); });
+        power_event_ = q.SchedulePeriodic(kPowerPeriod, kPowerPeriod,
+                                          [this] { power_->Tick(); });
     }
     if (cfg_.enable_net) {
-        net_event_ = q.SchedulePeriodic(cfg_.net_period, cfg_.net_period,
+        net_event_ = q.SchedulePeriodic(kNetPeriod, kNetPeriod,
                                         [this] { network_->Tick(); });
     }
 }
@@ -123,12 +135,12 @@ HeraclesController::TopTick()
         cooldown_until_ = platform_.queue().Now() + cfg_.cooldown;
         return;
     }
-    if (load > cfg_.load_disable) {
+    if (load > kLoadDisable) {
         if (be_enabled_) ++stats_.be_disables_load;
         DisableBE();
         return;
     }
-    if (load < cfg_.load_enable) {
+    if (load < kLoadEnable) {
         EnableBE();
     }
     if (!be_enabled_) return;

@@ -4,6 +4,16 @@
 #include <cmath>
 
 namespace heracles::ctl {
+namespace {
+
+/** A new BE job starts with one core and ~10% of the LLC. */
+constexpr int kInitialBeCores = 1;
+constexpr double kInitialBeLlcFrac = 0.10;
+/** Relative BE throughput gain below which a cache grow "did not
+ *  benefit" the BE task (BeBenefit test). */
+constexpr double kBeBenefitEps = 0.01;
+
+}  // namespace
 
 CoreMemController::CoreMemController(platform::Platform& platform,
                                      const HeraclesConfig& cfg,
@@ -60,9 +70,9 @@ CoreMemController::OnBeEnabled()
 {
     state_ = State::kGrowLlc;
     const int ways = std::max(
-        1, static_cast<int>(std::round(cfg_.initial_be_llc_frac *
+        1, static_cast<int>(std::round(kInitialBeLlcFrac *
                                        platform_.TotalLlcWays())));
-    platform_.SetBeCores(cfg_.initial_be_cores);
+    platform_.SetBeCores(kInitialBeCores);
     platform_.SetBeWays(ways);
     last_total_bw_ = platform_.MeasuredDramGbps();
     bw_derivative_ = 0.0;
@@ -155,8 +165,7 @@ CoreMemController::Tick(bool can_grow_be, double slack)
         // BeBenefit(): keep the way, but stop pushing cache if the BE
         // task no longer speeds up.
         const double rate_after = platform_.BeRate();
-        if (rate_after <
-            rate_before * (1.0 + cfg_.be_benefit_eps)) {
+        if (rate_after < rate_before * (1.0 + kBeBenefitEps)) {
             state_ = State::kGrowCores;
         }
     } else {  // State::kGrowCores

@@ -3,6 +3,20 @@
 #include <algorithm>
 
 namespace heracles::ctl {
+namespace {
+
+/**
+ * Raise the BE frequency cap only while power is below this fraction
+ * of TDP. The gap between this and HeraclesConfig::tdp_threshold is
+ * hysteresis: without it the controller saw-tooths across the RAPL
+ * limit, dipping the LC cores below guaranteed frequency every other
+ * tick.
+ */
+constexpr double kTdpRaiseThreshold = 0.80;
+/** DVFS steps applied per tick when shifting power. */
+constexpr int kDvfsStepsPerTick = 2;
+
+}  // namespace
 
 PowerController::PowerController(platform::Platform& platform,
                                  const HeraclesConfig& cfg)
@@ -31,8 +45,7 @@ PowerController::Tick()
             std::max(power_frac, platform_.SocketPowerW(s) / platform_.TdpW());
     }
     const double lc_freq = platform_.LcFreqGhz();
-    const double step =
-        cfg_.dvfs_steps_per_tick * platform_.FreqStepGhz();
+    const double step = kDvfsStepsPerTick * platform_.FreqStepGhz();
 
     double cap = platform_.BeFreqCapGhz();
     if (cap == 0.0) cap = platform_.MaxGhz();  // uncapped
@@ -42,7 +55,7 @@ PowerController::Tick()
         // LowerFrequency(be_cores): shift power budget to LC cores.
         const double next = std::max(platform_.MinGhz(), cap - step);
         platform_.SetBeFreqCapGhz(next);
-    } else if (power_frac <= cfg_.tdp_raise_threshold &&
+    } else if (power_frac <= kTdpRaiseThreshold &&
                lc_freq >= guaranteed_ghz_ - 1e-3) {
         // IncreaseFrequency(be_cores): comfortable headroom available.
         const double next = cap + step;

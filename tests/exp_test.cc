@@ -37,15 +37,6 @@ TEST(Reporting, TableAlignsColumns)
     EXPECT_NE(out.find("xx  y"), std::string::npos);
 }
 
-TEST(Reporting, TableCsv)
-{
-    Table t({"a", "b"});
-    t.AddRow({"1", "2"});
-    std::ostringstream os;
-    t.PrintCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(ReportingDeath, RowWidthMismatchAborts)
 {
     Table t({"a", "b"});

@@ -128,6 +128,9 @@ TEST(Golden, MatchesBaselines)
             ASSERT_TRUE(out.good())
                 << "cannot write " << GoldenPath(m.scenario);
             out << MetricsToJson(m);
+            out.close();
+            ASSERT_TRUE(out.good())
+                << "cannot write " << GoldenPath(m.scenario);
         }
         std::printf("[golden] wrote %zu baselines to %s\n", results.size(),
                     HERACLES_GOLDEN_DIR);
