@@ -170,13 +170,17 @@ main(int argc, char** argv)
         table.Print();
     }
     std::printf(
-        "\nEvery mechanism matters for the antagonist that stresses its\n"
-        "resource: removing it yields an SLO violation, emergency BE\n"
-        "disables (instability hidden behind 5-minute cooldowns), an\n"
-        "EMU collapse, or visibly thinner latency slack. Where a row\n"
-        "changes little, the latency-slack guards are covering for the\n"
-        "removed mechanism (defense in depth) at the cost of reacting\n"
-        "after the tail degrades instead of before saturation.\n");
+        "\nNo A1 row violates the SLO. Three removals make the run more\n"
+        "conservative, not unsafe. Without the DRAM limit the tail falls\n"
+        "from 85%% to 62%% of the SLO and EMU from 68%% to 20%%, after one\n"
+        "BE disable; without network control, 36%% to 23%% and 120%% to\n"
+        "50%%, also after one disable; without core&mem control, 80%% to\n"
+        "62%% and 83%% to 52%%. Only the power ablation thins the slack:\n"
+        "the tail rises from 83%% to 91%% and EMU from 94%% to 99%%. At\n"
+        "these points the latency-slack guards cover for a removed\n"
+        "mechanism (defense in depth): the cost shows as lost EMU or\n"
+        "thinner slack, not as a violation. (Full-scale figures; fast\n"
+        "mode reads 89%% and 98%% for the power row.)\n");
 
     exp::PrintBanner(
         "Ablation A2: controller parameters (websearch+brain @ 50%)");

@@ -36,6 +36,31 @@ Checked(const MachineConfig& cfg)
     return cfg;
 }
 
+/**
+ * Adds one busy thread of a client to core @p c: the thread contributes
+ * its share of the core's busy level and intensity, and its DVFS cap.
+ * Both power paths apply exactly this update, in the same order.
+ */
+void
+AddThread(CorePowerRequest& c, double busy, double intensity,
+          double freq_cap_ghz, int threads_per_core)
+{
+    // Each busy thread contributes its share; two busy threads saturate
+    // the physical core.
+    const double add = busy / threads_per_core;
+    const double w_old = c.busy;
+    c.busy = std::min(1.0, c.busy + add);
+    const double w_new = c.busy - w_old;
+    if (c.busy > 0.0) {
+        c.intensity = (c.intensity * w_old + intensity * w_new) / c.busy;
+    }
+    if (freq_cap_ghz > 0.0) {
+        c.dvfs_cap_ghz = c.dvfs_cap_ghz > 0.0
+                             ? std::min(c.dvfs_cap_ghz, freq_cap_ghz)
+                             : freq_cap_ghz;
+    }
+}
+
 }  // namespace
 
 Machine::Machine(const MachineConfig& cfg, sim::EventQueue& queue)
@@ -66,6 +91,7 @@ Machine::AddClient(ResourceClient* client)
                            "client registered twice: " << client->name());
     }
     clients_.emplace_back(client, ClientState{});
+    BuildLayoutClasses();
     demand_dirty_ = true;
 }
 
@@ -76,6 +102,7 @@ Machine::RemoveClient(ResourceClient* client)
     for (auto it = clients_.begin(); it != clients_.end(); ++it) {
         if (it->first == client) {
             clients_.erase(it);
+            BuildLayoutClasses();
             demand_dirty_ = true;
             return;
         }
@@ -122,6 +149,7 @@ Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
     ClientState& st = StateOf(client);
     st.cpus = cpus;
     BuildLayout(st);
+    BuildLayoutClasses();
     demand_dirty_ = true;
 }
 
@@ -137,6 +165,91 @@ Machine::BuildLayout(ClientState& st) const
         st.socket_cores[topo_.SocketOf(cpu)].push_back(
             topo_.CoreOf(cpu) % cfg_.cores_per_socket);
     });
+}
+
+void
+Machine::BuildLayoutClasses()
+{
+    const size_t n = clients_.size();
+    const auto same_terms = [](const HtTerm& a, const HtTerm& b) {
+        return a.other == b.other && a.sibling == b.sibling &&
+               a.same == b.same;
+    };
+    // HT runs: each cpu's pattern lists the other clients that hold its
+    // sibling or the cpu itself, in registration order.
+    std::vector<HtTerm> pattern;
+    for (size_t c = 0; c < n; ++c) {
+        ClientState& st = clients_[c].second;
+        st.ht_runs.clear();
+        st.ht_terms.clear();
+        size_t run_begin = 0;  // The last run's first term.
+        for (size_t i = 0; i < st.cpu_list.size(); ++i) {
+            pattern.clear();
+            for (size_t o = 0; o < n; ++o) {
+                if (o == c) continue;
+                const CpuSet& ocpus = clients_[o].second.cpus;
+                HtTerm t;
+                t.other = static_cast<int>(o);
+                t.sibling = st.siblings[i] >= 0 &&
+                            ocpus.Contains(st.siblings[i]);
+                t.same = ocpus.Contains(st.cpu_list[i]);
+                if (t.sibling || t.same) pattern.push_back(t);
+            }
+            // Position 2 starts a run after the two single-entry ones.
+            if (i > 2 &&
+                std::equal(pattern.begin(), pattern.end(),
+                           st.ht_terms.begin() + run_begin,
+                           st.ht_terms.end(), same_terms)) {
+                ++st.ht_runs.back().len;
+                continue;
+            }
+            run_begin = st.ht_terms.size();
+            st.ht_terms.insert(st.ht_terms.end(), pattern.begin(),
+                               pattern.end());
+            st.ht_runs.push_back(
+                HtRun{1, static_cast<int>(st.ht_terms.size())});
+        }
+    }
+
+    // Core classes: per socket, each core's (client, threads) sequence.
+    const int cores = cfg_.cores_per_socket;
+    std::vector<int> threads(n * cores);
+    std::vector<std::pair<int, int>> seq;
+    for (int socket = 0; socket < cfg_.sockets; ++socket) {
+        std::fill(threads.begin(), threads.end(), 0);
+        for (size_t c = 0; c < n; ++c) {
+            for (int core : clients_[c].second.socket_cores[socket]) {
+                ++threads[c * cores + core];
+            }
+        }
+        CoreClasses& cc = core_classes_[socket];
+        cc.class_of.assign(cores, 0);
+        cc.steps_end.clear();
+        cc.steps.clear();
+        for (int core = 0; core < cores; ++core) {
+            seq.clear();
+            for (size_t c = 0; c < n; ++c) {
+                const int k = threads[c * cores + core];
+                if (k > 0) seq.emplace_back(static_cast<int>(c), k);
+            }
+            size_t cls = 0;
+            int begin = 0;
+            for (; cls < cc.steps_end.size(); ++cls) {
+                const int end = cc.steps_end[cls];
+                if (std::equal(seq.begin(), seq.end(),
+                               cc.steps.begin() + begin,
+                               cc.steps.begin() + end)) {
+                    break;
+                }
+                begin = end;
+            }
+            if (cls == cc.steps_end.size()) {
+                cc.steps.insert(cc.steps.end(), seq.begin(), seq.end());
+                cc.steps_end.push_back(static_cast<int>(cc.steps.size()));
+            }
+            cc.class_of[core] = static_cast<int>(cls);
+        }
+    }
 }
 
 const CpuSet&
@@ -378,45 +491,84 @@ Machine::ResolveHt()
     for (size_t o = 0; o < n; ++o) {
         ht_aggr_[o] = clients_[o].first->HtAggression() - 1.0;
     }
-    for (auto& [client, st] : clients_) {
+    for (size_t c = 0; c < n; ++c) {
+        ClientState& st = clients_[c].second;
         if (st.cpus.Empty()) {
             st.view.ht_penalty = 1.0;
             continue;
         }
-        double total = 0.0;
-        int n_cpus = 0;
-        for (size_t i = 0; i < st.cpu_list.size(); ++i) {
-            const int cpu = st.cpu_list[i];
-            const int sib = st.siblings[i];
-            double p = 1.0;
-            for (size_t o = 0; o < n; ++o) {
-                auto& [other, ost] = clients_[o];
-                if (other == client) continue;
-                if (ht_aggr_[o] <= 0.0) continue;
-                // Same-instant busy queries are stable from the second
-                // one on (the first resets the client's measurement
-                // window, the second reads the post-reset instantaneous
-                // level, and nothing can change busy counts inside a
-                // resolve) — so cpus past the second reuse the second
-                // query's value, the exact number a per-cpu query would
-                // return.
-                const double busy =
-                    n_cpus < 2 ? (ht_busy_[o] = other->CpuBusyFraction())
-                               : ht_busy_[o];
-                if (sib >= 0 && ost.cpus.Contains(sib)) {
-                    p += ht_aggr_[o] * busy;
-                }
-                if (ost.cpus.Contains(cpu)) {
-                    // Sharing the same logical cpu (OS-only baseline) is
-                    // considerably worse than sharing a sibling.
-                    p += 1.6 * ht_aggr_[o] * busy;
-                }
+        st.view.ht_penalty = naive_ ? HtPenaltyPerCpu(c) : HtPenaltyPerRun(c);
+    }
+}
+
+double
+Machine::HtPenaltyPerRun(size_t c)
+{
+    const ClientState& st = clients_[c].second;
+    double total = 0.0;
+    int n_cpus = 0;
+    size_t t = 0;
+    for (const HtRun& run : st.ht_runs) {
+        if (n_cpus < 2) {
+            // The per-cpu loop queries every other aggressor at the first
+            // two cpus, in client order; the runs there are one cpu long.
+            for (size_t o = 0; o < clients_.size(); ++o) {
+                if (o == c || ht_aggr_[o] <= 0.0) continue;
+                ht_busy_[o] = clients_[o].first->CpuBusyFraction();
             }
+        }
+        double p = 1.0;
+        for (; t < static_cast<size_t>(run.terms_end); ++t) {
+            const HtTerm& term = st.ht_terms[t];
+            const double aggr = ht_aggr_[term.other];
+            if (aggr <= 0.0) continue;
+            const double busy = ht_busy_[term.other];
+            if (term.sibling) p += aggr * busy;
+            if (term.same) p += 1.6 * aggr * busy;
+        }
+        for (int k = 0; k < run.len; ++k) {
             total += p;
             ++n_cpus;
         }
-        st.view.ht_penalty = n_cpus > 0 ? total / n_cpus : 1.0;
     }
+    return n_cpus > 0 ? total / n_cpus : 1.0;
+}
+
+double
+Machine::HtPenaltyPerCpu(size_t c)
+{
+    const auto& [client, st] = clients_[c];
+    const size_t n = clients_.size();
+    double total = 0.0;
+    int n_cpus = 0;
+    for (size_t i = 0; i < st.cpu_list.size(); ++i) {
+        const int cpu = st.cpu_list[i];
+        const int sib = st.siblings[i];
+        double p = 1.0;
+        for (size_t o = 0; o < n; ++o) {
+            auto& [other, ost] = clients_[o];
+            if (other == client) continue;
+            if (ht_aggr_[o] <= 0.0) continue;
+            // Same-instant busy queries are stable from the second
+            // one on (see ResourceClient::CpuBusyFraction) — so cpus
+            // past the second reuse the second query's value, the exact
+            // number a per-cpu query would return.
+            const double busy =
+                n_cpus < 2 ? (ht_busy_[o] = other->CpuBusyFraction())
+                           : ht_busy_[o];
+            if (sib >= 0 && ost.cpus.Contains(sib)) {
+                p += ht_aggr_[o] * busy;
+            }
+            if (ost.cpus.Contains(cpu)) {
+                // Sharing the same logical cpu (OS-only baseline) is
+                // considerably worse than sharing a sibling.
+                p += 1.6 * ht_aggr_[o] * busy;
+            }
+        }
+        total += p;
+        ++n_cpus;
+    }
+    return n_cpus > 0 ? total / n_cpus : 1.0;
 }
 
 void
@@ -427,34 +579,13 @@ Machine::ResolvePowerAllSockets()
     for (auto& [c, st] : clients_) st.view.freq_ghz = 0.0;
 
     for (int socket = 0; socket < cfg_.sockets; ++socket) {
-        std::vector<CorePowerRequest>& cores = scratch_cores_;
-        cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
-        // Fill per-core busy/intensity/caps from thread ownership.
-        for (auto& [client, st] : clients_) {
-            if (st.cpus.Empty()) continue;
-            const double busy = client->CpuBusyFraction();
-            const double intensity = client->PowerIntensity();
-            for (int core_local : st.socket_cores[socket]) {
-                auto& c = cores[core_local];
-                // Each busy thread contributes its share; two busy
-                // threads saturate the physical core.
-                const double add = busy / cfg_.threads_per_core;
-                const double w_old = c.busy;
-                c.busy = std::min(1.0, c.busy + add);
-                const double w_new = c.busy - w_old;
-                if (c.busy > 0.0) {
-                    c.intensity = (c.intensity * w_old + intensity * w_new) /
-                                  c.busy;
-                }
-                if (st.freq_cap_ghz > 0.0) {
-                    c.dvfs_cap_ghz =
-                        c.dvfs_cap_ghz > 0.0
-                            ? std::min(c.dvfs_cap_ghz, st.freq_cap_ghz)
-                            : st.freq_cap_ghz;
-                }
-            }
+        if (naive_) {
+            FillCoresPerCore(socket);
+        } else {
+            FillCoresPerClass(socket);
         }
-        ResolvePower(cfg_, cores, &power_scratch_, &scratch_power_);
+        ResolvePower(cfg_, scratch_cores_, &power_scratch_, &scratch_power_,
+                     /*reuse_neighbours=*/!naive_);
         const PowerOutcome& pw = scratch_power_;
         socket_power_[socket] = pw.socket_power_w;
 
@@ -476,6 +607,58 @@ Machine::ResolvePowerAllSockets()
         if (!st.cpus.Empty() && st.view.freq_ghz < cfg_.min_ghz) {
             st.view.freq_ghz = cfg_.min_ghz;
         }
+    }
+}
+
+void
+Machine::FillCoresPerCore(int socket)
+{
+    std::vector<CorePowerRequest>& cores = scratch_cores_;
+    cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
+    // Fill per-core busy/intensity/caps from thread ownership.
+    for (auto& [client, st] : clients_) {
+        if (st.cpus.Empty()) continue;
+        const double busy = client->CpuBusyFraction();
+        const double intensity = client->PowerIntensity();
+        for (int core_local : st.socket_cores[socket]) {
+            AddThread(cores[core_local], busy, intensity, st.freq_cap_ghz,
+                      cfg_.threads_per_core);
+        }
+    }
+}
+
+void
+Machine::FillCoresPerClass(int socket)
+{
+    // The same queries, in the same order, as the per-core fill.
+    const size_t n = clients_.size();
+    power_busy_.resize(n);
+    power_intensity_.resize(n);
+    for (size_t c = 0; c < n; ++c) {
+        const auto& [client, st] = clients_[c];
+        if (st.cpus.Empty()) continue;
+        power_busy_[c] = client->CpuBusyFraction();
+        power_intensity_[c] = client->PowerIntensity();
+    }
+    // A core's request depends only on its class's update sequence.
+    const CoreClasses& cc = core_classes_[socket];
+    class_reqs_.assign(cc.steps_end.size(), CorePowerRequest{});
+    size_t s = 0;
+    for (size_t k = 0; k < class_reqs_.size(); ++k) {
+        for (; s < static_cast<size_t>(cc.steps_end[k]); ++s) {
+            const auto [c, threads] = cc.steps[s];
+            for (int t = 0; t < threads; ++t) {
+                AddThread(class_reqs_[k], power_busy_[c],
+                          power_intensity_[c],
+                          clients_[c].second.freq_cap_ghz,
+                          cfg_.threads_per_core);
+            }
+        }
+    }
+    std::vector<CorePowerRequest>& cores = scratch_cores_;
+    cores.resize(cfg_.cores_per_socket);
+    for (int core = 0; core < cfg_.cores_per_socket; ++core) {
+        cores[core] = class_reqs_[cc.class_of[core]];
     }
 }
 

@@ -27,9 +27,12 @@
  * RequestResolve(), which coalesces every same-timestamp demand change
  * into one deferred resolve at the current instant; EnsureResolved()
  * flushes the pending resolve at every observation point so nothing can
- * read a stale view. Both paths are byte-identical to the historical
- * eager full-scan resolver (pinned by tests/machine_equivalence_test.cc
- * and the golden scenario baselines).
+ * read a stale view. The busy-driven HT and power phases work on layout
+ * classes that the cpuset mutators rebuild: cpus that see the same
+ * foreign HT pattern share one penalty, and cores holding the same
+ * clients' threads share one power request. All of it is byte-identical
+ * to the historical eager full-scan resolver (pinned by
+ * tests/machine_equivalence_test.cc and the golden scenario baselines).
  */
 #ifndef HERACLES_HW_MACHINE_H
 #define HERACLES_HW_MACHINE_H
@@ -159,10 +162,11 @@ class Machine
 
     /**
      * Disables every incremental path: RequestResolve() becomes an eager
-     * ResolveNow(), each resolve recomputes all phases, and each resolve
-     * rebuilds every client's cached cpu layout from its cpuset. The
-     * retained naive reference for the equivalence test and the
-     * arbitration microbench.
+     * ResolveNow(), each resolve recomputes all phases, each resolve
+     * rebuilds every client's cached cpu layout from its cpuset, and the
+     * HT and power phases loop over every cpu and every core instead of
+     * over the layout classes. The retained naive reference for the
+     * equivalence test and the arbitration microbench.
      */
     void SetNaiveArbitration(bool naive);
 
@@ -212,6 +216,19 @@ class Machine
     void ResetTelemetryAverages();
 
   private:
+    /** Another client's share of one cpu: on its HT sibling, on the cpu
+     *  itself (OS-only sharing), or both. */
+    struct HtTerm {
+        int other = 0;  ///< Index into clients_.
+        bool sibling = false;
+        bool same = false;
+    };
+    /** `len` consecutive cpu_list entries with one HT pattern: the terms
+     *  from the previous run's `terms_end` up to this one's. */
+    struct HtRun {
+        int len = 0;
+        int terms_end = 0;
+    };
     struct ClientState {
         CpuSet cpus;
         // The cpu layout the resolver loops over, derived from `cpus` by
@@ -221,9 +238,24 @@ class Machine
         /** Per socket: the local core id of each of the client's cpus
          *  there, in cpu_list order. */
         std::array<std::vector<int>, kMaxSockets> socket_cores;
+        // cpu_list as HT runs (BuildLayoutClasses). Positions 0 and 1 are
+        // runs of their own: the HT phase queries busy levels there.
+        std::vector<HtRun> ht_runs;
+        std::vector<HtTerm> ht_terms;
         int cat_ways = 0;
         double freq_cap_ghz = 0.0;
         TaskView view;
+    };
+    /**
+     * One socket's cores grouped by class: a core's class is the
+     * sequence of (client index, threads it holds on the core) in
+     * registration order, which fixes its CorePowerRequest.
+     */
+    struct CoreClasses {
+        std::vector<int> class_of;  ///< Per local core.
+        /** Per class: end of its steps in `steps` (begin = previous end). */
+        std::vector<int> steps_end;
+        std::vector<std::pair<int, int>> steps;  ///< (client, threads).
     };
 
     /** The epoch timer's resolve: honors demand-dirty tracking. */
@@ -243,9 +275,25 @@ class Machine
     /** Rebuilds @p st's cpu layout from st.cpus (reuses capacity). */
     void BuildLayout(ClientState& st) const;
 
+    /**
+     * Rebuilds every client's HT runs and every socket's core classes
+     * from the cached cpu layouts. Both depend on every client's cpuset
+     * and on the client order, so AssignCpus, AddClient and RemoveClient
+     * rebuild them all.
+     */
+    void BuildLayoutClasses();
+
     void ResolveLlcAndDram();
+    /** The HT phase: each client's penalty from its HT runs, or from
+     *  every cpu when naive. */
     void ResolveHt();
+    double HtPenaltyPerRun(size_t client);
+    double HtPenaltyPerCpu(size_t client);
+    /** The power phase: one CorePowerRequest per core class, or per core
+     *  when naive. */
     void ResolvePowerAllSockets();
+    void FillCoresPerClass(int socket);
+    void FillCoresPerCore(int socket);
     void ResolveNetwork();
     void UpdateTelemetry();
     ClientState& StateOf(ResourceClient* client);
@@ -290,6 +338,10 @@ class Machine
     PowerScratch power_scratch_;
     std::vector<double> ht_aggr_;  ///< Per-client aggression minus one.
     std::vector<double> ht_busy_;  ///< Per-client hoisted busy values.
+    std::array<CoreClasses, kMaxSockets> core_classes_;
+    std::vector<double> power_busy_;       ///< Per client, this socket.
+    std::vector<double> power_intensity_;  ///< Per client, this socket.
+    std::vector<CorePowerRequest> class_reqs_;
 
     // Resolved machine-level state.
     std::vector<double> dram_granted_;  ///< Per socket.

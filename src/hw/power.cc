@@ -25,25 +25,43 @@ PowDyn(const MachineConfig& cfg, double f_ghz, PowerScratch* scratch)
     return v;
 }
 
-/** Socket power with frequencies scaled by @p lambda. */
+bool
+SameRequest(const CorePowerRequest& a, const CorePowerRequest& b)
+{
+    return a.busy == b.busy && a.intensity == b.intensity &&
+           a.dvfs_cap_ghz == b.dvfs_cap_ghz;
+}
+
+/**
+ * Socket power with frequencies scaled by @p lambda. With @p reuse, a
+ * core whose request equals its left neighbour's reuses that core's
+ * frequency and power addend; the sum still adds one addend per core in
+ * core order. (Requests that compare equal but differ in the sign of a
+ * zero give the same frequency and addend, so the reuse is exact.)
+ */
 double
 PowerAt(const MachineConfig& cfg, const std::vector<CorePowerRequest>& cores,
         double turbo, double lambda, std::vector<double>* freqs,
-        PowerScratch* scratch)
+        PowerScratch* scratch, bool reuse)
 {
     double total = cfg.uncore_w;
+    double f = 0.0;
+    double addend = 0.0;
     for (size_t i = 0; i < cores.size(); ++i) {
         const auto& c = cores[i];
-        double f = lambda * turbo;
-        if (c.dvfs_cap_ghz > 0.0) f = std::min(f, c.dvfs_cap_ghz);
-        f = std::max(f, cfg.min_ghz);
-        // Round down to the DVFS step grid, like real P-states.
-        f = std::floor(f / cfg.dvfs_step_ghz) * cfg.dvfs_step_ghz;
-        f = std::max(f, cfg.min_ghz);
+        if (!reuse || i == 0 || !SameRequest(c, cores[i - 1])) {
+            f = lambda * turbo;
+            if (c.dvfs_cap_ghz > 0.0) f = std::min(f, c.dvfs_cap_ghz);
+            f = std::max(f, cfg.min_ghz);
+            // Round down to the DVFS step grid, like real P-states.
+            f = std::floor(f / cfg.dvfs_step_ghz) * cfg.dvfs_step_ghz;
+            f = std::max(f, cfg.min_ghz);
+            const double dyn =
+                cfg.dyn_coeff_w * c.intensity * PowDyn(cfg, f, scratch);
+            addend = cfg.core_idle_w + c.busy * dyn;
+        }
         if (freqs) (*freqs)[i] = f;
-        const double dyn =
-            cfg.dyn_coeff_w * c.intensity * PowDyn(cfg, f, scratch);
-        total += cfg.core_idle_w + c.busy * dyn;
+        total += addend;
     }
     return total;
 }
@@ -71,7 +89,8 @@ ResolvePower(const MachineConfig& cfg,
 void
 ResolvePower(const MachineConfig& cfg,
              const std::vector<CorePowerRequest>& cores,
-             PowerScratch* scratch, PowerOutcome* out_buf)
+             PowerScratch* scratch, PowerOutcome* out_buf,
+             bool reuse_neighbours)
 {
     PowerOutcome& out = *out_buf;
     out.freq_ghz.assign(cores.size(), cfg.min_ghz);
@@ -86,7 +105,7 @@ ResolvePower(const MachineConfig& cfg,
 
     // Fast path: full speed fits in TDP.
     const double full = PowerAt(cfg, cores, turbo, 1.0, &out.freq_ghz,
-                                scratch);
+                                scratch, reuse_neighbours);
     if (full <= cfg.tdp_w) {
         out.socket_power_w = full;
         return;
@@ -99,14 +118,15 @@ ResolvePower(const MachineConfig& cfg,
     double lo = cfg.min_ghz / turbo, hi = 1.0;
     for (int iter = 0; iter < 40; ++iter) {
         const double mid = 0.5 * (lo + hi);
-        if (PowerAt(cfg, cores, turbo, mid, nullptr, scratch) > cfg.tdp_w) {
+        if (PowerAt(cfg, cores, turbo, mid, nullptr, scratch,
+                    reuse_neighbours) > cfg.tdp_w) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
     out.socket_power_w = PowerAt(cfg, cores, turbo, lo, &out.freq_ghz,
-                                 scratch);
+                                 scratch, reuse_neighbours);
 }
 
 }  // namespace heracles::hw

@@ -61,12 +61,16 @@ PowerOutcome ResolvePower(const MachineConfig& cfg,
 
 /**
  * Buffer-reusing form for per-epoch callers: recycles @p out's frequency
- * vector and (when @p scratch is non-null) the pow() memo. Identical
- * results to the returning form.
+ * vector and (when @p scratch is non-null) the pow() memo. With
+ * @p reuse_neighbours, a core whose request equals its left neighbour's
+ * takes that core's frequency and power instead of recomputing them, in
+ * every step of the throttle bisection. Identical results to the
+ * returning form either way.
  */
 void ResolvePower(const MachineConfig& cfg,
                   const std::vector<CorePowerRequest>& cores,
-                  PowerScratch* scratch, PowerOutcome* out);
+                  PowerScratch* scratch, PowerOutcome* out,
+                  bool reuse_neighbours = false);
 
 }  // namespace heracles::hw
 

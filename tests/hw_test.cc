@@ -413,6 +413,43 @@ TEST(Power, FrequencyOnDvfsGrid)
     }
 }
 
+TEST(Power, NeighbourReuseMatchesPlainSolveBitForBit)
+{
+    // The per-epoch form memoizes f^dyn_exp and reuses the frequency and
+    // power of a core equal to its left neighbour. Requests drawn from a
+    // few values make neighbours agree in some fields and not others,
+    // and the heavy ones throttle the socket into the bisection.
+    const auto& cfg = Cfg();
+    sim::Rng rng(11);
+    const double busy[] = {0.0, 0.5, 1.0};
+    const double intensity[] = {0.6, 1.0, 2.1};
+    const double cap[] = {0.0, cfg.min_ghz, 2.0};
+    PowerScratch scratch;
+    PowerOutcome with;
+    int throttled = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<CorePowerRequest> cores(cfg.cores_per_socket);
+        for (size_t i = 0; i < cores.size(); ++i) {
+            CorePowerRequest& c = cores[i];
+            c.busy = busy[rng.UniformInt(3)];
+            c.intensity = intensity[rng.UniformInt(3)];
+            c.dvfs_cap_ghz = cap[rng.UniformInt(3)];
+            // Long runs of equal neighbours, as core classes give.
+            if (i > 0 && rng.Bernoulli(0.5)) c = cores[i - 1];
+        }
+        if (trial % 2 == 0) {
+            for (auto& c : cores) c.busy = 1.0;
+        }
+        const PowerOutcome plain = ResolvePower(cfg, cores);
+        ResolvePower(cfg, cores, &scratch, &with, /*reuse_neighbours=*/true);
+        EXPECT_EQ(plain.socket_power_w, with.socket_power_w) << trial;
+        EXPECT_EQ(plain.throttled, with.throttled) << trial;
+        EXPECT_EQ(plain.freq_ghz, with.freq_ghz) << trial;
+        throttled += plain.throttled;
+    }
+    EXPECT_GT(throttled, 0);
+}
+
 // --------------------------------------------------------------------------
 // NIC model
 

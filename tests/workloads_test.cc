@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "workloads/antagonists.h"
 #include "workloads/be_task.h"
 #include "workloads/lc_app.h"
@@ -261,6 +263,37 @@ TEST(LcApp, BusyFractionReflectsLoad)
     EXPECT_NEAR(rig.app.CpuBusyFraction(), 0.32, 0.08);
 }
 
+// The busy-query contract in hw::ResourceClient::CpuBusyFraction.
+TEST(LcApp, FirstBusyQueryAtAnInstantClosesTheWindow)
+{
+    // Two identical rigs; only the first queries mid-epoch, at t1. Both
+    // query at t2, still inside the same 25 ms epoch, so no resolve has
+    // read the busy level in between.
+    LcRig a(Websearch()), b(Websearch());
+    a.RunAlone(0.5, sim::Seconds(5), sim::Seconds(5));
+    b.RunAlone(0.5, sim::Seconds(5), sim::Seconds(5));
+    a.queue.RunFor(sim::Millis(5));
+    b.queue.RunFor(sim::Millis(5));
+    (void)a.app.CpuBusyFraction();
+    a.queue.RunFor(sim::Millis(10));
+    b.queue.RunFor(sim::Millis(10));
+    ASSERT_EQ(a.app.TotalCompleted(), b.app.TotalCompleted());
+    const double since_t1 = a.app.CpuBusyFraction();
+    const double since_epoch = b.app.CpuBusyFraction();
+    EXPECT_NE(since_t1, since_epoch);
+
+    // Repeat queries at t2 return the instantaneous level: a whole
+    // number of busy threads out of the 72, the same every time.
+    const double level = a.app.CpuBusyFraction();
+    EXPECT_EQ(a.app.CpuBusyFraction(), level);
+    EXPECT_EQ(a.app.CpuBusyFraction(), level);
+    EXPECT_EQ(b.app.CpuBusyFraction(), level);
+    const double threads = level * Cfg().LogicalCpus();
+    EXPECT_DOUBLE_EQ(threads, std::round(threads));
+    EXPECT_GT(level, 0.0);
+    EXPECT_LT(level, 1.0);
+}
+
 TEST(LcApp, StarvedByTinyCpusetViolatesSlo)
 {
     LcRig rig(Websearch());
@@ -394,6 +427,24 @@ TEST(BeTask, PausedWithoutCpus)
     queue.RunFor(sim::Seconds(1));
     EXPECT_DOUBLE_EQ(be.CurrentRate(), 0.0);
     EXPECT_DOUBLE_EQ(be.CpuBusyFraction(), 0.0);
+}
+
+TEST(BeTask, BusyQueriesAreStable)
+{
+    // A BE task keeps no measurement window: every query, first or
+    // repeat, returns its level (busy whenever it holds cpus).
+    sim::EventQueue queue;
+    hw::Machine machine(Cfg(), queue);
+    BeTask be(machine, Brain());
+    be.SetCpus(machine.topology().PhysicalCores(0, 4));
+    queue.RunFor(sim::Millis(110));
+    EXPECT_EQ(be.CpuBusyFraction(), 1.0);
+    EXPECT_EQ(be.CpuBusyFraction(), 1.0);
+    queue.RunFor(sim::Millis(10));
+    EXPECT_EQ(be.CpuBusyFraction(), 1.0);
+    be.SetCpus(hw::CpuSet{});
+    EXPECT_EQ(be.CpuBusyFraction(), 0.0);
+    EXPECT_EQ(be.CpuBusyFraction(), 0.0);
 }
 
 TEST(BeTask, RateGrowsWithCores)

@@ -112,9 +112,10 @@ struct ArbRig {
  * retained eager full-recompute resolver, so the two runs bracket
  * exactly what incremental arbitration saves.
  *
- * A second, idle rig (LC load 0, half the cores given to BE, then 20 s
+ * A second, idle rig (LC load 0, half the cores given to BE, then 200 s
  * of simulated time with no actuations) isolates the per-epoch resolve:
- * its heap allocations and host time per resolve.
+ * its heap allocations and host time per resolve. 8000 resolves keep
+ * the naive / incremental ratio of host time steady from run to run.
  */
 ArbRun
 RunArbitrationChurn(bool naive, int steps)
@@ -169,7 +170,7 @@ RunArbitrationChurn(bool naive, int steps)
     const uint64_t resolves0 = idle.machine.resolves();
     const uint64_t allocs0 = bench::AllocCount();
     r.idle_wall_s =
-        bench::WallSeconds([&] { idle.queue.RunFor(sim::Seconds(20)); });
+        bench::WallSeconds([&] { idle.queue.RunFor(sim::Seconds(200)); });
     r.idle_allocs = bench::AllocCount() - allocs0;
     r.idle_resolves = idle.machine.resolves() - resolves0;
     return r;
