@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "cluster/epoch.h"
 #include "cluster/fingerprint.h"
+#include "cluster/topology.h"
 #include "exp/server_sim.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
@@ -74,7 +76,10 @@ class ClusterSim
                const chaos::FaultPlan* faults = nullptr,
                sim::Duration fault_total = 0)
         : cfg_(cfg), pool_(pool), trace_(trace), target_(target),
-          rng_(cfg.seed)
+          rng_(cfg.seed),
+          topo_(static_cast<int>(specs.size()), cfg.shards, cfg.rack_size,
+                cfg.seed ^ 0x70B0C0DEull),
+          root_hops_(2 * kHop * topo_.HopLevels())
     {
         if (faults != nullptr) {
             for (const chaos::FaultSpec& f : faults->faults) {
@@ -168,8 +173,6 @@ class ClusterSim
         }
 
         crashed_.assign(static_cast<size_t>(n), false);
-        topo_ = MakeTopology(cfg_.topology, n, cfg_.shards,
-                             cfg_.rack_size, cfg_.seed ^ 0x70B0C0DEull);
         if (scheduled) {
             scheduler_ = std::make_unique<ClusterScheduler>(
                 cfg_.scheduler, num_jobs, n);
@@ -437,7 +440,7 @@ class ClusterSim
     DispatchArrival(sim::SimTime when)
     {
         const uint64_t tag = next_tag_++;
-        topo_->TouchedLeaves(tag, &touched_);
+        topo_.TouchedLeaves(tag, &touched_);
         // Crashed leaves answer nothing; the root combines whatever the
         // surviving replicas return. A query whose every touched leaf
         // is dark is lost (an error response, outside the latency
@@ -526,9 +529,7 @@ class ClusterSim
         Query& q = pending_[slot];
         q.max_latency = std::max(q.max_latency, latency);
         if (--q.remaining == 0) {
-            const sim::Duration root_latency =
-                q.max_latency + 2 * kHop * topo_->HopLevels();
-            window_sum_ += root_latency;
+            window_sum_ += q.max_latency + root_hops_;
             // CloseWindow divides it as a double: exact below 2^53.
             HERACLES_CHECK(window_sum_ < (int64_t{1} << 53));
             ++window_count_;
@@ -636,16 +637,10 @@ class ClusterSim
     {
         std::vector<ClusterScheduler::LeafState> states(leaves_.size());
         for (size_t i = 0; i < leaves_.size(); ++i) {
-            ClusterScheduler::LeafState& s = states[i];
-            s.hosts_job = leaves_[i].job >= 0;
-            s.crashed = crashed_[i];
+            ctl::SlackExport e;
             if (const ctl::HeraclesController* c =
                     leaves_[i].server->controller()) {
-                const ctl::SlackExport e = c->ExportSlack();
-                s.slack = e.slack;
-                s.be_enabled = e.be_enabled;
-                s.in_cooldown = e.in_cooldown;
-                s.has_signal = e.has_signal;
+                e = c->ExportSlack();
             }
             // A slack-freeze fault wedges the leaf's export as the
             // scheduler first saw it inside the window — the stale-
@@ -657,16 +652,19 @@ class ClusterSim
                     f.leaf != static_cast<int>(i) || !f.ActiveAt(now)) {
                     continue;
                 }
-                if (!frozen_[fi].captured) {
-                    frozen_[fi] = {true, s.slack, s.be_enabled,
-                                   s.in_cooldown, s.has_signal};
+                if (!frozen_[fi].has_value()) {
+                    frozen_[fi] = e;
                 } else {
-                    s.slack = frozen_[fi].slack;
-                    s.be_enabled = frozen_[fi].be_enabled;
-                    s.in_cooldown = frozen_[fi].in_cooldown;
-                    s.has_signal = frozen_[fi].has_signal;
+                    e = *frozen_[fi];
                 }
             }
+            ClusterScheduler::LeafState& s = states[i];
+            s.hosts_job = leaves_[i].job >= 0;
+            s.crashed = crashed_[i];
+            s.slack = e.slack;
+            s.be_enabled = e.be_enabled;
+            s.in_cooldown = e.in_cooldown;
+            s.has_signal = e.has_signal;
         }
         for (const ClusterScheduler::Move& m :
              scheduler_->Tick(states)) {
@@ -691,27 +689,22 @@ class ClusterSim
         }
     }
 
-    /** One slack-freeze fault's captured export. */
-    struct FrozenExport {
-        bool captured = false;
-        double slack = 1.0;
-        bool be_enabled = false;
-        bool in_cooldown = false;
-        bool has_signal = false;
-    };
-
     ClusterConfig cfg_;
     runner::Pool* pool_;
     const sim::LoadTrace& trace_;
     sim::Duration target_;
     sim::Rng rng_;
+    Topology topo_;
+    /** Request/response hops every root latency pays. */
+    sim::Duration root_hops_;
     std::vector<Leaf> leaves_;
-    std::unique_ptr<Topology> topo_;
     std::unique_ptr<ClusterScheduler> scheduler_;
     std::vector<int> touched_;  // per-query scratch
 
     std::vector<chaos::TimedFault> cluster_faults_;
-    std::vector<FrozenExport> frozen_;  // aligned with cluster_faults_
+    /** Each slack-freeze fault's captured export, aligned with
+     *  cluster_faults_. */
+    std::vector<std::optional<ctl::SlackExport>> frozen_;
     std::vector<bool> crashed_;
     uint64_t cluster_violations_ = 0;
 
@@ -786,9 +779,9 @@ ClusterExperiment::MakeTargetKey()
         shape.seed = 0;
         leaves.emplace_back(shape, s.lc);
     }
-    return {cfg_.seed,       cfg_.lc,         cfg_.topology,
-            cfg_.shards,     cfg_.rack_size,  cfg_.target_run,
-            cfg_.run_warmup, cfg_.jobs,       std::move(leaves)};
+    return {cfg_.seed,       cfg_.lc,         cfg_.shards,
+            cfg_.rack_size,  cfg_.target_run, cfg_.run_warmup,
+            cfg_.jobs,       std::move(leaves)};
 }
 
 TargetRun

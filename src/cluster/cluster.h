@@ -2,11 +2,12 @@
  * @file
  * Composable cluster simulation (Section 5.3, Figure 8, and beyond).
  *
- * A root node spreads every user query over the leaf servers through a
- * pluggable Topology (full fan-out reproduces the paper; a sharded
- * topology models a replicated, partitioned index) and combines the
- * replies, so root latency is the maximum touched-leaf latency plus
- * network hops. The cluster SLO is the *average* root latency over
+ * A root node sends every user query to one member of each replica
+ * group of leaves (cluster/topology.h: one single-leaf group per leaf
+ * is the paper's full fan-out; sharded and rack groups model a
+ * replicated, partitioned index) and combines the replies, so root
+ * latency is the maximum touched-leaf latency plus the network hops of
+ * the topology's hop levels. The cluster SLO is the *average* root latency over
  * 30-second windows (mu/30s); the target is the mu/30s measured at 90%
  * load with no colocation.
  *
@@ -31,7 +32,6 @@
 #include "chaos/fault_plan.h"
 #include "cluster/leaf.h"
 #include "cluster/scheduler.h"
-#include "cluster/topology.h"
 #include "exp/server_sim.h"
 #include "heracles/config.h"
 #include "hw/config.h"
@@ -61,11 +61,11 @@ struct ClusterConfig {
      */
     std::vector<LeafSpec> leaf_specs;
 
-    /** Root fan-out shape; shards only applies to kSharded (<= leaves;
-     *  0 picks one shard per leaf, i.e. full fan-out degenerate) and
-     *  rack_size to kHierarchical (leaves per rack, clamped to the
-     *  leaf count). */
-    TopologyKind topology = TopologyKind::kFullFanout;
+    /** Root fan-out shape (cluster/topology.h); at most one is set.
+     *  shards > 0 routes each query to one replica of each of `shards`
+     *  shards (<= the leaf count); rack_size > 0 groups the leaves into
+     *  racks of that many (clamped to the leaf count) behind two hop
+     *  levels; neither is the paper's full fan-out. */
     int shards = 0;
     int rack_size = 0;
 
@@ -202,12 +202,13 @@ struct TargetRun {
     }
 };
 
-/** Everything the target-defining run reads: seed, root LC, topology,
- *  shards, rack size, target_run, run_warmup, jobs (which cannot change
- *  the run: keying on it keeps jobs=1 vs jobs=N checks two real runs),
- *  and each resolved leaf's (machine with its seed zeroed, LC). */
+/** Everything the target-defining run reads: seed, root LC, shards and
+ *  rack size (which fix the topology), target_run, run_warmup, jobs
+ *  (which cannot change the run: keying on it keeps jobs=1 vs jobs=N
+ *  checks two real runs), and each resolved leaf's (machine with its
+ *  seed zeroed, LC). */
 using TargetKey =
-    std::tuple<uint64_t, workloads::LcParams, TopologyKind, int, int,
+    std::tuple<uint64_t, workloads::LcParams, int, int,
                sim::Duration, sim::Duration, int,
                std::vector<std::pair<hw::MachineConfig, workloads::LcParams>>>;
 

@@ -19,104 +19,52 @@ Mix64(uint64_t x)
 
 }  // namespace
 
-std::string
-TopologyKindName(TopologyKind kind)
+Topology::Topology(int leaves, int shards, int rack_size, uint64_t seed)
+    : seed_(seed),
+      hop_levels_(rack_size > 0 ? 2 : 1),
+      name_(rack_size > 0 ? "hierarchical"
+            : shards > 0  ? "sharded"
+                          : "full-fanout")
 {
-    switch (kind) {
-      case TopologyKind::kFullFanout: return "full-fanout";
-      case TopologyKind::kSharded: return "sharded";
-      case TopologyKind::kHierarchical: return "hierarchical";
-    }
-    return "?";
-}
-
-void
-FullFanoutTopology::TouchedLeaves(uint64_t /*tag*/,
-                                  std::vector<int>* out) const
-{
-    out->clear();
-    for (int i = 0; i < leaves_; ++i) out->push_back(i);
-}
-
-ShardedTopology::ShardedTopology(int leaves, int shards, uint64_t seed)
-    : leaves_(leaves), shards_(shards), seed_(seed)
-{
-    HERACLES_CHECK_MSG(shards >= 1 && shards <= leaves,
-                       "sharded topology needs 1 <= shards <= leaves, got "
+    HERACLES_CHECK_MSG(shards <= 0 || rack_size <= 0,
+                       "topology takes shards or rack_size, not both: got "
+                           << shards << " shards and racks of "
+                           << rack_size);
+    HERACLES_CHECK_MSG(shards <= leaves,
+                       "topology needs shards <= leaves, got "
                            << shards << " shards over " << leaves
                            << " leaves");
-}
-
-int
-ShardedTopology::Replicas(int shard) const
-{
-    // Leaf l belongs to shard l % shards.
-    return (leaves_ - shard + shards_ - 1) / shards_;
+    const int rack = std::min(rack_size, leaves);
+    // Every shape meets its groups in order of their first member.
+    std::vector<std::vector<int>> table;
+    for (int l = 0; l < leaves; ++l) {
+        const size_t g = static_cast<size_t>(
+            rack_size > 0 ? l / rack : shards > 0 ? l % shards : l);
+        if (g == table.size()) table.emplace_back();
+        table[g].push_back(l);
+    }
+    for (const std::vector<int>& group : table) {
+        starts_.push_back(static_cast<int>(members_.size()));
+        members_.insert(members_.end(), group.begin(), group.end());
+    }
+    starts_.push_back(static_cast<int>(members_.size()));
 }
 
 void
-ShardedTopology::TouchedLeaves(uint64_t tag, std::vector<int>* out) const
+Topology::TouchedLeaves(uint64_t tag, std::vector<int>* out) const
 {
     out->clear();
-    for (int shard = 0; shard < shards_; ++shard) {
-        const int replicas = Replicas(shard);
-        const uint64_t h =
-            Mix64(seed_ ^ (tag * 0x2545f4914f6cdd1dull) ^
-                  static_cast<uint64_t>(shard) * 0x9e3779b9ull);
-        const int replica = static_cast<int>(h % replicas);
-        out->push_back(shard + replica * shards_);
+    for (size_t g = 0; g + 1 < starts_.size(); ++g) {
+        const int size = starts_[g + 1] - starts_[g];
+        int pick = 0;
+        // A single-member group needs no hash: h % 1 == 0.
+        if (size > 1) {
+            const uint64_t h = Mix64(seed_ ^ (tag * 0x2545f4914f6cdd1dull) ^
+                                     static_cast<uint64_t>(g) * 0x9e3779b9ull);
+            pick = static_cast<int>(h % static_cast<uint64_t>(size));
+        }
+        out->push_back(members_[static_cast<size_t>(starts_[g] + pick)]);
     }
-}
-
-HierarchicalTopology::HierarchicalTopology(int leaves, int rack_size,
-                                           uint64_t seed)
-    : leaves_(leaves),
-      rack_size_(std::min(rack_size, leaves)),
-      racks_((leaves + rack_size_ - 1) / rack_size_),
-      seed_(seed)
-{
-    HERACLES_CHECK_MSG(leaves >= 1 && rack_size >= 1,
-                       "hierarchical topology needs leaves >= 1 and "
-                       "rack_size >= 1, got "
-                           << leaves << " leaves, racks of " << rack_size);
-}
-
-int
-HierarchicalTopology::RackMembers(int rack) const
-{
-    return std::min(rack_size_, leaves_ - rack * rack_size_);
-}
-
-void
-HierarchicalTopology::TouchedLeaves(uint64_t tag,
-                                    std::vector<int>* out) const
-{
-    out->clear();
-    for (int rack = 0; rack < racks_; ++rack) {
-        const int members = RackMembers(rack);
-        const uint64_t h =
-            Mix64(seed_ ^ (tag * 0x2545f4914f6cdd1dull) ^
-                  static_cast<uint64_t>(rack) * 0x9e3779b9ull);
-        const int member = static_cast<int>(h % members);
-        out->push_back(rack * rack_size_ + member);
-    }
-}
-
-std::unique_ptr<Topology>
-MakeTopology(TopologyKind kind, int leaves, int shards, int rack_size,
-             uint64_t seed)
-{
-    switch (kind) {
-      case TopologyKind::kFullFanout:
-        return std::make_unique<FullFanoutTopology>(leaves);
-      case TopologyKind::kSharded:
-        return std::make_unique<ShardedTopology>(
-            leaves, shards > 0 ? shards : leaves, seed);
-      case TopologyKind::kHierarchical:
-        return std::make_unique<HierarchicalTopology>(leaves, rack_size,
-                                                      seed);
-    }
-    HERACLES_FATAL("unhandled topology kind");
 }
 
 }  // namespace heracles::cluster

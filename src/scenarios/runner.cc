@@ -236,13 +236,8 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
         leaf.tail_scale = t.tail_scale;
         cfg.leaf_specs.push_back(std::move(leaf));
     }
-    if (spec.rack_size > 0) {
-        cfg.topology = cluster::TopologyKind::kHierarchical;
-        cfg.rack_size = spec.rack_size;
-    } else if (spec.shards > 0) {
-        cfg.topology = cluster::TopologyKind::kSharded;
-        cfg.shards = spec.shards;
-    }
+    cfg.shards = spec.shards;
+    cfg.rack_size = spec.rack_size;
     cfg.scheduler.policy = spec.scheduler;
     cfg.scheduler.predict_only = spec.predict_only;
     cfg.per_leaf_targets = spec.per_leaf_targets;

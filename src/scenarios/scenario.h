@@ -115,7 +115,8 @@ struct ScenarioSpec {
     /** Shard count (> 0 switches the root to the sharded topology). */
     int shards = 0;
     /** Leaves per rack (> 0 switches the root to the hierarchical
-     *  leaf → rack → pod-root topology; takes precedence over shards). */
+     *  leaf → rack → pod-root topology; mutually exclusive with
+     *  shards). */
     int rack_size = 0;
     /** Cluster-level BE scheduling policy. */
     cluster::SchedulerPolicy scheduler =

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the composable cluster layer: the pure scheduler decision
- * engine, the pluggable topologies, and the end-to-end guarantees the
+ * engine, the root topology's replica groups, and the end-to-end guarantees the
  * refactor must keep — static-split byte-equivalence with the
  * pre-refactor cluster on the checked-in goldens, placement determinism
  * under a fixed seed, and the greedy scheduler's EMU win over the
@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <set>
@@ -468,16 +469,19 @@ TEST(SchedulerDeath, RejectsMoreJobsThanLeaves)
 
 TEST(Topology, FullFanoutTouchesEveryLeaf)
 {
-    cluster::FullFanoutTopology topo(5);
+    const cluster::Topology topo(/*leaves=*/5, /*shards=*/0,
+                                 /*rack_size=*/0, /*seed=*/3);
     std::vector<int> touched;
     topo.TouchedLeaves(17, &touched);
     EXPECT_EQ(touched, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(topo.FanOut(), 5);
+    EXPECT_EQ(topo.HopLevels(), 1);
+    EXPECT_STREQ(topo.Name(), "full-fanout");
 }
 
 TEST(Topology, ShardedTouchesOneReplicaPerShard)
 {
-    cluster::ShardedTopology topo(/*leaves=*/6, /*shards=*/3, /*seed=*/7);
+    const cluster::Topology topo(/*leaves=*/6, /*shards=*/3,
+                                 /*rack_size=*/0, /*seed=*/7);
     std::vector<int> touched;
     for (uint64_t tag = 1; tag <= 200; ++tag) {
         topo.TouchedLeaves(tag, &touched);
@@ -488,11 +492,13 @@ TEST(Topology, ShardedTouchesOneReplicaPerShard)
             EXPECT_LT(touched[s], 6);
         }
     }
+    EXPECT_EQ(topo.HopLevels(), 1);
+    EXPECT_STREQ(topo.Name(), "sharded");
 }
 
 TEST(Topology, ShardedIsDeterministicAndUsesAllReplicas)
 {
-    cluster::ShardedTopology a(8, 2, 42), b(8, 2, 42);
+    const cluster::Topology a(8, 2, 0, 42), b(8, 2, 0, 42);
     std::set<int> seen;
     std::vector<int> ta, tb;
     for (uint64_t tag = 1; tag <= 500; ++tag) {
@@ -506,10 +512,101 @@ TEST(Topology, ShardedIsDeterministicAndUsesAllReplicas)
 
 TEST(Topology, ShardsEqualLeavesDegeneratesToFullFanout)
 {
-    cluster::ShardedTopology topo(4, 4, 9);
+    const cluster::Topology topo(4, 4, 0, 9);
     std::vector<int> touched;
     topo.TouchedLeaves(123, &touched);
     EXPECT_EQ(touched, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/** Every shape the constructor accepts over 1..40 leaves: each query
+ *  touches exactly one leaf of each group, in group order, the groups
+ *  partition the leaves by the shape rule, and 500 tags reach every
+ *  member. */
+TEST(Topology, GroupsPartitionTheLeavesAndEveryMemberIsReached)
+{
+    std::vector<int> touched;
+    for (int leaves = 1; leaves <= 40; ++leaves) {
+        std::vector<std::pair<int, int>> shapes = {{0, 0}};
+        for (int k = 1; k <= leaves; ++k) shapes.push_back({k, 0});
+        // Racks past the leaf count clamp to one rack.
+        for (int k = 1; k <= leaves + 2; ++k) shapes.push_back({0, k});
+        for (const auto& [shards, rack_size] : shapes) {
+            const int rack = std::min(rack_size, leaves);
+            const auto group_of = [&](int l) {
+                return rack_size > 0 ? l / rack
+                       : shards > 0  ? l % shards
+                                     : l;
+            };
+            const int expected_groups =
+                rack_size > 0 ? (leaves + rack - 1) / rack
+                : shards > 0  ? shards
+                              : leaves;
+            const cluster::Topology topo(leaves, shards, rack_size, 11);
+            EXPECT_EQ(topo.HopLevels(), rack_size > 0 ? 2 : 1);
+            std::vector<std::set<int>> reached(
+                static_cast<size_t>(expected_groups));
+            for (uint64_t tag = 1; tag <= 500; ++tag) {
+                topo.TouchedLeaves(tag, &touched);
+                ASSERT_EQ(touched.size(),
+                          static_cast<size_t>(expected_groups))
+                    << leaves << " leaves, shards " << shards
+                    << ", racks of " << rack_size;
+                for (int g = 0; g < expected_groups; ++g) {
+                    const int l = touched[static_cast<size_t>(g)];
+                    ASSERT_TRUE(l >= 0 && l < leaves);
+                    ASSERT_EQ(group_of(l), g)
+                        << leaves << " leaves, shards " << shards
+                        << ", racks of " << rack_size << ": leaf " << l;
+                    reached[static_cast<size_t>(g)].insert(l);
+                }
+            }
+            size_t total = 0;
+            for (const std::set<int>& members : reached) {
+                total += members.size();
+            }
+            EXPECT_EQ(total, static_cast<size_t>(leaves))
+                << leaves << " leaves, shards " << shards << ", racks of "
+                << rack_size << ": some member never reached";
+        }
+    }
+}
+
+/** Literal routes of the sharded and hierarchical shapes, pinned from
+ *  the per-shape classes the replica-group table replaced: the table
+ *  must keep every route bit-identical. */
+TEST(Topology, RoutesMatchPinnedLiterals)
+{
+    const cluster::Topology sharded(/*leaves=*/8, /*shards=*/3,
+                                    /*rack_size=*/0, /*seed=*/42);
+    const cluster::Topology racks(/*leaves=*/10, /*shards=*/0,
+                                  /*rack_size=*/4, /*seed=*/42);
+    const std::vector<std::vector<int>> sharded_routes = {
+        {6, 4, 2}, {0, 7, 5}, {6, 1, 2}, {3, 7, 2},
+        {0, 1, 5}, {6, 4, 5}, {0, 1, 5}, {0, 7, 5},
+    };
+    const std::vector<std::vector<int>> rack_routes = {
+        {3, 4, 8}, {3, 5, 9}, {1, 4, 8}, {1, 5, 8},
+        {0, 5, 9}, {2, 6, 9}, {3, 6, 9}, {3, 6, 9},
+    };
+    std::vector<int> touched;
+    for (uint64_t tag = 1; tag <= 8; ++tag) {
+        sharded.TouchedLeaves(tag, &touched);
+        EXPECT_EQ(touched, sharded_routes[tag - 1]) << "sharded tag " << tag;
+        racks.TouchedLeaves(tag, &touched);
+        EXPECT_EQ(touched, rack_routes[tag - 1]) << "racks tag " << tag;
+    }
+    EXPECT_STREQ(racks.Name(), "hierarchical");
+}
+
+TEST(TopologyDeath, RejectsMoreShardsThanLeaves)
+{
+    EXPECT_DEATH(cluster::Topology(4, 5, 0, 1), "5 shards over 4 leaves");
+}
+
+TEST(TopologyDeath, RejectsShardsAndRacksTogether)
+{
+    EXPECT_DEATH(cluster::Topology(6, 2, 3, 1),
+                 "got 2 shards and racks of 3");
 }
 
 // --------------------------------------------------------------------------

@@ -120,7 +120,6 @@ RunLostQueryCluster(int jobs)
 {
     cluster::ClusterConfig cfg;
     cfg.leaves = 2;
-    cfg.topology = cluster::TopologyKind::kSharded;
     cfg.shards = 1;
     cfg.duration = sim::Minutes(4);
     cfg.target_run = sim::Minutes(1);
@@ -298,8 +297,6 @@ TEST(TargetMemo, EveryKeyFieldSplitsTheKey)
     const std::vector<Mutation> mutations = {
         {"seed", [](auto& c) { c.seed += 1; }},
         {"lc", [](auto& c) { c.lc.peak_qps *= 1.01; }},
-        {"topology",
-         [](auto& c) { c.topology = cluster::TopologyKind::kSharded; }},
         {"shards", [](auto& c) { c.shards = 2; }},
         {"rack_size", [](auto& c) { c.rack_size = 2; }},
         {"target_run", [](auto& c) { c.target_run += sim::Seconds(30); }},

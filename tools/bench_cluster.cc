@@ -37,6 +37,7 @@
 
 #include "bench_common.h"
 #include "cluster/cluster.h"
+#include "cluster/topology.h"
 #include "flags.h"
 #include "scenarios/registry.h"
 #include "scenarios/runner.h"
@@ -152,7 +153,10 @@ main(int argc, char** argv)
     w.Key("scenario").String(scenario_name);
     w.Key("scale").Number(scale);
     w.Key("leaves").Int(static_cast<int64_t>(leaf_count));
-    w.Key("topology").String(cluster::TopologyKindName(base.topology));
+    w.Key("topology").String(
+        cluster::Topology(static_cast<int>(leaf_count), base.shards,
+                          base.rack_size, base.seed)
+            .Name());
     w.Key("epochs").Int(static_cast<int64_t>(results[0].epochs));
     w.Key("leaf_events").Int(static_cast<int64_t>(results[0].leaf_events));
     w.Key("runs").BeginArray();

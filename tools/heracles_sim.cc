@@ -248,19 +248,36 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
     if (faults != nullptr) {
         // Cluster-layer faults on a single-server scenario would be
         // silently dropped at resolution — the user would believe they
-        // measured a degraded run that never degraded.
-        if (spec.topology == scenarios::Topology::kSingleServer) {
-            for (const chaos::FaultSpec& f : faults->faults) {
-                if (f.kind == chaos::FaultKind::kLeafCrash ||
-                    f.kind == chaos::FaultKind::kSlackFreeze) {
-                    std::fprintf(
-                        stderr,
-                        "error: --faults clause '%s:leaf%d' needs a "
-                        "cluster scenario; %s is single-server\n",
-                        chaos::FaultKindName(f.kind).c_str(), f.leaf,
-                        spec.name.c_str());
-                    return 2;
-                }
+        // measured a degraded run that never degraded — and one aimed
+        // past the composed cluster's last leaf would abort the run.
+        int leaves = 0;
+        if (spec.topology == scenarios::Topology::kCluster) {
+            const cluster::ClusterConfig cfg =
+                scenarios::ClusterConfigFor(spec, opts);
+            leaves = cfg.leaf_specs.empty()
+                         ? cfg.leaves
+                         : static_cast<int>(cfg.leaf_specs.size());
+        }
+        for (const chaos::FaultSpec& f : faults->faults) {
+            if (f.kind != chaos::FaultKind::kLeafCrash &&
+                f.kind != chaos::FaultKind::kSlackFreeze) {
+                continue;
+            }
+            const std::string kind = chaos::FaultKindName(f.kind);
+            if (spec.topology == scenarios::Topology::kSingleServer) {
+                std::fprintf(stderr,
+                             "error: --faults clause '%s:leaf%d' needs a "
+                             "cluster scenario; %s is single-server\n",
+                             kind.c_str(), f.leaf, spec.name.c_str());
+                return 2;
+            }
+            if (f.leaf < 0 || f.leaf >= leaves) {
+                std::fprintf(stderr,
+                             "error: --faults clause '%s:leaf%d' targets "
+                             "leaf %d, but %s has %d leaves\n",
+                             kind.c_str(), f.leaf, f.leaf,
+                             spec.name.c_str(), leaves);
+                return 2;
             }
         }
         // The command-line plan replaces the cataloged one, and any SLO
