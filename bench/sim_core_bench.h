@@ -6,12 +6,8 @@
  * Two benches:
  *  - Event-queue churn: a fixed window of outstanding one-shot timers
  *    (each firing schedules its successor, mimicking LcApp's
- *    arrival/completion cycle with a 32-byte capture), a periodic tick,
- *    and a cancel stream. Run against both the pooled production
- *    EventQueue and LegacyEventQueue — a faithful copy of the pre-pool
- *    implementation (std::function payloads in the heap nodes plus
- *    unordered_set pending/cancelled bookkeeping) — so the recorded
- *    speedup is a measured ratio, not a claim.
+ *    completion cycle with a 32-byte capture), a periodic tick, and a
+ *    cancel stream, on the production EventQueue.
  *  - Stats streaming: LcApp's per-request stats path (one bucket
  *    lookup feeding three WindowedTailTrackers and an overall
  *    LatencyHistogram) plus percentile queries.
@@ -27,11 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <new>
-#include <queue>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
@@ -69,118 +61,13 @@ AllocCount()
     void operator delete(void* p) noexcept { std::free(p); }               \
     void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
-/**
- * The event-queue implementation this PR replaced, kept verbatim for
- * measured comparison: std::function callbacks inside the heap items
- * (one heap allocation per >16-byte capture) and two unordered_sets of
- * live/cancelled ids maintained on every schedule, fire and cancel.
- */
-class LegacyEventQueue
-{
-  public:
-    using EventFn = std::function<void()>;
-    using EventId = uint64_t;
-
-    sim::SimTime Now() const { return now_; }
-
-    EventId
-    ScheduleAt(sim::SimTime when, EventFn fn)
-    {
-        const EventId id = next_id_++;
-        heap_.push(Item{when, next_seq_++, id, std::move(fn), 0});
-        pending_ids_.insert(id);
-        return id;
-    }
-
-    EventId
-    ScheduleAfter(sim::Duration delay, EventFn fn)
-    {
-        return ScheduleAt(now_ + delay, std::move(fn));
-    }
-
-    EventId
-    SchedulePeriodic(sim::Duration period, sim::Duration phase, EventFn fn)
-    {
-        const EventId id = next_id_++;
-        heap_.push(Item{now_ + phase, next_seq_++, id, std::move(fn),
-                        period});
-        pending_ids_.insert(id);
-        return id;
-    }
-
-    void
-    Cancel(EventId id)
-    {
-        if (pending_ids_.erase(id) > 0) cancelled_.insert(id);
-    }
-
-    void
-    RunUntil(sim::SimTime until)
-    {
-        while (!heap_.empty() && heap_.top().when <= until) {
-            Item item = heap_.top();
-            heap_.pop();
-            if (cancelled_.erase(item.id) > 0) continue;
-            now_ = item.when;
-            ++executed_;
-            if (item.period <= 0) pending_ids_.erase(item.id);
-            item.fn();
-            if (item.period > 0) {
-                if (cancelled_.erase(item.id) > 0) continue;
-                item.when = now_ + item.period;
-                item.seq = next_seq_++;
-                heap_.push(std::move(item));
-            }
-        }
-        if (now_ < until) now_ = until;
-    }
-
-    void RunFor(sim::Duration span) { RunUntil(now_ + span); }
-    uint64_t executed() const { return executed_; }
-
-  private:
-    struct Item {
-        sim::SimTime when;
-        uint64_t seq;
-        EventId id;
-        EventFn fn;
-        sim::Duration period;
-
-        bool
-        operator>(const Item& o) const
-        {
-            if (when != o.when) return when > o.when;
-            return seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
-    std::unordered_set<EventId> pending_ids_;
-    std::unordered_set<EventId> cancelled_;
-    sim::SimTime now_ = 0;
-    uint64_t next_seq_ = 0;
-    EventId next_id_ = 1;
-    uint64_t executed_ = 0;
-};
-
 /** One microbench measurement. */
 struct BenchResult {
     uint64_t events = 0;       ///< Fired events (or recorded samples).
     double wall_s = 0.0;       ///< Wall-clock seconds.
-    double per_sec = 0.0;      ///< events / wall_s.
     double allocs_per_event = 0.0;
 };
 
-/**
- * Event-queue churn driver, shared between both implementations.
- *
- * Seeds @p window outstanding one-shot timers whose callbacks carry a
- * 32-byte capture (this pointer + a 24-byte request mirror, the shape of
- * LcApp's completion closures), each scheduling its successor when it
- * fires; one periodic tick; and, per firing, a short-lived extra event
- * that is immediately cancelled — the mix a server simulation generates.
- * Returns after ~@p total_events fires and reports the measured rate.
- */
 /** The 24-byte payload LcApp completion closures carry. */
 struct RequestMirror {
     sim::SimTime arrival = 0;
@@ -194,12 +81,11 @@ struct RequestMirror {
  * that is immediately cancelled (the timeout-guard pattern). Completion
  * closures capture exactly (driver pointer, RequestMirror) — 32 bytes,
  * the shape of LcApp's per-request closures: past std::function's
- * 16-byte buffer (one heap allocation per event on the legacy queue),
- * inside InlineFn's 48-byte slot storage (zero on the pooled queue).
+ * 16-byte buffer, inside InlineFn's 48-byte slot storage, so the queue
+ * allocates nothing per event.
  */
-template <typename Queue>
 struct ChurnDriver {
-    Queue q;
+    sim::EventQueue q;
     sim::Rng rng{42};
     uint64_t fired = 0;
 
@@ -223,11 +109,15 @@ struct ChurnDriver {
     }
 };
 
-template <typename Queue>
-BenchResult
+/**
+ * Event-queue churn: seeds @p window outstanding ChurnDriver timers and
+ * one periodic tick — the mix a server simulation generates — and
+ * returns after ~@p total_events fires with their wall time.
+ */
+inline BenchResult
 RunEventQueueChurn(uint64_t total_events, int window = 2048)
 {
-    ChurnDriver<Queue> d;
+    ChurnDriver d;
 
     const uint64_t allocs0 = AllocCount();
     const double wall = WallSeconds([&] {
@@ -246,7 +136,6 @@ RunEventQueueChurn(uint64_t total_events, int window = 2048)
     BenchResult r;
     r.events = d.fired;
     r.wall_s = wall;
-    r.per_sec = static_cast<double>(d.fired) / (wall > 0 ? wall : 1e-9);
     r.allocs_per_event =
         static_cast<double>(allocs) / static_cast<double>(d.fired);
     return r;
@@ -259,7 +148,7 @@ RunEventQueueChurn(uint64_t total_events, int window = 2048)
  * report (60 s), controller (15 s) and fast (2 s) window trackers and
  * the overall histogram — advancing simulated time so windows keep
  * closing, with a p95 and a partial-window tail read every 16384
- * samples. Reports samples/sec.
+ * samples.
  */
 inline BenchResult
 RunStatsStreaming(uint64_t total_samples)
@@ -295,8 +184,6 @@ RunStatsStreaming(uint64_t total_samples)
     BenchResult r;
     r.events = total_samples;
     r.wall_s = wall;
-    r.per_sec =
-        static_cast<double>(total_samples) / (wall > 0 ? wall : 1e-9);
     r.allocs_per_event =
         static_cast<double>(allocs) / static_cast<double>(total_samples);
     return r;

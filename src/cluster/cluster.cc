@@ -157,6 +157,8 @@ class ClusterSim
                     Leaf& l = leaves_[static_cast<size_t>(idx)];
                     l.outbox.push_back({tag, latency});
                 });
+            leaf.queue->SetLane(
+                [this, idx] { InjectNext(leaves_[static_cast<size_t>(idx)]); });
 
             leaf.base_slo = ls.lc.slo_latency;
             leaf.be_alone = be_alone;
@@ -390,7 +392,7 @@ class ClusterSim
         std::optional<workloads::BeProfile> pinned;
 
         /** This epoch's staged arrivals (root-written at the barrier,
-         *  injected by the leaf's own chain of events). */
+         *  injected one at a time by the leaf queue's arrival lane). */
         std::vector<Arrival> inbox;
         size_t inbox_pos = 0;
         /** Completions since the last barrier (leaf-thread-confined). */
@@ -461,23 +463,18 @@ class ClusterSim
     }
 
     /**
-     * Schedules the leaf's next staged injection. Each injection event
-     * schedules its successor when it fires, mirroring the old
-     * self-rescheduling arrival's insertion order inside the leaf's
-     * queue (inject, then schedule the next — so a request's completion
-     * event still sorts ahead of the next arrival at equal times).
+     * The leaf queue's arrival lane: injects the next staged arrival,
+     * then arms the lane at the one after it. Arming after the inject
+     * gives the next arrival a later seq than the completion event the
+     * inject may schedule, so at equal times the completion fires first.
      */
     void
-    ScheduleInjection(Leaf* leaf)
+    InjectNext(Leaf& leaf)
     {
-        const Arrival& next = leaf->inbox[leaf->inbox_pos];
-        leaf->queue->ScheduleAt(next.when, [this, leaf] {
-            const Arrival cur = leaf->inbox[leaf->inbox_pos++];
-            leaf->lc().InjectRequest(cur.tag);
-            if (leaf->inbox_pos < leaf->inbox.size()) {
-                ScheduleInjection(leaf);
-            }
-        });
+        leaf.lc().InjectRequest(leaf.inbox[leaf.inbox_pos++].tag);
+        if (leaf.inbox_pos < leaf.inbox.size()) {
+            leaf.queue->ArmLane(leaf.inbox[leaf.inbox_pos].when);
+        }
     }
 
     /** Advances one leaf to the barrier at @p until (exclusive for all
@@ -487,7 +484,7 @@ class ClusterSim
     StepLeaf(Leaf& leaf, sim::SimTime until, bool inclusive)
     {
         leaf.inbox_pos = 0;
-        if (!leaf.inbox.empty()) ScheduleInjection(&leaf);
+        if (!leaf.inbox.empty()) leaf.queue->ArmLane(leaf.inbox[0].when);
         if (inclusive) {
             leaf.queue->RunUntil(until);
         } else {

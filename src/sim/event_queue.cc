@@ -108,8 +108,20 @@ EventQueue::RunUntilBefore(SimTime until)
 void
 EventQueue::RunLoop(SimTime until, bool inclusive)
 {
-    while (!heap_.empty() && (inclusive ? heap_[0].when <= until
-                                        : heap_[0].when < until)) {
+    for (;;) {
+        const bool lane_first =
+            lane_armed_ && (heap_.empty() || lane_ < heap_[0]);
+        if (!lane_first && heap_.empty()) break;
+        const SimTime next = lane_first ? lane_.when : heap_[0].when;
+        if (inclusive ? next > until : next >= until) break;
+        if (lane_first) {
+            // Disarmed before the call, so the callable can re-arm it.
+            lane_armed_ = false;
+            now_ = lane_.when;
+            ++executed_;
+            lane_fn_();
+            continue;
+        }
         const HeapItem item = heap_[0];
         HeapPop();
         // The deque keeps slot addresses stable across callbacks, but a

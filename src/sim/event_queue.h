@@ -15,6 +15,16 @@
  * slot lookup with no side-table bookkeeping — a stale id (already
  * fired, already cancelled, or from a recycled slot) simply misses its
  * generation and is a no-op.
+ *
+ * Beside the heap sits one arrival lane: a single re-armable event for
+ * the queue's open-loop request stream (an LcApp's Poisson arrivals, or
+ * a cluster leaf's staged inbox). Its callable is installed once and
+ * each arm takes a sequence number from the same counter as every
+ * scheduled event, at the moment of the arm, so the lane and the heap
+ * top merge by the one (time, seq) order and the firing order is what
+ * it would be with each arrival on the heap. An arrival then costs no
+ * slot, no callable construction and no heap push or pop: the heap
+ * holds completions, periodic ticks and the rare one-shot events.
  */
 #ifndef HERACLES_SIM_EVENT_QUEUE_H
 #define HERACLES_SIM_EVENT_QUEUE_H
@@ -112,6 +122,48 @@ class EventQueue
         ++cancelled_;
     }
 
+    /**
+     * Installs the arrival lane's callable. The lane fires at most once
+     * per arm; its callable may re-arm it.
+     * @pre no lane installed (a second install aborts).
+     */
+    template <typename Fn>
+    void
+    SetLane(Fn&& fn)
+    {
+        HERACLES_CHECK_MSG(!lane_fn_, "arrival lane installed twice");
+        lane_fn_.Emplace(std::forward<Fn>(fn));
+    }
+
+    /** Disarms the lane and destroys its callable (its owner is going
+     *  away); the lane can then be installed again. */
+    void
+    ClearLane()
+    {
+        lane_fn_.Reset();
+        lane_armed_ = false;
+    }
+
+    /**
+     * Arms the lane to fire at @p when. Takes the next insertion
+     * sequence number now, exactly as ScheduleAt would, so a lane
+     * firing ties with heap events the way the equivalent one-shot
+     * event would.
+     * @pre a lane is installed, it is not armed, and when >= Now().
+     */
+    void
+    ArmLane(SimTime when)
+    {
+        HERACLES_CHECK_MSG(static_cast<bool>(lane_fn_),
+                           "arming an arrival lane that is not installed");
+        HERACLES_CHECK_MSG(!lane_armed_, "arrival lane armed twice");
+        HERACLES_CHECK_MSG(
+            when >= now_,
+            "arming the arrival lane in the past: " << when << " < " << now_);
+        lane_ = HeapItem{when, next_seq_++, kNilSlot};
+        lane_armed_ = true;
+    }
+
     /** Runs events until the queue is empty or the clock reaches @p until. */
     void RunUntil(SimTime until);
 
@@ -133,8 +185,9 @@ class EventQueue
     /** Number of events executed so far (for micro-benchmarks and tests). */
     uint64_t executed() const { return executed_; }
 
-    /** Number of events currently in the heap (live + cancelled). */
-    size_t pending() const { return heap_.size(); }
+    /** Events pending: the heap's records (live + cancelled) plus an
+     *  armed lane. */
+    size_t pending() const { return heap_.size() + (lane_armed_ ? 1 : 0); }
 
     /** Cancelled events not yet dropped from the heap (for tests). */
     size_t cancelled_backlog() const { return cancelled_; }
@@ -223,6 +276,11 @@ class EventQueue
      *  callback schedules new events (which may extend the pool). */
     std::deque<Slot> slots_;
     uint32_t free_head_ = kNilSlot;
+    /** The arrival lane: its callable and, while armed, its (when, seq)
+     *  key (slot unused). */
+    InlineFn lane_fn_;
+    HeapItem lane_{};
+    bool lane_armed_ = false;
     size_t cancelled_ = 0;  ///< Cancelled slots still referenced by heap_.
     SimTime now_ = 0;
     uint64_t next_seq_ = 0;

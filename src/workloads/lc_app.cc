@@ -26,6 +26,7 @@ LcApp::LcApp(hw::Machine& machine, const LcParams& params, uint64_t seed)
 LcApp::~LcApp()
 {
     machine_.queue().Cancel(rate_event_);
+    if (started_ && !external_) machine_.queue().ClearLane();
     machine_.RemoveClient(this);
 }
 
@@ -70,6 +71,9 @@ LcApp::Start()
     HERACLES_CHECK_MSG(trace_ != nullptr, "no load set before Start()");
     HERACLES_CHECK_MSG(capacity_ > 0, "no cpus assigned before Start()");
     started_ = true;
+    // The Poisson stream rides the queue's arrival lane: each arrival
+    // arms the next one (ScheduleNextArrival) instead of scheduling it.
+    machine_.queue().SetLane([this] { OnArrival(); });
     ScheduleNextArrival();
 }
 
@@ -111,7 +115,7 @@ LcApp::ScheduleNextArrival()
     }
     const sim::Duration gap =
         std::max<sim::Duration>(1, sim::Seconds(rng_.Exponential(1.0 / rate)));
-    machine_.queue().ScheduleAfter(gap, [this] { OnArrival(); });
+    machine_.queue().ArmLane(now + gap);
 }
 
 void

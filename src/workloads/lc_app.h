@@ -139,7 +139,11 @@ class LcApp : public hw::ResourceClient
     /** Convenience: constant target load fraction. */
     void SetLoad(double load_fraction);
 
-    /** Starts generating arrivals. Call once after setup. */
+    /**
+     * Starts generating arrivals on the queue's arrival lane
+     * (sim::EventQueue::SetLane), which the app owns until it is
+     * destroyed. Call once after setup; one self-driven app per queue.
+     */
     void Start();
 
     /**

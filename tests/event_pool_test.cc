@@ -6,7 +6,9 @@
  * unbounded throughput), generation tags must turn stale EventIds into
  * no-ops even after their slot is reused, and the small-buffer callback
  * storage must keep the hot path allocation-free while still accepting
- * over-sized captures through the heap fallback.
+ * over-sized captures through the heap fallback. The arrival lane
+ * beside the heap must cost no slot at all, count every firing, and
+ * merge with heap events of the same instant by arm order.
  */
 #include <gtest/gtest.h>
 
@@ -261,6 +263,113 @@ TEST(EventPool, PeriodicSlotPersistsAcrossFires)
     q.RunFor(20);  // final heap record pops and frees the slot
     EXPECT_EQ(q.pool_free(), 1u);
     EXPECT_EQ(count, 10);
+}
+
+// --------------------------------------------------------------------------
+// Arrival lane
+
+TEST(ArrivalLane, SelfReArmingLaneTakesNoSlot)
+{
+    // The lane is not a pooled event: 10k self-re-arming firings beside
+    // a periodic tick leave the slab exactly as the tick alone made it,
+    // and every firing counts as an executed event.
+    EventQueue q;
+    q.SchedulePeriodic(7, 0, [] {});
+    q.RunFor(0);
+    const size_t slots = q.pool_slots();
+    const uint64_t executed = q.executed();
+    uint64_t fired = 0;
+    q.SetLane([&] {
+        if (++fired < 10000) q.ArmLane(q.Now() + 1);
+    });
+    q.ArmLane(q.Now() + 1);
+    q.RunFor(10000);
+    EXPECT_EQ(fired, 10000u);
+    EXPECT_EQ(q.pool_slots(), slots);
+    // 10000 lane firings plus the tick's firings at t = 7, 14, ... 10000.
+    EXPECT_EQ(q.executed() - executed, 10000u + 10000u / 7);
+}
+
+TEST(ArrivalLane, TiesFireInArmOrder)
+{
+    // At one instant the lane takes its place in insertion order: after
+    // the one-shot scheduled before it was armed, before the one
+    // scheduled after. Re-armed at Now() inside its own firing, it
+    // still sorts behind what was already pending at that instant.
+    EventQueue q;
+    std::vector<int> order;
+    int lane_fires = 0;
+    q.SetLane([&] {
+        order.push_back(100 + lane_fires);
+        if (++lane_fires == 1) q.ArmLane(q.Now());
+    });
+    q.ScheduleAt(5, [&] { order.push_back(1); });
+    q.ArmLane(5);
+    q.ScheduleAt(5, [&] { order.push_back(2); });
+    EXPECT_EQ(q.pending(), 3u);  // an armed lane counts as pending
+    q.RunUntil(5);
+    EXPECT_EQ(order, (std::vector<int>{1, 100, 2, 101}));
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.executed(), 4u);
+}
+
+TEST(ArrivalLane, RunUntilBeforeLeavesLaneAtBoundPending)
+{
+    EventQueue q;
+    int fired = 0;
+    q.SetLane([&] { ++fired; });
+    q.ArmLane(10);
+    q.RunUntilBefore(10);
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(q.Now(), 10);
+    EXPECT_EQ(q.pending(), 1u);
+    q.RunUntil(10);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(ArrivalLane, ClearLaneDisarmsAndAllowsReinstall)
+{
+    EventQueue q;
+    int first = 0, second = 0;
+    q.SetLane([&] { ++first; });
+    q.ArmLane(3);
+    q.ClearLane();
+    EXPECT_EQ(q.pending(), 0u);
+    q.SetLane([&] { ++second; });
+    q.ArmLane(4);
+    q.RunFor(10);
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 1);
+}
+
+TEST(ArrivalLaneDeath, SecondInstallAborts)
+{
+    EventQueue q;
+    q.SetLane([] {});
+    EXPECT_DEATH(q.SetLane([] {}), "installed twice");
+}
+
+TEST(ArrivalLaneDeath, ArmingAnArmedLaneAborts)
+{
+    EventQueue q;
+    q.SetLane([] {});
+    q.ArmLane(5);
+    EXPECT_DEATH(q.ArmLane(6), "armed twice");
+}
+
+TEST(ArrivalLaneDeath, ArmingBeforeNowAborts)
+{
+    EventQueue q;
+    q.SetLane([] {});
+    q.RunUntil(50);
+    EXPECT_DEATH(q.ArmLane(10), "past");
+}
+
+TEST(ArrivalLaneDeath, ArmingWithoutALaneAborts)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.ArmLane(1), "not installed");
 }
 
 }  // namespace

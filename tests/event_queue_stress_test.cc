@@ -3,14 +3,22 @@
  * Randomized stress test for sim::EventQueue.
  *
  * Seeded random interleavings of Schedule / SchedulePeriodic / Cancel /
- * RunFor are executed against both the real queue and a deliberately
- * naive reference implementation (a flat vector scanned for the minimum
- * (time, insertion-seq) on every pop). The firing logs must match token
- * for token and timestamp for timestamp — in particular across the O(1)
- * Cancel bookkeeping: cancelling pending, fired, periodic and
- * already-cancelled events must never change what else fires.
+ * ArmLane / RunFor / RunUntilBefore are executed against both the real
+ * queue and a deliberately naive reference implementation (a flat
+ * vector scanned for the minimum (time, insertion-seq) on every pop).
+ * The firing logs must match token for token and timestamp for
+ * timestamp — in particular across the O(1) Cancel bookkeeping:
+ * cancelling pending, fired, periodic and already-cancelled events must
+ * never change what else fires.
  *
- * A tie-storm mix piles more than a thousand events onto at most four
+ * The arrival lane is one more token in the reference, whose seq comes
+ * from the shared counter at arm time. The mix arms it at the current
+ * instant and later, from the top level, from inside a fired one-shot
+ * and from inside the lane itself, so the lane ties with one-shot and
+ * periodic events at one instant and a run that stops before an instant
+ * leaves a lane armed there pending.
+ *
+ * A tie-storm mix piles more than a thousand events onto at most five
  * distinct timestamps, so the queue's 4-ary heap (depth 5 past 341
  * records) breaks almost every sift on insertion order alone.
  *
@@ -21,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,15 +42,24 @@ namespace {
 // --------------------------------------------------------------------------
 // Naive reference model
 
+/** The arrival lane's token in both firing logs. */
+constexpr uint64_t kLaneToken = UINT64_MAX;
+
 /** Mirrors EventQueue semantics with O(n) scans instead of a heap. */
 class RefQueue
 {
   public:
+    /** Called with each fired token, after it is logged. */
+    using Hook = std::function<void(uint64_t)>;
+
     void
     Schedule(SimTime when, Duration period, uint64_t token)
     {
         evs_.push_back(Ev{when, next_seq_++, token, period});
     }
+
+    /** The lane is one more one-shot event, keyed at arm time. */
+    void ArmLane(SimTime when) { Schedule(when, 0, kLaneToken); }
 
     void
     Cancel(uint64_t token)
@@ -54,13 +72,19 @@ class RefQueue
         }
     }
 
+    /** Fires every event at or before @p until (before it, when not
+     *  @p inclusive), then advances the clock to @p until. */
     void
-    RunUntil(SimTime until, std::vector<std::pair<uint64_t, SimTime>>* log)
+    Run(SimTime until, bool inclusive,
+        std::vector<std::pair<uint64_t, SimTime>>* log, const Hook& hook)
     {
         for (;;) {
             size_t best = evs_.size();
             for (size_t i = 0; i < evs_.size(); ++i) {
-                if (evs_[i].when > until) continue;
+                if (inclusive ? evs_[i].when > until
+                              : evs_[i].when >= until) {
+                    continue;
+                }
                 if (best == evs_.size() || evs_[i].when < evs_[best].when ||
                     (evs_[i].when == evs_[best].when &&
                      evs_[i].seq < evs_[best].seq)) {
@@ -72,6 +96,9 @@ class RefQueue
             evs_.erase(evs_.begin() + best);
             now_ = e.when;
             log->emplace_back(e.token, e.when);
+            // As in EventQueue, a periodic takes its next seq after its
+            // callback has run.
+            hook(e.token);
             if (e.period > 0) {
                 Schedule(now_ + e.period, e.period, e.token);
             }
@@ -79,7 +106,17 @@ class RefQueue
         if (now_ < until) now_ = until;
     }
 
-    SimTime now() const { return now_; }
+    SimTime Now() const { return now_; }
+
+    /** Whether the lane is armed at exactly @p when. */
+    bool
+    LaneArmedAt(SimTime when) const
+    {
+        return std::any_of(evs_.begin(), evs_.end(), [when](const Ev& e) {
+            return e.token == kLaneToken && e.when == when;
+        });
+    }
+
     size_t pending() const { return evs_.size(); }
 
     /** Distinct timestamps among pending events, counted up to @p cap. */
@@ -113,11 +150,30 @@ class RefQueue
 // Op-sequence generation and execution
 
 struct Op {
-    enum Kind { kOneShot, kPeriodic, kCancel, kRun } kind;
-    Duration a = 0;       // delay / period / run span
-    Duration b = 0;       // phase
+    enum Kind {
+        kOneShot,
+        kPeriodic,
+        kCancel,
+        kArm,           // arm the lane now, unless it is armed
+        kArmFromEvent,  // a one-shot that arms the lane when it fires
+        kRun,           // RunFor
+        kRunBefore,     // RunUntilBefore
+    } kind;
+    Duration a = 0;       // delay / period / run span / lane arm delay
+    Duration b = 0;       // phase / kArmFromEvent's lane arm delay
     uint64_t target = 0;  // token picked for kCancel (modulo count so far)
+    int rearms = 0;       // lane: re-arms from inside its own firing
+    Duration gap = 0;     // lane: delay of each re-arm (0 = same instant)
 };
+
+/** Draws a lane's self re-arm budget and gap (0..max_gap). */
+void
+DrawLaneChain(Rng& rng, Duration max_gap, Op* op)
+{
+    op->rearms = static_cast<int>(rng.UniformInt(6));
+    op->gap = static_cast<Duration>(
+        rng.UniformInt(static_cast<uint64_t>(max_gap) + 1));
+}
 
 std::vector<Op>
 GenOps(uint64_t seed, size_t n)
@@ -128,18 +184,30 @@ GenOps(uint64_t seed, size_t n)
     for (size_t i = 0; i < n; ++i) {
         Op op;
         const uint64_t dice = rng.UniformInt(100);
-        if (dice < 35) {
+        if (dice < 30) {
             op.kind = Op::kOneShot;
             op.a = static_cast<Duration>(rng.UniformInt(100));  // incl. 0
-        } else if (dice < 50) {
+        } else if (dice < 42) {
             op.kind = Op::kPeriodic;
             op.a = static_cast<Duration>(1 + rng.UniformInt(20));
             op.b = static_cast<Duration>(rng.UniformInt(10));
-        } else if (dice < 75) {
+        } else if (dice < 62) {
             op.kind = Op::kCancel;
             op.target = rng.Next64();  // resolved modulo live tokens
-        } else {
+        } else if (dice < 72) {
+            op.kind = Op::kArm;
+            op.a = static_cast<Duration>(rng.UniformInt(20));  // incl. 0
+            DrawLaneChain(rng, 10, &op);
+        } else if (dice < 78) {
+            op.kind = Op::kArmFromEvent;
+            op.a = static_cast<Duration>(rng.UniformInt(50));
+            op.b = static_cast<Duration>(rng.UniformInt(20));
+            DrawLaneChain(rng, 10, &op);
+        } else if (dice < 90) {
             op.kind = Op::kRun;
+            op.a = static_cast<Duration>(rng.UniformInt(50));  // incl. 0
+        } else {
+            op.kind = Op::kRunBefore;
             op.a = static_cast<Duration>(rng.UniformInt(50));  // incl. 0
         }
         ops.push_back(op);
@@ -148,10 +216,12 @@ GenOps(uint64_t seed, size_t n)
 }
 
 /**
- * A tie storm: every delay, phase and period is 1..4 and runs advance
- * the clock by 0 or 1, so all pending events sit on at most four
- * distinct timestamps; schedules far outnumber runs, so the backlog
- * passes a thousand events.
+ * A tie storm: every delay, phase and period is 1..4, lane arms and
+ * re-arms are 0..4 after the arming instant, and runs advance the clock
+ * by 0 or 1, so all pending events sit on at most five distinct
+ * timestamps (the four after the clock, plus the clock's own instant
+ * when a run stopped before it or the lane is armed there); schedules
+ * far outnumber runs, so the backlog passes a thousand events.
  */
 std::vector<Op>
 GenTieStormOps(uint64_t seed, size_t n)
@@ -162,18 +232,30 @@ GenTieStormOps(uint64_t seed, size_t n)
     for (size_t i = 0; i < n; ++i) {
         Op op;
         const uint64_t dice = rng.UniformInt(100);
-        if (dice < 50) {
+        if (dice < 45) {
             op.kind = Op::kOneShot;
             op.a = static_cast<Duration>(1 + rng.UniformInt(4));
-        } else if (dice < 83) {
+        } else if (dice < 75) {
             op.kind = Op::kPeriodic;
             op.a = static_cast<Duration>(1 + rng.UniformInt(4));
             op.b = static_cast<Duration>(1 + rng.UniformInt(4));
-        } else if (dice < 98) {
+        } else if (dice < 88) {
             op.kind = Op::kCancel;
             op.target = rng.Next64();
-        } else {
+        } else if (dice < 93) {
+            op.kind = Op::kArm;
+            op.a = static_cast<Duration>(rng.UniformInt(5));
+            DrawLaneChain(rng, 4, &op);
+        } else if (dice < 97) {
+            op.kind = Op::kArmFromEvent;
+            op.a = static_cast<Duration>(1 + rng.UniformInt(4));
+            op.b = static_cast<Duration>(rng.UniformInt(5));
+            DrawLaneChain(rng, 4, &op);
+        } else if (dice < 99) {
             op.kind = Op::kRun;
+            op.a = static_cast<Duration>(rng.UniformInt(2));
+        } else {
+            op.kind = Op::kRunBefore;
             op.a = static_cast<Duration>(rng.UniformInt(2));
         }
         ops.push_back(op);
@@ -185,6 +267,45 @@ GenTieStormOps(uint64_t seed, size_t n)
 struct RunStats {
     size_t peak_pending = 0;   ///< Most live events pending at once.
     size_t max_distinct = 0;   ///< Most distinct pending timestamps.
+    size_t lane_fires = 0;     ///< Lane firings.
+    /** RunUntilBefore calls that left the lane armed at their bound. */
+    size_t lanes_left_at_until = 0;
+};
+
+/**
+ * One side's arrival-lane driver: whether the lane is armed, and how
+ * many more times, and how far ahead, it re-arms from inside its own
+ * firing. Each queue has its own, so the two sides evolve separately
+ * and agree only while the queues agree.
+ */
+struct LaneDriver {
+    bool armed = false;
+    int rearms = 0;
+    Duration gap = 0;
+
+    /** Arms at @p when with @p op's chain, unless already armed. */
+    template <typename Queue>
+    void
+    ArmIfIdle(Queue& q, SimTime when, const Op& op)
+    {
+        if (armed) return;
+        q.ArmLane(when);
+        armed = true;
+        rearms = op.rearms;
+        gap = op.gap;
+    }
+
+    /** The lane fired: spend one re-arm, at Now() + gap. */
+    template <typename Queue>
+    void
+    Fired(Queue& q)
+    {
+        armed = false;
+        if (rearms == 0) return;
+        --rearms;
+        q.ArmLane(q.Now() + gap);
+        armed = true;
+    }
 };
 
 /**
@@ -200,9 +321,23 @@ RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
     std::vector<std::pair<uint64_t, SimTime>> got, want;
     std::vector<EventQueue::EventId> real_ids;  // index = token
     std::vector<Duration> periods;              // 0 for one-shots
+    std::vector<const Op*> arm_ops;  // kArmFromEvent's op, else nullptr
+    LaneDriver real_lane, ref_lane;
 
     auto fire = [&got, &q](uint64_t token) {
         got.emplace_back(token, q.Now());
+    };
+    q.SetLane([&] {
+        fire(kLaneToken);
+        real_lane.Fired(q);
+    });
+    const RefQueue::Hook hook = [&](uint64_t token) {
+        if (token == kLaneToken) {
+            ref_lane.Fired(ref);
+            if (stats != nullptr) ++stats->lane_fires;
+        } else if (const Op* arm = arm_ops[token]) {
+            ref_lane.ArmIfIdle(ref, ref.Now() + arm->b, *arm);
+        }
     };
 
     for (size_t i = 0; i < n; ++i) {
@@ -213,6 +348,7 @@ RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
             real_ids.push_back(
                 q.ScheduleAfter(op.a, [fire, token] { fire(token); }));
             periods.push_back(0);
+            arm_ops.push_back(nullptr);
             ref.Schedule(q.Now() + op.a, 0, token);
             break;
           }
@@ -221,6 +357,7 @@ RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
             real_ids.push_back(q.SchedulePeriodic(
                 op.a, op.b, [fire, token] { fire(token); }));
             periods.push_back(op.a);
+            arm_ops.push_back(nullptr);
             ref.Schedule(q.Now() + op.b, op.a, token);
             break;
           }
@@ -231,21 +368,52 @@ RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
             ref.Cancel(token);
             break;
           }
+          case Op::kArm:
+            real_lane.ArmIfIdle(q, q.Now() + op.a, op);
+            ref_lane.ArmIfIdle(ref, ref.Now() + op.a, op);
+            break;
+          case Op::kArmFromEvent: {
+            const uint64_t token = real_ids.size();
+            const Op* arm = &op;
+            real_ids.push_back(q.ScheduleAfter(op.a, [&, token, arm] {
+                fire(token);
+                real_lane.ArmIfIdle(q, q.Now() + arm->b, *arm);
+            }));
+            periods.push_back(0);
+            arm_ops.push_back(&op);
+            ref.Schedule(q.Now() + op.a, 0, token);
+            break;
+          }
           case Op::kRun:
             q.RunFor(op.a);
-            ref.RunUntil(q.Now(), &want);
+            ref.Run(q.Now(), /*inclusive=*/true, &want, hook);
+            break;
+          case Op::kRunBefore:
+            q.RunUntilBefore(q.Now() + op.a);
+            ref.Run(q.Now(), /*inclusive=*/false, &want, hook);
+            if (stats != nullptr && ref.LaneArmedAt(q.Now())) {
+                ++stats->lanes_left_at_until;
+            }
             break;
         }
-        if (q.Now() != ref.now()) {
+        if (q.Now() != ref.Now()) {
             return "clock divergence after op " + std::to_string(i);
         }
         if (got.size() != want.size() || got != want) {
             return "firing-log divergence after op " + std::to_string(i);
         }
+        if (q.executed() != got.size()) {
+            return "executed() " + std::to_string(q.executed()) + " != " +
+                   std::to_string(got.size()) + " fired after op " +
+                   std::to_string(i);
+        }
+        if (real_lane.armed != ref_lane.armed) {
+            return "lane arm state divergence after op " + std::to_string(i);
+        }
         if (stats != nullptr) {
             stats->peak_pending = std::max(stats->peak_pending, ref.pending());
             stats->max_distinct =
-                std::max(stats->max_distinct, ref.DistinctWhens(5));
+                std::max(stats->max_distinct, ref.DistinctWhens(6));
         }
     }
 
@@ -258,8 +426,9 @@ RunOps(const std::vector<Op>& ops, size_t n, RunStats* stats = nullptr)
         }
     }
     q.RunFor(Duration{1} << 20);
-    ref.RunUntil(q.Now(), &want);
+    ref.Run(q.Now(), /*inclusive=*/true, &want, hook);
     if (got != want) return "firing-log divergence after drain";
+    if (q.executed() != got.size()) return "executed() diverged in drain";
     if (q.pending() != 0) {
         return "queue not drained: " + std::to_string(q.pending());
     }
@@ -297,9 +466,10 @@ Shrink(const std::vector<Op>& ops, size_t failing_n)
 TEST(EventQueueStress, RandomInterleavingsMatchNaiveReference)
 {
     constexpr size_t kOps = 400;
+    RunStats stats;
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         const std::vector<Op> ops = GenOps(seed, kOps);
-        const std::string failure = RunOps(ops, ops.size());
+        const std::string failure = RunOps(ops, ops.size(), &stats);
         if (!failure.empty()) {
             const size_t minimal = Shrink(ops, ops.size());
             FAIL() << failure << " (seed " << seed
@@ -308,6 +478,9 @@ TEST(EventQueueStress, RandomInterleavingsMatchNaiveReference)
                    << "), " << minimal << "))";
         }
     }
+    // The mix reached both lane cases a heap-only test cannot.
+    EXPECT_GT(stats.lane_fires, 0u);
+    EXPECT_GT(stats.lanes_left_at_until, 0u);
 }
 
 TEST(EventQueueStress, TieStormMatchesNaiveReference)
@@ -329,7 +502,8 @@ TEST(EventQueueStress, TieStormMatchesNaiveReference)
                    << kStormOps << "), " << minimal << "))";
         }
         EXPECT_GE(stats.peak_pending, 1000u) << "seed " << seed;
-        EXPECT_LE(stats.max_distinct, 4u) << "seed " << seed;
+        EXPECT_LE(stats.max_distinct, 5u) << "seed " << seed;
+        EXPECT_GT(stats.lane_fires, 0u) << "seed " << seed;
     }
 }
 
@@ -345,6 +519,8 @@ TEST(EventQueueStress, SameSeedSameLog)
         EXPECT_EQ(a[i].a, b[i].a);
         EXPECT_EQ(a[i].b, b[i].b);
         EXPECT_EQ(a[i].target, b[i].target);
+        EXPECT_EQ(a[i].rearms, b[i].rearms);
+        EXPECT_EQ(a[i].gap, b[i].gap);
     }
 }
 

@@ -7,8 +7,8 @@
  *    --scale on one worker thread, wall-clocked per catalog (with the
  *    top-5 slowest scenarios recorded individually) and checked for
  *    unexpected SLO violations;
- *  - the event-queue microbench on both the pooled production queue and
- *    the embedded legacy (pre-pool) implementation, with allocs/event;
+ *  - the event-queue microbench on the pooled production queue, with
+ *    allocs/event;
  *  - the streaming-tail stats microbench;
  *  - the machine-arbitration microbench: one colocated server under a
  *    controller-like actuation cadence, run with the incremental
@@ -17,10 +17,18 @@
  *    plus an idle window with no actuations that records heap
  *    allocations and host nanoseconds per epoch resolve.
  *
- * Usage: bench_record [--scale F] [--events N] [--out FILE]
+ * Usage: bench_record [--scale F] [--events N] [--reps N] [--out FILE]
  *   --scale   time scale for the catalog pass (default 1.0 = full phases;
  *             CI smoke runs use a small fraction)
- *   --events  total fires per queue implementation (default 2000000)
+ *   --events  fires per event-queue run, samples per stats run
+ *             (default 2000000)
+ *   --reps    times each measurement is taken (default 1). Above 1, every
+ *             timed field is the median over the reps, with its min and
+ *             max beside it as FIELD_min / FIELD_max. The catalog pass
+ *             repeats in forked child processes, each as cold as the
+ *             first (target runs, alone rates and fingerprints are
+ *             memoized per process); the microbenches repeat in this
+ *             process, naive and incremental arbitration alternating.
  *   --out     output path (default BENCH_sim_core.json)
  *
  * The violation verdict is shared with heracles_sim: the abrupt
@@ -31,9 +39,12 @@
  * genuine regressions — CI asserts zero at smoke scale and the full-
  * scale record now pins zero too.
  *
- * Exit codes: 0 recorded; 1 pooled queue not faster than legacy;
- * 2 usage/IO error.
+ * Exit codes: 0 recorded; 2 usage/IO error (a failed child pass
+ * included).
  */
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -176,31 +187,188 @@ RunArbitrationChurn(bool naive, int steps)
     return r;
 }
 
-double
-EventsPerSec(const ArbRun& r)
+/** A timed quantity over the reps: median, min and max. */
+struct Spread {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+Spread
+SpreadOf(std::vector<double> v)
 {
-    return static_cast<double>(r.events) / (r.wall_s > 0 ? r.wall_s : 1e-9);
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    const double median =
+        n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+    return {median, v.front(), v.back()};
 }
 
-/** One resolver mode's machine-arbitration object. */
+/** Writes @p key as the median and, past one rep, KEY_min / KEY_max. */
 void
-WriteArbRun(sim::JsonWriter& w, const ArbRun& r)
+WriteSpread(sim::JsonWriter& w, const std::string& key, const Spread& s,
+            int reps, double scale = 1.0)
 {
+    w.Key(key).Number(s.median * scale);
+    if (reps > 1) {
+        w.Key(key + "_min").Number(s.min * scale);
+        w.Key(key + "_max").Number(s.max * scale);
+    }
+}
+
+/** Runs @p bench @p reps times: the first run's result (its counts are
+ *  deterministic, so they stand for every run) and the wall times'
+ *  spread. */
+template <typename Bench>
+std::pair<bench::BenchResult, Spread>
+Repeat(int reps, Bench bench)
+{
+    std::vector<bench::BenchResult> runs;
+    std::vector<double> walls;
+    for (int rep = 0; rep < reps; ++rep) {
+        runs.push_back(bench());
+        walls.push_back(runs.back().wall_s);
+    }
+    return {runs.front(), SpreadOf(walls)};
+}
+
+/** The host times of one resolver mode's reps: churn and idle window. */
+struct ArbTimes {
+    Spread wall;
+    Spread idle_wall;
+};
+
+ArbTimes
+TimesOf(const std::vector<ArbRun>& runs)
+{
+    std::vector<double> wall, idle_wall;
+    for (const ArbRun& r : runs) {
+        wall.push_back(r.wall_s);
+        idle_wall.push_back(r.idle_wall_s);
+    }
+    return {SpreadOf(wall), SpreadOf(idle_wall)};
+}
+
+/** Events per second at the median wall time of @p runs. */
+double
+EventsPerSec(const std::vector<ArbRun>& runs)
+{
+    const double wall = TimesOf(runs).wall.median;
+    return static_cast<double>(runs.front().events) /
+           (wall > 0 ? wall : 1e-9);
+}
+
+/** One resolver mode's machine-arbitration object. The counts are
+ *  deterministic, so the first rep's stand for all. */
+void
+WriteArbRun(sim::JsonWriter& w, const std::vector<ArbRun>& runs)
+{
+    const ArbRun& r = runs.front();
+    const int reps = static_cast<int>(runs.size());
+    const ArbTimes times = TimesOf(runs);
     const double ev = static_cast<double>(r.events > 0 ? r.events : 1);
     const double idle = static_cast<double>(
         r.idle_resolves > 0 ? r.idle_resolves : 1);
     w.BeginObject();
-    w.Key("wall_s").Number(r.wall_s);
+    WriteSpread(w, "wall_s", times.wall, reps);
     w.Key("events").Int(r.events);
-    w.Key("events_per_sec").Number(EventsPerSec(r));
+    w.Key("events_per_sec").Number(EventsPerSec(runs));
     w.Key("resolves_per_event").Number(r.resolves / ev);
     w.Key("full_resolves_per_event").Number(r.recomputes / ev);
     w.Key("idle").BeginObject();
     w.Key("resolves").Int(r.idle_resolves);
     w.Key("allocs").Int(r.idle_allocs);
     w.Key("allocs_per_resolve").Number(r.idle_allocs / idle);
-    w.Key("ns_per_resolve").Number(r.idle_wall_s * 1e9 / idle);
+    WriteSpread(w, "ns_per_resolve", times.idle_wall, reps, 1e9 / idle);
     w.EndObject().EndObject();
+}
+
+/** One pass over the catalog: each scenario's wall time, the total, and
+ *  the results. */
+struct CatalogPass {
+    std::vector<double> scenario_wall;
+    double wall_s = 0.0;
+    std::vector<scenarios::ScenarioMetrics> results;
+};
+
+CatalogPass
+RunCatalog(const std::vector<scenarios::ScenarioSpec>& specs,
+           const scenarios::RunOptions& opts)
+{
+    // Serial per-spec loop instead of one RunScenarios() call: identical
+    // results in identical order (RunScenarios at jobs=1 is this loop),
+    // but each scenario gets its own wall clock so the record can name
+    // the slowest ones — the first question anyone asks of a perf diff.
+    CatalogPass pass;
+    pass.results.reserve(specs.size());
+    pass.scenario_wall.assign(specs.size(), 0.0);
+    pass.wall_s = bench::WallSeconds([&] {
+        for (size_t i = 0; i < specs.size(); ++i) {
+            pass.scenario_wall[i] = bench::WallSeconds([&] {
+                pass.results.push_back(scenarios::RunScenario(specs[i], opts));
+            });
+        }
+    });
+    return pass;
+}
+
+/** @p pass's scenario walls in catalog order, then its total. */
+std::vector<double>
+WallsOf(const CatalogPass& pass)
+{
+    std::vector<double> walls = pass.scenario_wall;
+    walls.push_back(pass.wall_s);
+    return walls;
+}
+
+/**
+ * Runs one catalog pass in a forked child and returns its scenario
+ * walls followed by its total, or an empty vector when the child
+ * failed. The child starts from this process before any pass ran, so
+ * no memoized run is warm.
+ */
+std::vector<double>
+ColdCatalogWalls(const std::vector<scenarios::ScenarioSpec>& specs,
+                 const scenarios::RunOptions& opts)
+{
+    int fds[2];
+    if (pipe(fds) != 0) return {};
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+        close(fds[0]);
+        close(fds[1]);
+        return {};
+    }
+    std::vector<double> walls(specs.size() + 1, 0.0);
+    const size_t bytes = walls.size() * sizeof(double);
+    if (pid == 0) {
+        close(fds[0]);
+        walls = WallsOf(RunCatalog(specs, opts));
+        const char* p = reinterpret_cast<const char*>(walls.data());
+        for (size_t left = bytes; left > 0;) {
+            const ssize_t k = write(fds[1], p, left);
+            if (k <= 0) _exit(1);
+            p += k;
+            left -= static_cast<size_t>(k);
+        }
+        _exit(0);
+    }
+    close(fds[1]);
+    char* p = reinterpret_cast<char*>(walls.data());
+    size_t got = 0;
+    while (got < bytes) {
+        const ssize_t k = read(fds[0], p + got, bytes - got);
+        if (k <= 0) break;
+        got += static_cast<size_t>(k);
+    }
+    close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    if (got != bytes || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        return {};
+    }
+    return walls;
 }
 
 }  // namespace
@@ -210,6 +378,7 @@ main(int argc, char** argv)
 {
     double scale = 1.0;
     uint64_t events = 2000000;
+    int reps = 1;
     std::string out_path = "BENCH_sim_core.json";
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
@@ -221,13 +390,18 @@ main(int argc, char** argv)
                 tools::ParseNumber("--events", argv[++i],
                                    "a positive integer", 1, 1e15,
                                    /*integer=*/true));
+        } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
+            reps = static_cast<int>(
+                tools::ParseNumber("--reps", argv[++i],
+                                   "a positive integer up to 100", 1, 100,
+                                   /*integer=*/true));
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--scale F] [--events N] [--out FILE]\n",
-                argv[0]);
+            std::fprintf(stderr,
+                         "usage: %s [--scale F] [--events N] [--reps N] "
+                         "[--out FILE]\n",
+                         argv[0]);
             return 2;
         }
     }
@@ -236,20 +410,27 @@ main(int argc, char** argv)
     const auto& specs = scenarios::AllScenarios();
     scenarios::RunOptions opts;
     opts.time_scale = scale;
-    // Serial per-spec loop instead of one RunScenarios() call: identical
-    // results in identical order (RunScenarios at jobs=1 is this loop),
-    // but each scenario gets its own wall clock so the record can name
-    // the slowest ones — the first question anyone asks of a perf diff.
-    std::vector<scenarios::ScenarioMetrics> results;
-    results.reserve(specs.size());
-    std::vector<double> scenario_wall(specs.size(), 0.0);
-    const double catalog_s = bench::WallSeconds([&] {
-        for (size_t i = 0; i < specs.size(); ++i) {
-            scenario_wall[i] = bench::WallSeconds([&] {
-                results.push_back(scenarios::RunScenario(specs[i], opts));
-            });
+    // Reps past the first run in forked children, before this process
+    // runs (and memoizes) anything; the last runs here and keeps the
+    // results.
+    std::vector<std::vector<double>> walls_by_rep;  // as WallsOf()
+    for (int rep = 1; rep < reps; ++rep) {
+        walls_by_rep.push_back(ColdCatalogWalls(specs, opts));
+        if (walls_by_rep.back().empty()) {
+            std::fprintf(stderr, "error: catalog pass %d failed\n", rep);
+            return 2;
         }
-    });
+    }
+    const CatalogPass pass = RunCatalog(specs, opts);
+    walls_by_rep.push_back(WallsOf(pass));
+    const std::vector<scenarios::ScenarioMetrics>& results = pass.results;
+    // scenario_wall[i]: scenario i over the reps; the last, the total.
+    std::vector<Spread> scenario_wall;
+    for (size_t i = 0; i <= specs.size(); ++i) {
+        std::vector<double> column;
+        for (const auto& walls : walls_by_rep) column.push_back(walls[i]);
+        scenario_wall.push_back(SpreadOf(column));
+    }
     // Both the count and the offending names go into the record: a
     // reader of the JSON (CI, or a human diffing two baselines) should
     // not need the run's stderr to know *which* scenarios regressed.
@@ -268,18 +449,20 @@ main(int argc, char** argv)
     std::iota(by_wall.begin(), by_wall.end(), size_t{0});
     std::stable_sort(by_wall.begin(), by_wall.end(),
                      [&](size_t a, size_t b) {
-                         return scenario_wall[a] > scenario_wall[b];
+                         return scenario_wall[a].median >
+                                scenario_wall[b].median;
                      });
     if (by_wall.size() > 5) by_wall.resize(5);
 
     sim::JsonWriter w;
     w.BeginObject();
     w.Key("bench").String("sim_core");
+    w.Key("reps").Int(reps);
     w.Key("scenarios").BeginObject();
     w.Key("count").Int(static_cast<int64_t>(results.size()));
     w.Key("scale").Number(scale);
     w.Key("jobs").Int(1);
-    w.Key("wall_s").Number(catalog_s);
+    WriteSpread(w, "wall_s", scenario_wall.back(), reps);
     w.Key("unexpected_slo_violations")
         .Int(static_cast<int64_t>(violating.size()));
     w.Key("violating_scenarios").BeginArray();
@@ -289,7 +472,7 @@ main(int argc, char** argv)
     for (const size_t i : by_wall) {
         w.BeginObject();
         w.Key("scenario").String(specs[i].name);
-        w.Key("wall_s").Number(scenario_wall[i]);
+        WriteSpread(w, "wall_s", scenario_wall[i], reps);
         w.EndObject();
     }
     w.EndArray().EndObject();
@@ -348,34 +531,36 @@ main(int argc, char** argv)
     w.EndObject();
 
     // --- Microbenches ----------------------------------------------------
-    bench::RunEventQueueChurn<sim::EventQueue>(events / 20);  // warmup
-    bench::RunEventQueueChurn<bench::LegacyEventQueue>(events / 20);
-    const auto pooled =
-        bench::RunEventQueueChurn<sim::EventQueue>(events);
-    const auto legacy =
-        bench::RunEventQueueChurn<bench::LegacyEventQueue>(events);
-    const auto stats = bench::RunStatsStreaming(events);
+    // Each runs reps times.
+    bench::RunEventQueueChurn(events / 20);  // warmup
+    const auto [churn, churn_spread] =
+        Repeat(reps, [&] { return bench::RunEventQueueChurn(events); });
+    const auto [stats, stats_spread] =
+        Repeat(reps, [&] { return bench::RunStatsStreaming(events); });
 
-    // Machine-arbitration microbench: the retained naive resolver first
-    // (it doubles as warmup), then the incremental production path.
+    // Machine-arbitration microbench, naive and incremental alternating
+    // (the first naive run doubles as warmup).
     const int arb_steps = 600;
-    const ArbRun arb_naive = RunArbitrationChurn(/*naive=*/true, arb_steps);
-    const ArbRun arb_inc = RunArbitrationChurn(/*naive=*/false, arb_steps);
+    std::vector<ArbRun> arb_naive, arb_inc;
+    for (int rep = 0; rep < reps; ++rep) {
+        arb_naive.push_back(RunArbitrationChurn(/*naive=*/true, arb_steps));
+        arb_inc.push_back(RunArbitrationChurn(/*naive=*/false, arb_steps));
+    }
+    const auto per_sec = [](uint64_t n, double wall) {
+        return static_cast<double>(n) / (wall > 0 ? wall : 1e-9);
+    };
     w.Key("event_queue").BeginObject();
-    w.Key("events").Int(static_cast<int64_t>(pooled.events));
-    w.Key("pooled_events_per_sec").Number(pooled.per_sec);
-    w.Key("pooled_wall_s").Number(pooled.wall_s);
-    w.Key("pooled_allocs_per_event").Number(pooled.allocs_per_event);
-    w.Key("legacy_events_per_sec").Number(legacy.per_sec);
-    w.Key("legacy_wall_s").Number(legacy.wall_s);
-    w.Key("legacy_allocs_per_event").Number(legacy.allocs_per_event);
-    w.Key("speedup").Number(
-        pooled.per_sec / (legacy.per_sec > 0 ? legacy.per_sec : 1e-9));
+    w.Key("events").Int(static_cast<int64_t>(churn.events));
+    w.Key("pooled_events_per_sec")
+        .Number(per_sec(churn.events, churn_spread.median));
+    WriteSpread(w, "pooled_wall_s", churn_spread, reps);
+    w.Key("pooled_allocs_per_event").Number(churn.allocs_per_event);
     w.EndObject();
     w.Key("stats").BeginObject();
     w.Key("samples").Int(static_cast<int64_t>(stats.events));
-    w.Key("samples_per_sec").Number(stats.per_sec);
-    w.Key("wall_s").Number(stats.wall_s);
+    w.Key("samples_per_sec")
+        .Number(per_sec(stats.events, stats_spread.median));
+    WriteSpread(w, "wall_s", stats_spread, reps);
     w.Key("allocs_per_sample").Number(stats.allocs_per_event);
     w.EndObject();
     w.Key("machine_arbitration").BeginObject();
@@ -386,10 +571,10 @@ main(int argc, char** argv)
     w.Key("events_per_sec_ratio")
         .Number(EventsPerSec(arb_inc) / EventsPerSec(arb_naive));
     w.Key("full_resolve_reduction")
-        .Number(static_cast<double>(arb_naive.recomputes) /
-                (arb_inc.recomputes > 0 ? arb_inc.recomputes : 1));
+        .Number(static_cast<double>(arb_naive.front().recomputes) /
+                std::max<uint64_t>(arb_inc.front().recomputes, 1));
     w.EndObject().EndObject();
 
     if (!bench::EmitRecord(w.str(), out_path)) return 2;
-    return pooled.per_sec > legacy.per_sec ? 0 : 1;
+    return 0;
 }
