@@ -76,19 +76,14 @@ ServerSim::ServerSim(const ServerSpec& spec, sim::EventQueue& queue)
         plat_->ApplyInitialPlacement();
         ctl::LcBwModel model =
             ctl::LcBwModel::Profile(spec.lc, spec.machine);
-        // The controller actuates through the fault-injection decorator
-        // (pass-through on an empty plan — the 22 frozen goldens pin
-        // that) and is observed by the safety-invariant checker, which
-        // forwards everything verbatim.
-        faulty_ = std::make_unique<chaos::FaultyPlatform>(*plat_,
-                                                          spec.faults);
-        chaos::InvariantChecker::Options iopt;
-        iopt.top_period = spec.heracles.top_period;
-        iopt.tdp_frac_limit = spec.heracles.tdp_threshold;
-        checker_ =
-            std::make_unique<chaos::InvariantChecker>(*faulty_, iopt);
+        // The controller monitors and actuates through one wrapper,
+        // ChaosPlatform: it applies the spec's fault plan (pass-through
+        // on an empty plan — the frozen goldens pin that) and judges
+        // every observation and command against the safety invariants.
+        chaos_ = std::make_unique<chaos::ChaosPlatform>(
+            *plat_, spec.faults, spec.heracles);
         controller_ = std::make_unique<ctl::HeraclesController>(
-            *checker_, spec.heracles, std::move(model));
+            *chaos_, spec.heracles, std::move(model));
         controller_->Start();
         break;
       }
@@ -171,8 +166,10 @@ ServerSim::Activity() const
         a.core_shrinks = s.core_shrinks;
     }
     a.actuations = plat_->actuations();
-    if (checker_) a.invariant_violations = checker_->count();
-    if (faulty_) a.faulted_ops = faulty_->faulted_ops();
+    if (chaos_) {
+        a.invariant_violations = chaos_->count();
+        a.faulted_ops = chaos_->faulted_ops();
+    }
     return a;
 }
 

@@ -22,9 +22,8 @@
 #include <optional>
 #include <vector>
 
+#include "chaos/chaos_platform.h"
 #include "chaos/fault_plan.h"
-#include "chaos/faulty_platform.h"
-#include "chaos/invariants.h"
 #include "heracles/config.h"
 #include "heracles/controller.h"
 #include "hw/machine.h"
@@ -137,10 +136,9 @@ class ServerSim
 
     /**
      * This server's activity so far, read from the controller, the
-     * platform, the safety-invariant checker sandwiched between them
-     * (zero violations is part of the golden contract) and the
-     * fault-injection decorator the controller actuates through
-     * (pass-through when the spec carried no plan).
+     * platform and the chaos decorator between them: its safety
+     * violations (zero is part of the golden contract) and its faulted
+     * operations (none when the spec carried no plan).
      */
     ActivityCounters Activity() const;
 
@@ -178,8 +176,7 @@ class ServerSim
     std::unique_ptr<workloads::LcApp> lc_;
     std::unique_ptr<workloads::BeTask> be_;
     std::unique_ptr<platform::SimPlatform> plat_;
-    std::unique_ptr<chaos::FaultyPlatform> faulty_;
-    std::unique_ptr<chaos::InvariantChecker> checker_;
+    std::unique_ptr<chaos::ChaosPlatform> chaos_;
     /** Recomputes the ambient burst scale from bursts_ at Now(). */
     void ApplyBurstScale();
 

@@ -25,7 +25,7 @@ CoreMemController::CoreMemController(platform::Platform& platform,
 double
 CoreMemController::DramLimitGbps() const
 {
-    return cfg_.dram_limit_frac * platform_.DramPeakGbps();
+    return cfg_.dram_limit_frac * platform_.facts().dram_peak_gbps;
 }
 
 double
@@ -39,9 +39,9 @@ CoreMemController::LcModelGbps() const
     }
     if (!cfg_.use_bw_model || model_.empty()) return 0.0;
     const int lc_cores =
-        platform_.TotalPhysCores() - platform_.BeCores();
+        platform_.facts().total_phys_cores - platform_.BeCores();
     const int lc_ways =
-        platform_.TotalLlcWays() - platform_.BeWays();
+        platform_.facts().total_llc_ways - platform_.BeWays();
     return model_.Evaluate(platform_.LcLoad(), lc_cores, lc_ways);
 }
 
@@ -71,7 +71,7 @@ CoreMemController::OnBeEnabled()
     state_ = State::kGrowLlc;
     const int ways = std::max(
         1, static_cast<int>(std::round(kInitialBeLlcFrac *
-                                       platform_.TotalLlcWays())));
+                                       platform_.facts().total_llc_ways)));
     platform_.SetBeCores(kInitialBeCores);
     platform_.SetBeWays(ways);
     last_total_bw_ = platform_.MeasuredDramGbps();
@@ -144,7 +144,7 @@ CoreMemController::Tick(bool can_grow_be, double slack)
             state_ = State::kGrowCores;
             return;
         }
-        const int max_be_ways = platform_.TotalLlcWays() - 4;
+        const int max_be_ways = platform_.facts().total_llc_ways - 4;
         if (platform_.BeWays() >= max_be_ways) {
             state_ = State::kGrowCores;
             return;
@@ -180,13 +180,13 @@ CoreMemController::Tick(bool can_grow_be, double slack)
         // the jump is large, so gate on the post-removal utilization to
         // avoid oscillating across the guard band.
         const int lc_cores =
-            platform_.TotalPhysCores() - platform_.BeCores();
+            platform_.facts().total_phys_cores - platform_.BeCores();
         const double util_after =
             lc_cores > 1 ? lc_util * lc_cores / (lc_cores - 1) : 1.0;
         if (slack > cfg_.slack_disallow_growth &&
             fast_slack > cfg_.fast_growth_margin &&
             util_after < cfg_.lc_util_grow_limit &&
-            platform_.BeCores() < platform_.TotalPhysCores() - 1) {
+            platform_.BeCores() < platform_.facts().total_phys_cores - 1) {
             platform_.SetBeCores(platform_.BeCores() + 1);
         }
     }

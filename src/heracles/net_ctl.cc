@@ -13,7 +13,7 @@ NetworkController::NetworkController(platform::Platform& platform,
 void
 NetworkController::Tick()
 {
-    const double link = platform_.LinkRateGbps();
+    const double link = platform_.facts().link_rate_gbps;
     const double lc_bw = platform_.LcTxGbps();
     const double headroom = std::max(cfg_.net_headroom_link_frac * link,
                                      cfg_.net_headroom_lc_frac * lc_bw);

@@ -20,9 +20,7 @@ constexpr int kDvfsStepsPerTick = 2;
 
 PowerController::PowerController(platform::Platform& platform,
                                  const HeraclesConfig& cfg)
-    : platform_(platform),
-      cfg_(cfg),
-      guaranteed_ghz_(platform.GuaranteedLcFreqGhz())
+    : platform_(platform), cfg_(cfg)
 {
 }
 
@@ -39,27 +37,28 @@ PowerController::Tick()
 
     // Worst socket drives the decision (the loop runs per socket on real
     // hardware; both conditions below must hold).
+    const platform::Facts& facts = platform_.facts();
     double power_frac = 0.0;
-    for (int s = 0; s < platform_.Sockets(); ++s) {
+    for (int s = 0; s < facts.sockets; ++s) {
         power_frac =
-            std::max(power_frac, platform_.SocketPowerW(s) / platform_.TdpW());
+            std::max(power_frac, platform_.SocketPowerW(s) / facts.tdp_w);
     }
     const double lc_freq = platform_.LcFreqGhz();
-    const double step = kDvfsStepsPerTick * platform_.FreqStepGhz();
+    const double guaranteed = facts.guaranteed_lc_freq_ghz;
+    const double step = kDvfsStepsPerTick * facts.freq_step_ghz;
 
     double cap = platform_.BeFreqCapGhz();
-    if (cap == 0.0) cap = platform_.MaxGhz();  // uncapped
+    if (cap == 0.0) cap = facts.max_ghz;  // uncapped
 
-    if (power_frac > cfg_.tdp_threshold &&
-        lc_freq < guaranteed_ghz_ - 1e-3) {
+    if (power_frac > cfg_.tdp_threshold && lc_freq < guaranteed - 1e-3) {
         // LowerFrequency(be_cores): shift power budget to LC cores.
-        const double next = std::max(platform_.MinGhz(), cap - step);
+        const double next = std::max(facts.min_ghz, cap - step);
         platform_.SetBeFreqCapGhz(next);
     } else if (power_frac <= kTdpRaiseThreshold &&
-               lc_freq >= guaranteed_ghz_ - 1e-3) {
+               lc_freq >= guaranteed - 1e-3) {
         // IncreaseFrequency(be_cores): comfortable headroom available.
         const double next = cap + step;
-        if (next >= platform_.MaxGhz() - 1e-9) {
+        if (next >= facts.max_ghz - 1e-9) {
             platform_.SetBeFreqCapGhz(0.0);  // fully uncapped
         } else {
             platform_.SetBeFreqCapGhz(next);

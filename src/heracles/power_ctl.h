@@ -31,7 +31,6 @@ class PowerController
   private:
     platform::Platform& platform_;
     HeraclesConfig cfg_;
-    double guaranteed_ghz_;
 };
 
 }  // namespace heracles::ctl

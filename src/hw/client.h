@@ -118,15 +118,6 @@ struct TaskView {
         for (double g : dram_granted_gbps) s += g;
         return s;
     }
-
-    /** Total effective cache across sockets. */
-    double
-    TotalLlcMb() const
-    {
-        double s = 0;
-        for (double m : llc_mb) s += m;
-        return s;
-    }
 };
 
 }  // namespace heracles::hw

@@ -11,6 +11,13 @@
  * (cgroup cpusets, CAT MSRs, per-core DVFS, tc/HTB qdiscs). A real
  * deployment would implement this interface over procfs/resctrl/msr; this
  * repository ships SimPlatform, which binds it to the simulated server.
+ *
+ * The server's shape and ratings (sockets, cores, LLC ways, peak DRAM
+ * bandwidth, TDP, the DVFS range and step, the link rate) and the LC
+ * workload's guaranteed frequency are fixed for a run: they come as one
+ * Facts record, not as calls. Every method below may read a different
+ * value each time — the SLO included, which a cluster's central
+ * controller retargets per leaf.
  */
 #ifndef HERACLES_PLATFORM_IFACE_H
 #define HERACLES_PLATFORM_IFACE_H
@@ -20,6 +27,22 @@
 
 namespace heracles::platform {
 
+/** One server's facts that are fixed for a run; a platform fills them
+ *  once. */
+struct Facts {
+    int sockets = 0;
+    int total_phys_cores = 0;
+    int total_llc_ways = 0;
+    double dram_peak_gbps = 0.0;  ///< Peak streaming DRAM bandwidth.
+    double tdp_w = 0.0;           ///< Per-socket TDP.
+    double min_ghz = 0.0;         ///< Lowest DVFS frequency.
+    double max_ghz = 0.0;         ///< Highest (single-core turbo) frequency.
+    double freq_step_ghz = 0.0;   ///< DVFS step.
+    double link_rate_gbps = 0.0;  ///< NIC line rate.
+    /** Frequency the LC workload sustains running alone at full load. */
+    double guaranteed_lc_freq_ghz = 0.0;
+};
+
 /** Monitor + actuator surface for one server. All methods are cheap. */
 class Platform
 {
@@ -28,6 +51,9 @@ class Platform
 
     /** Event queue used to schedule the control loops. */
     virtual sim::EventQueue& queue() = 0;
+
+    /** The server's fixed facts; the same values for the whole run. */
+    virtual const Facts& facts() = 0;
 
     // --- Latency-critical workload monitors --------------------------------
 
@@ -62,9 +88,6 @@ class Platform
     /** Measured total DRAM bandwidth (GB/s), from IMC counters. */
     virtual double MeasuredDramGbps() = 0;
 
-    /** Peak streaming DRAM bandwidth of the machine (GB/s). */
-    virtual double DramPeakGbps() = 0;
-
     /**
      * Rough estimate of the BE jobs' DRAM bandwidth (GB/s), from counters
      * proportional to per-core memory traffic (noisier than the total).
@@ -73,30 +96,20 @@ class Platform
 
     // --- Power ----------------------------------------------------------------
 
-    virtual int Sockets() = 0;
     virtual double SocketPowerW(int socket) = 0;   ///< RAPL reading.
-    virtual double TdpW() = 0;                     ///< Per-socket TDP.
     virtual double LcFreqGhz() = 0;  ///< Mean frequency of LC cores.
-    /** Frequency the LC workload sustains running alone at full load. */
-    virtual double GuaranteedLcFreqGhz() = 0;
-    virtual double MinGhz() = 0;
-    virtual double MaxGhz() = 0;
-    virtual double FreqStepGhz() = 0;
     virtual double BeFreqCapGhz() = 0;  ///< 0 = uncapped.
     virtual void SetBeFreqCapGhz(double ghz) = 0;
 
     // --- Network -----------------------------------------------------------------
 
     virtual double LcTxGbps() = 0;     ///< LC egress bandwidth.
-    virtual double LinkRateGbps() = 0;
     virtual void SetBeNetCeilGbps(double gbps) = 0;  ///< HTB ceil.
 
     // --- Cores and cache ---------------------------------------------------------
 
-    virtual int TotalPhysCores() = 0;
     virtual int BeCores() = 0;               ///< 0 = BE disabled.
     virtual void SetBeCores(int cores) = 0;  ///< LC gets the rest.
-    virtual int TotalLlcWays() = 0;
     virtual int BeWays() = 0;
     virtual void SetBeWays(int ways) = 0;
 

@@ -5,10 +5,45 @@
 #include "hw/power.h"
 
 namespace heracles::platform {
+namespace {
+
+Facts
+FactsOf(const hw::MachineConfig& cfg, const workloads::LcParams& lc)
+{
+    // The frequency the LC task sustains alone at 100% load: all cores
+    // busy at the workload's power intensity, no DVFS caps.
+    std::vector<hw::CorePowerRequest> cores(cfg.cores_per_socket);
+    for (auto& c : cores) {
+        c.busy = 1.0;
+        c.intensity = lc.power_intensity;
+    }
+    const hw::PowerOutcome out = hw::ResolvePower(cfg, cores);
+    double guaranteed = 0.0;
+    for (double ghz : out.freq_ghz) guaranteed += ghz;
+
+    Facts f;
+    f.sockets = cfg.sockets;
+    f.total_phys_cores = cfg.TotalCores();
+    f.total_llc_ways = cfg.llc_ways;
+    f.dram_peak_gbps = cfg.TotalDramGbps();
+    f.tdp_w = cfg.tdp_w;
+    f.min_ghz = cfg.min_ghz;
+    f.max_ghz = cfg.turbo_1c_ghz;
+    f.freq_step_ghz = cfg.dvfs_step_ghz;
+    f.link_rate_gbps = cfg.nic_gbps;
+    f.guaranteed_lc_freq_ghz = guaranteed / cores.size();
+    return f;
+}
+
+}  // namespace
 
 SimPlatform::SimPlatform(hw::Machine& machine, workloads::LcApp& lc,
                          workloads::BeTask* be)
-    : machine_(machine), lc_(lc), be_(be), noise_(machine.config().seed ^ 99)
+    : machine_(machine),
+      lc_(lc),
+      be_(be),
+      facts_(FactsOf(machine.config(), lc.params())),
+      noise_(machine.config().seed ^ 99)
 {
 }
 
@@ -95,23 +130,6 @@ SimPlatform::BeDramEstimateGbps()
     const hw::TaskView& view = machine_.ViewOf(be_);
     const double jitter = 1.0 + noise_.Uniform(-0.05, 0.05);
     return view.TotalDramGrantedGbps() * jitter;
-}
-
-double
-SimPlatform::GuaranteedLcFreqGhz()
-{
-    // The frequency the LC task sustains alone at 100% load: all cores
-    // busy at the workload's power intensity, no DVFS caps.
-    const auto& cfg = machine_.config();
-    std::vector<hw::CorePowerRequest> cores(cfg.cores_per_socket);
-    for (auto& c : cores) {
-        c.busy = 1.0;
-        c.intensity = lc_.params().power_intensity;
-    }
-    const hw::PowerOutcome out = hw::ResolvePower(cfg, cores);
-    double mean = 0.0;
-    for (double f : out.freq_ghz) mean += f;
-    return mean / cores.size();
 }
 
 double

@@ -60,6 +60,7 @@ class SimPlatform : public Platform
 
     // --- Platform ------------------------------------------------------------
     sim::EventQueue& queue() override { return machine_.queue(); }
+    const Facts& facts() override { return facts_; }
 
     sim::Duration LcTailLatency() override { return lc_.CtlTailLatency(); }
     sim::Duration LcFastTailLatency() override {
@@ -77,35 +78,23 @@ class SimPlatform : public Platform
     double MeasuredDramGbps() override {
         return machine_.MeasuredTotalDramGbps();
     }
-    double DramPeakGbps() override {
-        return machine_.config().TotalDramGbps();
-    }
     double BeDramEstimateGbps() override;
 
-    int Sockets() override { return machine_.config().sockets; }
     double SocketPowerW(int socket) override {
         return machine_.MeasuredSocketPowerW(socket);
     }
-    double TdpW() override { return machine_.config().tdp_w; }
     double LcFreqGhz() override { return machine_.MeasuredFreqGhz(&lc_); }
-    double GuaranteedLcFreqGhz() override;
-    double MinGhz() override { return machine_.config().min_ghz; }
-    double MaxGhz() override { return machine_.config().turbo_1c_ghz; }
-    double FreqStepGhz() override { return machine_.config().dvfs_step_ghz; }
     double BeFreqCapGhz() override;
     void SetBeFreqCapGhz(double ghz) override;
 
     double LcTxGbps() override { return machine_.LcTxGbps(); }
-    double LinkRateGbps() override { return machine_.config().nic_gbps; }
     void SetBeNetCeilGbps(double gbps) override {
         ++actuations_.set_net_ceil;
         machine_.SetBeNetCeilGbps(gbps);
     }
 
-    int TotalPhysCores() override { return machine_.config().TotalCores(); }
     int BeCores() override { return be_cores_; }
     void SetBeCores(int cores) override;
-    int TotalLlcWays() override { return machine_.config().llc_ways; }
     int BeWays() override { return be_ways_; }
     void SetBeWays(int ways) override;
 
@@ -122,6 +111,7 @@ class SimPlatform : public Platform
     hw::Machine& machine_;
     workloads::LcApp& lc_;
     workloads::BeTask* be_;
+    const Facts facts_;
     mutable sim::Rng noise_;
 
     int be_cores_ = 0;

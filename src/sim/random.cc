@@ -88,20 +88,4 @@ Rng::LogNormalWithMean(double mean, double sigma)
     return std::exp(Normal(mu, sigma));
 }
 
-double
-Rng::BoundedPareto(double lo, double hi, double alpha)
-{
-    HERACLES_CHECK(lo > 0 && hi > lo && alpha > 0);
-    const double u = Uniform01();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
-Rng
-Rng::Fork()
-{
-    return Rng(Next64());
-}
-
 }  // namespace heracles::sim

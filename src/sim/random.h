@@ -59,15 +59,6 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool Bernoulli(double p) { return Uniform01() < p; }
 
-    /**
-     * Bounded Pareto sample in [lo, hi] with shape @p alpha; used for
-     * occasional very-slow requests (request-size skew).
-     */
-    double BoundedPareto(double lo, double hi, double alpha);
-
-    /** Derives an independent child generator (for per-component streams). */
-    Rng Fork();
-
   private:
     uint64_t s_[4];
     double cached_normal_ = 0.0;

@@ -171,9 +171,6 @@ class WindowedTailTracker
     /** Number of completed windows. */
     uint64_t WindowsCompleted() const { return windows_completed_; }
 
-    /** Forgets the worst-window statistic (e.g. after a warmup phase). */
-    void ResetWorst() { worst_window_tail_ = 0; }
-
   private:
     void CloseWindow();
 

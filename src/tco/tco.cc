@@ -38,12 +38,6 @@ TcoModel::MonthlyTcoPerServer(double utilization) const
 }
 
 double
-TcoModel::ClusterTcoMonth(double utilization) const
-{
-    return MonthlyTcoPerServer(utilization) * params_.servers;
-}
-
-double
 TcoModel::ThroughputPerTco(double utilization) const
 {
     return utilization / MonthlyTcoPerServer(utilization);

@@ -46,9 +46,6 @@ class TcoModel
     /** Monthly per-server TCO at @p utilization. */
     double MonthlyTcoPerServer(double utilization) const;
 
-    /** Cluster-wide monthly TCO. */
-    double ClusterTcoMonth(double utilization) const;
-
     /** Throughput per dollar, normalized units (throughput = util). */
     double ThroughputPerTco(double utilization) const;
 

@@ -66,13 +66,6 @@ TEST(Tco, EnergyProportionalityGainsAreSmall)
               m.EnergyProportionalityGain(0.75));
 }
 
-TEST(Tco, ClusterScalesByServerCount)
-{
-    tco::TcoModel m;
-    EXPECT_NEAR(m.ClusterTcoMonth(0.5),
-                m.MonthlyTcoPerServer(0.5) * m.params().servers, 1e-6);
-}
-
 TEST(Tco, EnergyCostUsesPue)
 {
     tco::TcoParams p;

@@ -1,7 +1,8 @@
 /**
  * @file
  * A scriptable Platform implementation for controller unit tests: every
- * monitor reading is a settable field, every actuator call is recorded.
+ * monitor reading and fixed fact is a settable field, every actuator
+ * call is recorded.
  */
 #ifndef HERACLES_TESTS_FAKE_PLATFORM_H
 #define HERACLES_TESTS_FAKE_PLATFORM_H
@@ -15,6 +16,22 @@ namespace heracles::testing {
 class FakePlatform : public platform::Platform
 {
   public:
+    // Fixed facts: a two-socket, 36-core, 20-way server.
+    platform::Facts fixed = [] {
+        platform::Facts f;
+        f.sockets = 2;
+        f.total_phys_cores = 36;
+        f.total_llc_ways = 20;
+        f.dram_peak_gbps = 100.0;
+        f.tdp_w = 145.0;
+        f.min_ghz = 1.2;
+        f.max_ghz = 3.6;
+        f.freq_step_ghz = 0.1;
+        f.link_rate_gbps = 10.0;
+        f.guaranteed_lc_freq_ghz = 2.5;
+        return f;
+    }();
+
     // Monitor values (fields are the test's script).
     sim::Duration tail = sim::Millis(6);
     sim::Duration fast_tail = sim::Millis(6);
@@ -22,14 +39,10 @@ class FakePlatform : public platform::Platform
     double load = 0.4;
     double lc_cpu_util = 0.4;
     double dram_gbps = 20.0;
-    double dram_peak = 100.0;
     double be_dram = 5.0;
     double socket_power[2] = {80.0, 80.0};
-    double tdp = 145.0;
     double lc_freq = 2.5;
-    double guaranteed = 2.5;
     double lc_tx = 1.0;
-    double link_rate = 10.0;
     double be_rate = 10.0;
     bool has_be = true;
 
@@ -50,6 +63,7 @@ class FakePlatform : public platform::Platform
     std::function<void(int)> on_set_ways;
 
     sim::EventQueue& queue() override { return queue_; }
+    const platform::Facts& facts() override { return fixed; }
 
     sim::Duration LcTailLatency() override { return tail; }
     sim::Duration LcFastTailLatency() override { return fast_tail; }
@@ -58,17 +72,10 @@ class FakePlatform : public platform::Platform
     double LcCpuUtilization() override { return lc_cpu_util; }
 
     double MeasuredDramGbps() override { return dram_gbps; }
-    double DramPeakGbps() override { return dram_peak; }
     double BeDramEstimateGbps() override { return be_dram; }
 
-    int Sockets() override { return 2; }
     double SocketPowerW(int s) override { return socket_power[s]; }
-    double TdpW() override { return tdp; }
     double LcFreqGhz() override { return lc_freq; }
-    double GuaranteedLcFreqGhz() override { return guaranteed; }
-    double MinGhz() override { return 1.2; }
-    double MaxGhz() override { return 3.6; }
-    double FreqStepGhz() override { return 0.1; }
     double BeFreqCapGhz() override { return be_freq_cap; }
     void
     SetBeFreqCapGhz(double ghz) override
@@ -78,7 +85,6 @@ class FakePlatform : public platform::Platform
     }
 
     double LcTxGbps() override { return lc_tx; }
-    double LinkRateGbps() override { return link_rate; }
     void
     SetBeNetCeilGbps(double gbps) override
     {
@@ -86,21 +92,19 @@ class FakePlatform : public platform::Platform
         ++set_ceil_calls;
     }
 
-    int TotalPhysCores() override { return 36; }
     int BeCores() override { return be_cores; }
     void
     SetBeCores(int cores) override
     {
-        be_cores = std::clamp(cores, 0, 35);
+        be_cores = std::clamp(cores, 0, fixed.total_phys_cores - 1);
         ++set_cores_calls;
         if (on_set_cores) on_set_cores(be_cores);
     }
-    int TotalLlcWays() override { return 20; }
     int BeWays() override { return be_ways; }
     void
     SetBeWays(int ways) override
     {
-        be_ways = std::clamp(ways, 0, 16);
+        be_ways = std::clamp(ways, 0, fixed.total_llc_ways - 4);
         ++set_ways_calls;
         if (on_set_ways) on_set_ways(be_ways);
     }

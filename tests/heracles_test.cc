@@ -641,7 +641,7 @@ TEST(Integration, PowerVirusLcKeepsGuaranteedFrequency)
     if (rig.plat.BeCores() > 0) {
         // If the virus is running, the LC frequency must be protected.
         EXPECT_GE(rig.plat.LcFreqGhz(),
-                  rig.plat.GuaranteedLcFreqGhz() - 0.11);
+                  rig.plat.facts().guaranteed_lc_freq_ghz - 0.11);
     }
 }
 

@@ -737,7 +737,6 @@ TEST(Machine, EmptyCpusetNeutralView)
     m.ResolveNow();
     const TaskView& v = m.ViewOf(&a);
     EXPECT_DOUBLE_EQ(v.dram_stretch, 1.0);
-    EXPECT_DOUBLE_EQ(v.TotalLlcMb(), 0.0);
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
 /**
  * @file
  * Chaos-layer tests: the fault-plan vocabulary and parser, the
- * FaultyPlatform decorator (drop/freeze/noise semantics, pass-through
- * transparency), and the controller-safety invariant harness — both
- * that an honest controller survives degraded runs with zero
- * violations, and that the harness *can* fail: a deliberately broken
- * controller configuration must trip an invariant.
+ * ChaosPlatform decorator's fault semantics (drop/freeze/noise,
+ * pass-through transparency), its safety judge — both that an honest
+ * controller survives degraded runs with zero violations, and that the
+ * judge *can* fail: a deliberately broken controller configuration must
+ * trip an invariant — and how the two compose inside one call.
  */
 #include <gtest/gtest.h>
 
+#include "chaos/chaos_platform.h"
 #include "chaos/fault_plan.h"
-#include "chaos/faulty_platform.h"
-#include "chaos/invariants.h"
 #include "fake_platform.h"
 #include "heracles/controller.h"
 #include "scenarios/registry.h"
@@ -109,86 +108,90 @@ TEST(FaultPlan, ResolvesFractionsAndLeafScope)
 }
 
 // --------------------------------------------------------------------------
-// FaultyPlatform semantics
+// ChaosPlatform: fault semantics
 
-/** A 100 s run with the given plan over a fresh FakePlatform. */
-struct FaultyRig {
-    explicit FaultyRig(std::vector<FaultSpec> faults)
+/** A 100 s run with the given plan over a fresh FakePlatform, judged
+ *  with the default controller configuration (15 s top-level period,
+ *  90% TDP threshold). */
+struct ChaosRig {
+    explicit ChaosRig(std::vector<FaultSpec> faults = {})
     {
         FaultPlan plan;
         plan.faults = std::move(faults);
-        faulty = std::make_unique<FaultyPlatform>(
-            plat, ResolvedFaultPlan::For(plan, sim::Seconds(100)));
+        chaos = std::make_unique<ChaosPlatform>(
+            plat, ResolvedFaultPlan::For(plan, sim::Seconds(100)),
+            ctl::HeraclesConfig{});
     }
 
     FakePlatform plat;
-    std::unique_ptr<FaultyPlatform> faulty;
+    std::unique_ptr<ChaosPlatform> chaos;
 };
 
-TEST(FaultyPlatform, EmptyPlanIsTransparent)
+TEST(ChaosPlatform, EmptyPlanIsTransparent)
 {
-    FaultyRig rig({});
+    ChaosRig rig;
     rig.plat.tail = sim::Millis(7);
-    EXPECT_EQ(rig.faulty->LcTailLatency(), sim::Millis(7));
-    rig.faulty->SetBeCores(5);
+    EXPECT_EQ(rig.chaos->LcTailLatency(), sim::Millis(7));
+    rig.chaos->SetBeCores(5);
     EXPECT_EQ(rig.plat.be_cores, 5);
-    rig.faulty->SetBeWays(4);
+    rig.chaos->SetBeWays(4);
     EXPECT_EQ(rig.plat.be_ways, 4);
-    EXPECT_EQ(rig.faulty->faulted_ops(), 0u);
+    EXPECT_EQ(rig.chaos->faulted_ops(), 0u);
 }
 
-TEST(FaultyPlatform, DropWindowSwallowsActuations)
+TEST(ChaosPlatform, DropWindowSwallowsActuations)
 {
-    FaultyRig rig({ActuatorDrop(Actuator::kCores, 0.25, 0.75)});
-    rig.faulty->SetBeCores(3);  // before the window: applied
+    ChaosRig rig({ActuatorDrop(Actuator::kCores, 0.25, 0.75)});
+    rig.chaos->SetBeCores(3);  // before the window: applied
     EXPECT_EQ(rig.plat.be_cores, 3);
 
     rig.plat.queue().RunFor(sim::Seconds(50));  // inside the window
-    rig.faulty->SetBeCores(9);
+    rig.chaos->SetBeCores(9);
     EXPECT_EQ(rig.plat.be_cores, 3) << "dropped call reached the plant";
-    EXPECT_EQ(rig.faulty->CommandedBeCores(), 9);
-    EXPECT_EQ(rig.faulty->BeCores(), 3) << "reads must show applied state";
-    EXPECT_EQ(rig.faulty->faulted_ops(), 1u);
+    EXPECT_EQ(rig.chaos->CommandedBeCores(), 9);
+    EXPECT_EQ(rig.chaos->BeCores(), 3) << "reads must show applied state";
+    EXPECT_EQ(rig.chaos->faulted_ops(), 1u);
     // Other actuators are unaffected.
-    rig.faulty->SetBeWays(6);
+    rig.chaos->SetBeWays(6);
     EXPECT_EQ(rig.plat.be_ways, 6);
 
     rig.plat.queue().RunFor(sim::Seconds(30));  // past the window
-    rig.faulty->SetBeCores(7);
+    rig.chaos->SetBeCores(7);
     EXPECT_EQ(rig.plat.be_cores, 7);
 }
 
-TEST(FaultyPlatform, FreezeHoldsFirstInWindowValue)
+TEST(ChaosPlatform, FreezeHoldsFirstInWindowValue)
 {
-    FaultyRig rig({Freeze(Monitor::kTail, 0.25, 0.75)});
+    ChaosRig rig({Freeze(Monitor::kTail, 0.25, 0.75)});
     rig.plat.tail = sim::Millis(6);
-    EXPECT_EQ(rig.faulty->LcTailLatency(), sim::Millis(6));
+    EXPECT_EQ(rig.chaos->LcTailLatency(), sim::Millis(6));
 
     rig.plat.queue().RunFor(sim::Seconds(30));
-    EXPECT_EQ(rig.faulty->LcTailLatency(), sim::Millis(6));  // captured
+    EXPECT_EQ(rig.chaos->LcTailLatency(), sim::Millis(6));  // captured
     rig.plat.tail = sim::Millis(14);
-    EXPECT_EQ(rig.faulty->LcTailLatency(), sim::Millis(6))
+    EXPECT_EQ(rig.chaos->LcTailLatency(), sim::Millis(6))
         << "frozen read must not track the plant";
     // The fast-tail channel is independent and stays live.
     rig.plat.fast_tail = sim::Millis(14);
-    EXPECT_EQ(rig.faulty->LcFastTailLatency(), sim::Millis(14));
+    EXPECT_EQ(rig.chaos->LcFastTailLatency(), sim::Millis(14));
 
     rig.plat.queue().RunFor(sim::Seconds(60));
-    EXPECT_EQ(rig.faulty->LcTailLatency(), sim::Millis(14));  // thawed
+    EXPECT_EQ(rig.chaos->LcTailLatency(), sim::Millis(14));  // thawed
 }
 
-TEST(FaultyPlatform, NoiseIsSeededAndDeterministic)
+TEST(ChaosPlatform, NoiseIsSeededAndDeterministic)
 {
     auto run = [](uint64_t seed) {
         FakePlatform plat;
         FaultPlan plan;
         plan.faults = {Noise(Monitor::kDram, 0.2, 0.0, 1.0)};
         plan.seed = seed;
-        FaultyPlatform faulty(
-            plat, ResolvedFaultPlan::For(plan, sim::Seconds(100)));
+        ChaosPlatform chaos(plat,
+                            ResolvedFaultPlan::For(plan, sim::Seconds(100)),
+                            ctl::HeraclesConfig{});
         std::vector<double> reads;
         for (int i = 0; i < 8; ++i) {
-            reads.push_back(faulty.MeasuredDramGbps());
+            reads.push_back(chaos.MeasuredDramGbps());
         }
         return reads;
     };
@@ -201,126 +204,167 @@ TEST(FaultyPlatform, NoiseIsSeededAndDeterministic)
 }
 
 // --------------------------------------------------------------------------
-// InvariantChecker: manual drives
-
-struct CheckerRig {
-    CheckerRig()
-        : checker(plat, {sim::Seconds(15), 0.90})
-    {
-    }
-
-    FakePlatform plat;
-    InvariantChecker checker;
-};
+// ChaosPlatform: the judge, driven by hand over an empty plan
 
 TEST(Invariants, CleanDriveRecordsNothing)
 {
-    CheckerRig rig;
-    rig.checker.LcTailLatency();   // healthy: 6 ms of a 12 ms SLO
-    rig.checker.SetBeCores(1);     // admit
-    rig.checker.SetBeWays(2);
-    rig.checker.LcFastTailLatency();
-    rig.checker.SetBeCores(2);     // grow with healthy fresh signals
-    rig.checker.SocketPowerW(0);   // 80 W of 145 W TDP
-    rig.checker.SetBeFreqCapGhz(2.0);
-    rig.checker.SetBeNetCeilGbps(4.0);
-    rig.checker.SetBeCores(0);     // clean disable
-    EXPECT_EQ(rig.checker.count(), 0u);
+    ChaosRig rig;
+    rig.chaos->LcTailLatency();   // healthy: 6 ms of a 12 ms SLO
+    rig.chaos->SetBeCores(1);     // admit
+    rig.chaos->SetBeWays(2);
+    rig.chaos->LcFastTailLatency();
+    rig.chaos->SetBeCores(2);     // grow with healthy fresh signals
+    rig.chaos->SocketPowerW(0);   // 80 W of 145 W TDP
+    rig.chaos->SetBeFreqCapGhz(2.0);
+    rig.chaos->SetBeNetCeilGbps(4.0);
+    rig.chaos->SetBeCores(0);     // clean disable
+    EXPECT_EQ(rig.chaos->count(), 0u);
 }
 
 TEST(Invariants, GrowUnderFreshDangerTrips)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(1);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(1);
     rig.plat.tail = sim::Millis(13);  // over the 12 ms SLO
-    rig.checker.LcTailLatency();
-    rig.checker.SetBeCores(2);
-    ASSERT_EQ(rig.checker.count(), 1u);
-    EXPECT_EQ(rig.checker.violations()[0].invariant,
+    rig.chaos->LcTailLatency();
+    rig.chaos->SetBeCores(2);
+    ASSERT_EQ(rig.chaos->count(), 1u);
+    EXPECT_EQ(rig.chaos->violations()[0].invariant,
               "no-grow-under-danger");
 }
 
 TEST(Invariants, StaleDangerDoesNotBlockGrowth)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(1);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(1);
     rig.plat.fast_tail = sim::Millis(13);
-    rig.checker.LcFastTailLatency();  // danger observed...
-    rig.checker.SetBeCores(0);        // ...BE disabled (deadline met)
+    rig.chaos->LcFastTailLatency();  // danger observed...
+    rig.chaos->SetBeCores(0);        // ...BE disabled (deadline met)
     rig.plat.fast_tail = sim::Millis(6);
     // One full control interval later the old reading is stale; the
     // controller re-admitting BE from scratch is legitimate.
     rig.plat.queue().RunFor(sim::Seconds(15));
-    rig.checker.SetBeCores(1);
-    EXPECT_EQ(rig.checker.count(), 0u);
+    rig.chaos->SetBeCores(1);
+    EXPECT_EQ(rig.chaos->count(), 0u);
 }
 
 TEST(Invariants, MissedDisableDeadlineTrips)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(4);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(4);
     rig.plat.tail = sim::Millis(20);
-    rig.checker.LcTailLatency();  // arms the deadline
+    rig.chaos->LcTailLatency();  // arms the deadline
     rig.plat.queue().RunFor(sim::Seconds(31));
-    rig.checker.LcTailLatency();  // lapsed with 4 cores still commanded
-    ASSERT_GE(rig.checker.count(), 1u);
-    EXPECT_EQ(rig.checker.violations()[0].invariant, "safeguard-disable");
+    rig.chaos->LcTailLatency();  // lapsed with 4 cores still commanded
+    ASSERT_GE(rig.chaos->count(), 1u);
+    EXPECT_EQ(rig.chaos->violations()[0].invariant, "safeguard-disable");
 }
 
 TEST(Invariants, TimelyDisableMeetsDeadline)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(4);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(4);
     rig.plat.tail = sim::Millis(20);
-    rig.checker.LcTailLatency();
-    rig.checker.SetBeCores(0);  // within the same control interval
+    rig.chaos->LcTailLatency();
+    rig.chaos->SetBeCores(0);  // within the same control interval
     rig.plat.queue().RunFor(sim::Seconds(31));
-    rig.checker.LcTailLatency();
-    EXPECT_EQ(rig.checker.count(), 0u);
+    rig.chaos->LcTailLatency();
+    EXPECT_EQ(rig.chaos->count(), 0u);
 }
 
 TEST(Invariants, CapRaiseWithoutPowerHeadroomTrips)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(4);
-    rig.checker.SetBeFreqCapGhz(2.0);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(4);
+    rig.chaos->SetBeFreqCapGhz(2.0);
     rig.plat.socket_power[0] = 140.0;  // 96.6% of the 145 W TDP
-    rig.checker.SocketPowerW(0);
-    rig.checker.SetBeFreqCapGhz(2.2);
-    ASSERT_EQ(rig.checker.count(), 1u);
-    EXPECT_EQ(rig.checker.violations()[0].invariant,
+    rig.chaos->SocketPowerW(0);
+    rig.chaos->SetBeFreqCapGhz(2.2);
+    ASSERT_EQ(rig.chaos->count(), 1u);
+    EXPECT_EQ(rig.chaos->violations()[0].invariant,
               "power-cap-respected");
 
     // Lowering under the same pressure is the *correct* reaction.
-    rig.checker.SetBeFreqCapGhz(1.8);
-    EXPECT_EQ(rig.checker.count(), 1u);
+    rig.chaos->SetBeFreqCapGhz(1.8);
+    EXPECT_EQ(rig.chaos->count(), 1u);
 }
 
 TEST(Invariants, BoundsViolationsTrip)
 {
-    CheckerRig rig;
-    rig.checker.SetBeCores(36);  // of 36 total: LC left with nothing
-    rig.checker.SetBeWays(20);   // of 20 total
-    rig.checker.SetBeFreqCapGhz(0.3);   // below the 1.2 GHz floor
-    rig.checker.SetBeNetCeilGbps(99.0);  // above the 10 Gb/s link
-    EXPECT_EQ(rig.checker.count(), 4u);
+    ChaosRig rig;
+    rig.chaos->SetBeCores(36);  // of 36 total: LC left with nothing
+    rig.chaos->SetBeWays(20);   // of 20 total
+    rig.chaos->SetBeFreqCapGhz(0.3);   // below the 1.2 GHz floor
+    rig.chaos->SetBeNetCeilGbps(99.0);  // above the 10 Gb/s link
+    EXPECT_EQ(rig.chaos->count(), 4u);
 }
 
 // --------------------------------------------------------------------------
-// InvariantChecker over the real controller
+// ChaosPlatform: faults and judge composed in one call
+
+TEST(ChaosComposition, DroppedGrowIsStillJudgedAsCommanded)
+{
+    // Inside a drop:cores window the plant never hears the grow, but the
+    // command still counts: growing under a fresh over-SLO tail is the
+    // controller's fault whether or not the cgroup write stuck.
+    ChaosRig rig({ActuatorDrop(Actuator::kCores, 0.25, 0.75)});
+    rig.chaos->SetBeCores(1);  // before the window: applied
+    rig.plat.queue().RunFor(sim::Seconds(50));
+    rig.plat.tail = sim::Millis(13);  // over the 12 ms SLO
+    rig.chaos->LcTailLatency();
+    rig.chaos->SetBeCores(2);
+    EXPECT_EQ(rig.plat.be_cores, 1) << "dropped call reached the plant";
+    EXPECT_EQ(rig.chaos->CommandedBeCores(), 2);
+    EXPECT_EQ(rig.chaos->faulted_ops(), 1u);
+    ASSERT_EQ(rig.chaos->count(), 1u);
+    EXPECT_EQ(rig.chaos->violations()[0].invariant, "no-grow-under-danger");
+}
+
+TEST(ChaosComposition, JudgeSeesTheFrozenValueNotThePlant)
+{
+    // A healthy tail captured at the window's start is all the
+    // controller can see; growing on it is legitimate even though the
+    // live plant value has crossed the SLO.
+    ChaosRig healthy({Freeze(Monitor::kTail, 0.25, 0.75)});
+    healthy.chaos->SetBeCores(1);
+    healthy.plat.queue().RunFor(sim::Seconds(30));
+    EXPECT_EQ(healthy.chaos->LcTailLatency(), sim::Millis(6));  // captured
+    healthy.plat.tail = sim::Millis(13);
+    EXPECT_EQ(healthy.chaos->LcTailLatency(), sim::Millis(6));  // frozen
+    healthy.chaos->SetBeCores(2);
+    EXPECT_EQ(healthy.chaos->faulted_ops(), 2u);
+    EXPECT_EQ(healthy.chaos->count(), 0u);
+
+    // Conversely, an over-SLO value captured in the window keeps the
+    // controller on notice after the plant heals out of its sight.
+    ChaosRig stale({Freeze(Monitor::kTail, 0.25, 0.75)});
+    stale.chaos->SetBeCores(1);
+    stale.plat.queue().RunFor(sim::Seconds(30));
+    stale.plat.tail = sim::Millis(13);
+    stale.chaos->LcTailLatency();  // captures the over-SLO value
+    stale.plat.tail = sim::Millis(6);
+    EXPECT_EQ(stale.chaos->LcTailLatency(), sim::Millis(13));
+    stale.chaos->SetBeCores(2);
+    ASSERT_EQ(stale.chaos->count(), 1u);
+    EXPECT_EQ(stale.chaos->violations()[0].invariant,
+              "no-grow-under-danger");
+}
+
+// --------------------------------------------------------------------------
+// ChaosPlatform over the real controller
 
 /** Runs a real HeraclesController against the scripted platform through
- *  the checker for @p run of simulated time. */
+ *  an empty-plan ChaosPlatform for @p run of simulated time. */
 uint64_t
 DriveController(FakePlatform& plat, const ctl::HeraclesConfig& cfg,
                 sim::Duration run)
 {
-    InvariantChecker checker(plat, {cfg.top_period, cfg.tdp_threshold});
-    ctl::HeraclesController controller(checker, cfg, ctl::LcBwModel{});
+    ChaosPlatform chaos(plat, ResolvedFaultPlan{}, cfg);
+    ctl::HeraclesController controller(chaos, cfg, ctl::LcBwModel{});
     controller.Start();
     plat.queue().RunFor(run);
     controller.Stop();
-    return checker.count();
+    return chaos.count();
 }
 
 TEST(Invariants, HonestControllerSurvivesImminentViolation)

@@ -343,27 +343,6 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, BoundedParetoStaysInBounds)
-{
-    Rng r(23);
-    for (int i = 0; i < 10000; ++i) {
-        const double x = r.BoundedPareto(1.0, 100.0, 1.5);
-        EXPECT_GE(x, 1.0);
-        EXPECT_LE(x, 100.0);
-    }
-}
-
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng a(31);
-    Rng child = a.Fork();
-    int equal = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (a.Next64() == child.Next64()) ++equal;
-    }
-    EXPECT_LT(equal, 3);
-}
-
 // --------------------------------------------------------------------------
 // LatencyHistogram
 
@@ -607,16 +586,6 @@ TEST(WindowedTail, CurrentWindowTailIsPartial)
     t.Record(Seconds(1), Millis(30));
     EXPECT_GT(t.CurrentWindowTail(), Millis(25));
     EXPECT_GE(t.WorstObservedTail(), t.CurrentWindowTail());
-}
-
-TEST(WindowedTail, ResetWorstForgetsHistory)
-{
-    WindowedTailTracker t(Seconds(10), 0.99);
-    t.Record(Seconds(1), Millis(100));
-    t.MaybeRoll(Seconds(10));
-    EXPECT_GT(t.WorstWindowTail(), 0);
-    t.ResetWorst();
-    EXPECT_EQ(t.WorstWindowTail(), 0);
 }
 
 TEST(WindowedTail, PercentileHonoured)

@@ -143,6 +143,40 @@ TEST(CoreMemEdges, FastShrinkKeepsLastCore)
     EXPECT_EQ(p.be_cores, 1);
 }
 
+TEST(CoreMemEdges, BenefitBelowEpsilonAtOneCoreEndsCacheGrowth)
+{
+    // Pins Algorithm 2's one-way exit from GROW_LLC: every way grow
+    // lowers total DRAM bandwidth (so it is kept, not rolled back) but
+    // raises the BE rate by only 0.1%, below the 1% benefit epsilon.
+    // Judged at one BE core, that single test ends cache growth for
+    // good: GROW_CORES returns to GROW_LLC only when DRAM nears the
+    // limit, which these healthy ticks never do.
+    FakePlatform p;
+    p.on_set_ways = [&p](int ways) {
+        p.dram_gbps = 40.0 - ways;
+        p.be_rate = 10.0 * (1.0 + 0.001 * ways);
+    };
+    CoreMemController ctl(p, NoFastSlack(), LcBwModel{});
+    ctl.OnBeEnabled();  // 1 core, 2 of 20 ways
+    ASSERT_EQ(p.be_cores, 1);
+    ASSERT_EQ(p.be_ways, 2);
+    ASSERT_EQ(p.set_ways_calls, 1);
+
+    ctl.Tick(true, 0.5);  // the one grow: kept, benefit +0.1%
+    EXPECT_EQ(p.be_ways, 3);
+    EXPECT_EQ(p.set_ways_calls, 2);
+    EXPECT_EQ(ctl.state(), CoreMemController::State::kGrowCores);
+
+    for (int i = 0; i < 50; ++i) {
+        ctl.Tick(true, 0.5);
+        ASSERT_LT(p.dram_gbps, 0.90 * p.facts().dram_peak_gbps);
+    }
+    EXPECT_GT(p.be_cores, 10) << "BE cores must keep growing";
+    EXPECT_EQ(p.set_ways_calls, 2) << "cache growth must not resume";
+    EXPECT_EQ(p.be_ways, 3);
+    EXPECT_EQ(ctl.state(), CoreMemController::State::kGrowCores);
+}
+
 // --------------------------------------------------------------------------
 // Power subcontroller (Algorithm 3)
 

@@ -29,6 +29,9 @@
  *             first (target runs, alone rates and fingerprints are
  *             memoized per process); the microbenches repeat in this
  *             process, naive and incremental arbitration alternating.
+ *
+ * The microbenches run first, then the catalog pass; the record's
+ * layout is the same either way.
  *   --out     output path (default BENCH_sim_core.json)
  *
  * The violation verdict is shared with heracles_sim: the abrupt
@@ -406,13 +409,31 @@ main(int argc, char** argv)
         }
     }
 
+    // --- Microbenches ----------------------------------------------------
+    // Each runs reps times, before the catalog pass: run after it they
+    // read slower than the same churn in a fresh process.
+    bench::RunEventQueueChurn(events / 20);  // warmup
+    const auto [churn, churn_spread] =
+        Repeat(reps, [&] { return bench::RunEventQueueChurn(events); });
+    const auto [stats, stats_spread] =
+        Repeat(reps, [&] { return bench::RunStatsStreaming(events); });
+
+    // Machine-arbitration microbench, naive and incremental alternating
+    // (the first naive run doubles as warmup).
+    const int arb_steps = 600;
+    std::vector<ArbRun> arb_naive, arb_inc;
+    for (int rep = 0; rep < reps; ++rep) {
+        arb_naive.push_back(RunArbitrationChurn(/*naive=*/true, arb_steps));
+        arb_inc.push_back(RunArbitrationChurn(/*naive=*/false, arb_steps));
+    }
+
     // --- Catalog pass: every scenario, serial, wall-clocked -------------
     const auto& specs = scenarios::AllScenarios();
     scenarios::RunOptions opts;
     opts.time_scale = scale;
     // Reps past the first run in forked children, before this process
-    // runs (and memoizes) anything; the last runs here and keeps the
-    // results.
+    // runs (and memoizes) any scenario; the last runs here and keeps
+    // the results.
     std::vector<std::vector<double>> walls_by_rep;  // as WallsOf()
     for (int rep = 1; rep < reps; ++rep) {
         walls_by_rep.push_back(ColdCatalogWalls(specs, opts));
@@ -530,22 +551,6 @@ main(int argc, char** argv)
     }
     w.EndObject();
 
-    // --- Microbenches ----------------------------------------------------
-    // Each runs reps times.
-    bench::RunEventQueueChurn(events / 20);  // warmup
-    const auto [churn, churn_spread] =
-        Repeat(reps, [&] { return bench::RunEventQueueChurn(events); });
-    const auto [stats, stats_spread] =
-        Repeat(reps, [&] { return bench::RunStatsStreaming(events); });
-
-    // Machine-arbitration microbench, naive and incremental alternating
-    // (the first naive run doubles as warmup).
-    const int arb_steps = 600;
-    std::vector<ArbRun> arb_naive, arb_inc;
-    for (int rep = 0; rep < reps; ++rep) {
-        arb_naive.push_back(RunArbitrationChurn(/*naive=*/true, arb_steps));
-        arb_inc.push_back(RunArbitrationChurn(/*naive=*/false, arb_steps));
-    }
     const auto per_sec = [](uint64_t n, double wall) {
         return static_cast<double>(n) / (wall > 0 ? wall : 1e-9);
     };
