@@ -34,17 +34,8 @@ class ResourceClient
     virtual bool is_lc() const = 0;
 
     /**
-     * Fraction of the task's allocated cpus that are busy, in [0, 1].
-     *
-     * Not a pure read. The first query at a simulated instant closes the
-     * task's measurement window: it returns the mean busy level since
-     * the previous query and starts a new window (LcApp). Every further
-     * query at the same instant returns the instantaneous level, and
-     * those repeats are stable: they return the same value and change no
-     * state. A task without a window (BeTask) returns its level every
-     * time. The machine's HT phase relies on both halves: it queries the
-     * other clients at a client's first two cpus and reuses the second
-     * value for the rest, so its query sequence is part of its result.
+     * Fraction of the task's allocated cpus that are busy at Now(), in
+     * [0, 1]. A pure read.
      */
     virtual double CpuBusyFraction() const = 0;
 

@@ -43,8 +43,26 @@ SimPlatform::SimPlatform(hw::Machine& machine, workloads::LcApp& lc,
       lc_(lc),
       be_(be),
       facts_(FactsOf(machine.config(), lc.params())),
-      noise_(machine.config().seed ^ 99)
+      noise_(machine.config().seed ^ 99),
+      util_read_at_(machine.queue().Now()),
+      util_read_busy_ns_(lc.BusyThreadNs())
 {
+}
+
+double
+SimPlatform::LcCpuUtilization()
+{
+    const sim::SimTime now = machine_.queue().Now();
+    const int64_t busy_ns = lc_.BusyThreadNs();
+    const sim::Duration span = now - util_read_at_;
+    const int64_t busy_delta = busy_ns - util_read_busy_ns_;
+    util_read_at_ = now;
+    util_read_busy_ns_ = busy_ns;
+    const int cpus = machine_.CpusOf(&lc_).Count();
+    if (span <= 0 || cpus == 0) return lc_.CpuBusyFraction();
+    const double util = static_cast<double>(busy_delta) /
+                        (static_cast<double>(span) * cpus);
+    return std::clamp(util, 0.0, 1.0);
 }
 
 void

@@ -68,12 +68,12 @@ class SimPlatform : public Platform
     }
     sim::Duration LcSlo() override { return lc_.params().slo_latency; }
     double LcLoad() override { return lc_.LoadFraction(); }
-    double LcCpuUtilization() override {
-        // The busy query resets the LC app's measurement window, which a
-        // pending machine resolve must observe first.
-        machine_.EnsureResolved();
-        return lc_.CpuBusyFraction();
-    }
+    /**
+     * The LC's mean busy fraction since the previous call (since
+     * construction for the first), from the delta of its busy-time
+     * counter; the current level when no time has passed.
+     */
+    double LcCpuUtilization() override;
 
     double MeasuredDramGbps() override {
         return machine_.MeasuredTotalDramGbps();
@@ -113,6 +113,9 @@ class SimPlatform : public Platform
     workloads::BeTask* be_;
     const Facts facts_;
     mutable sim::Rng noise_;
+    // LcCpuUtilization's previous read: when, and the LC's busy counter.
+    sim::SimTime util_read_at_;
+    int64_t util_read_busy_ns_;
 
     int be_cores_ = 0;
     int be_ways_ = 0;

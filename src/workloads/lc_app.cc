@@ -346,31 +346,23 @@ LcApp::UpdateRates()
 void
 LcApp::AccumulateBusy()
 {
-    const sim::SimTime now = machine_.queue().Now();
-    busy_integral_ += static_cast<double>(busy_) *
-                      static_cast<double>(now - busy_last_change_);
-    busy_last_change_ = now;
+    busy_thread_ns_ = BusyThreadNs();
+    busy_last_change_ = machine_.queue().Now();
+}
+
+int64_t
+LcApp::BusyThreadNs() const
+{
+    return busy_thread_ns_ +
+           busy_ * (machine_.queue().Now() - busy_last_change_);
 }
 
 double
 LcApp::CpuBusyFraction() const
 {
-    const sim::SimTime now = machine_.queue().Now();
-    const_cast<LcApp*>(this)->AccumulateBusy();
-    const sim::SimTime span = now - busy_last_query_;
-    double util;
-    if (span <= 0 || capacity_ == 0) {
-        util = capacity_ > 0
-                   ? std::min(1.0, static_cast<double>(busy_) / capacity_)
-                   : 0.0;
-    } else {
-        util = busy_integral_ /
-               (static_cast<double>(span) * std::max(capacity_, 1));
-        util = std::clamp(util, 0.0, 1.0);
-    }
-    busy_last_query_ = now;
-    busy_integral_ = 0.0;
-    return util;
+    return capacity_ > 0
+               ? std::min(1.0, static_cast<double>(busy_) / capacity_)
+               : 0.0;
 }
 
 double

@@ -203,6 +203,12 @@ class LcApp : public hw::ResourceClient
     /** Total requests that have arrived since construction. */
     uint64_t TotalArrived() const { return total_arrived_; }
 
+    /**
+     * Busy thread-nanoseconds since construction: a monotonic counter, so
+     * a reader takes its mean utilization over any span as a delta.
+     */
+    int64_t BusyThreadNs() const;
+
     /** Forgets worst-window statistics (call after warmup). */
     void ResetStats();
 
@@ -316,10 +322,9 @@ class LcApp : public hw::ResourceClient
     double qps_ewma_ = 0.0;
     double served_ewma_ = 0.0;
 
-    // Busy-time integration for CpuBusyFraction.
-    mutable double busy_integral_ = 0.0;
-    mutable sim::SimTime busy_last_change_ = 0;
-    mutable sim::SimTime busy_last_query_ = 0;
+    // BusyThreadNs up to busy_last_change_.
+    int64_t busy_thread_ns_ = 0;
+    sim::SimTime busy_last_change_ = 0;
 
     /** Precomputed response wire seconds (constant per machine+params). */
     double wire_s_ = 0.0;

@@ -2,8 +2,8 @@
  * @file
  * Tests for the composable cluster layer: the pure scheduler decision
  * engine, the root topology's replica groups, and the end-to-end guarantees the
- * refactor must keep — static-split byte-equivalence with the
- * pre-refactor cluster on the checked-in goldens, placement determinism
+ * cluster must keep — static-split runs exactly equal to their
+ * checked-in goldens, placement determinism
  * under a fixed seed, and the greedy scheduler's EMU win over the
  * static split on the heterogeneous diurnal scenario.
  */
@@ -630,11 +630,10 @@ GoldenRun(const std::string& name)
 }
 
 /**
- * The refactor's ground rule: a static-split, full-fan-out cluster must
- * reproduce the pre-refactor ClusterExperiment bit for bit. The
- * checked-in cluster_websearch_* goldens were generated by the old
- * implementation, so comparing *exactly* (not within tolerance) proves
- * byte-equivalence of every metric.
+ * A static-split, full-fan-out cluster reproduces its checked-in
+ * cluster_websearch_* goldens bit for bit. The golden harness compares
+ * within tolerance; this compares *exactly*, so any change to a metric of
+ * these runs, however small, must come with regenerated goldens.
  */
 TEST(ClusterRefactor, StaticSplitByteIdenticalToPreRefactorGoldens)
 {
@@ -650,7 +649,7 @@ TEST(ClusterRefactor, StaticSplitByteIdenticalToPreRefactorGoldens)
         ASSERT_TRUE(scenarios::MetricsFromJson(buf.str(), &golden))
             << name;
         EXPECT_TRUE(GoldenRun(name).ExactlyEquals(golden))
-            << name << " diverged from the pre-refactor baseline";
+            << name << " diverged from its golden";
     }
 }
 

@@ -173,18 +173,18 @@ TEST(Experiment, RunAtPinnedBits)
     EXPECT_EQ(lo.emu, 0x1.28e9ef26091f3p-1);
     EXPECT_EQ(lo.be_throughput, 0x1.1e11d1a11583bp-2);
     EXPECT_EQ(lo.telemetry.dram_frac, 0x1.a6db77a151ba5p-2);
-    EXPECT_EQ(lo.be_cores, 22);
+    EXPECT_EQ(lo.be_cores, 23);
     EXPECT_EQ(lo.be_ways, 2);
     EXPECT_EQ(lo.be_disables, 0u);
 
     const LoadPointResult hi = e.RunAt(0.8);
     EXPECT_EQ(hi.load, 0.8);
-    EXPECT_EQ(hi.worst_tail, 9975792);
-    EXPECT_EQ(hi.tail_frac_slo, 0x1.989bc2beabf7cp-1);
-    EXPECT_EQ(hi.emu, 0x1.c4956654c874p-1);
-    EXPECT_EQ(hi.be_throughput, 0x1.5a50810c9ddddp-4);
-    EXPECT_EQ(hi.telemetry.dram_frac, 0x1.9235355c3203fp-2);
-    EXPECT_EQ(hi.be_cores, 4);
+    EXPECT_EQ(hi.worst_tail, 9762031);
+    EXPECT_EQ(hi.tail_frac_slo, 0x1.8fda506e01905p-1);
+    EXPECT_EQ(hi.emu, 0x1.b9c309810010bp-1);
+    EXPECT_EQ(hi.be_throughput, 0x1.03ccccccccccap-4);
+    EXPECT_EQ(hi.telemetry.dram_frac, 0x1.7f790c671a237p-2);
+    EXPECT_EQ(hi.be_cores, 3);
     EXPECT_EQ(hi.be_ways, 3);
     EXPECT_EQ(hi.be_disables, 0u);
 }

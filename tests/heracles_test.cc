@@ -592,6 +592,48 @@ struct LoopRig {
     std::unique_ptr<HeraclesController> controller;
 };
 
+// The controller's utilization monitor: the delta of the LC's busy-time
+// counter over the span since the previous read, per LC cpu.
+TEST(SimPlatform, LcCpuUtilizationIsTheBusyCounterDelta)
+{
+    sim::EventQueue queue;
+    hw::Machine machine(Cfg(), queue);
+    workloads::LcApp lc(machine, workloads::Websearch(), 5);
+    workloads::BeTask be(machine, workloads::Brain());
+    platform::SimPlatform plat(machine, lc, &be);
+    plat.ApplyInitialPlacement();
+    lc.SetLoad(0.5);
+    lc.Start();
+    const auto expect_delta = [&](int64_t busy_ns, sim::SimTime at) {
+        const int cpus = machine.CpusOf(&lc).Count();
+        const double expected =
+            static_cast<double>(lc.BusyThreadNs() - busy_ns) /
+            (static_cast<double>(queue.Now() - at) * cpus);
+        EXPECT_EQ(plat.LcCpuUtilization(), expected);
+        EXPECT_GT(expected, 0.0);
+        EXPECT_LT(expected, 1.0);
+    };
+
+    // The first read spans everything since construction.
+    queue.RunFor(sim::Millis(3001));
+    expect_delta(0, 0);
+    int64_t busy_ns = lc.BusyThreadNs();
+    sim::SimTime at = queue.Now();
+
+    // Later reads span from the previous one, with the LC cpu count at
+    // the read; the machine's resolves in between do not move it.
+    plat.SetBeCores(10);
+    queue.RunFor(sim::Millis(1713));
+    expect_delta(busy_ns, at);
+
+    // With no time since the previous read, the current level.
+    EXPECT_EQ(plat.LcCpuUtilization(), lc.CpuBusyFraction());
+    busy_ns = lc.BusyThreadNs();
+    at = queue.Now();
+    queue.RunFor(sim::Millis(2000));
+    expect_delta(busy_ns, at);
+}
+
 TEST(Integration, WebsearchBrainNoViolationAndBeGrows)
 {
     LoopRig rig(workloads::Websearch(), workloads::Brain());

@@ -173,7 +173,7 @@ TEST(MachineEquivalence, SeededChurnStaysBitIdenticalToNaive)
 
     // One decision stream, applied identically to both rigs. The op mix
     // covers every actuator the controller uses, BE phase changes, the
-    // busy-probing utilization read, and plain time advancement.
+    // controller's utilization read, and plain time advancement.
     sim::Rng churn(99);
     const int total_cores = cfg.TotalCores();
     const int total_ways = cfg.llc_ways;
@@ -218,9 +218,9 @@ TEST(MachineEquivalence, SeededChurnStaysBitIdenticalToNaive)
             break;
         }
         case 5: {
-            // Busy-probing reads between resolves: LcCpuUtilization
-            // resets the LC measurement window, which a pending resolve
-            // must observe first.
+            // The controller's utilization read between resolves: a
+            // delta of the LC's busy counter, which leaves the machine
+            // and any pending resolve untouched.
             EXPECT_EQ(inc.plat.LcCpuUtilization(),
                       naive.plat.LcCpuUtilization())
                 << "step " << step;
@@ -413,9 +413,7 @@ TEST(MachineEquivalence, SharedAndSplitLayoutsStayBitIdenticalToNaive)
             break;
         }
         case 5: {
-            // A busy read between resolves, as the platform makes it.
-            inc.machine.EnsureResolved();
-            naive.machine.EnsureResolved();
+            // A busy read between resolves: pure, so it needs no flush.
             EXPECT_EQ(inc.lc.CpuBusyFraction(), naive.lc.CpuBusyFraction())
                 << "step " << step;
             break;

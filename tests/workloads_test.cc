@@ -263,35 +263,128 @@ TEST(LcApp, BusyFractionReflectsLoad)
     EXPECT_NEAR(rig.app.CpuBusyFraction(), 0.32, 0.08);
 }
 
-// The busy-query contract in hw::ResourceClient::CpuBusyFraction.
-TEST(LcApp, FirstBusyQueryAtAnInstantClosesTheWindow)
+// The busy-read contract in hw::ResourceClient::CpuBusyFraction.
+TEST(LcApp, BusyReadIsPureAndTheBusyCounterMonotonic)
 {
-    // Two identical rigs; only the first queries mid-epoch, at t1. Both
-    // query at t2, still inside the same 25 ms epoch, so no resolve has
-    // read the busy level in between.
+    // Two identical rigs; only the first reads mid-epoch, at t1. Both
+    // read at t2, still inside the same 25 ms epoch.
     LcRig a(Websearch()), b(Websearch());
     a.RunAlone(0.5, sim::Seconds(5), sim::Seconds(5));
     b.RunAlone(0.5, sim::Seconds(5), sim::Seconds(5));
     a.queue.RunFor(sim::Millis(5));
     b.queue.RunFor(sim::Millis(5));
-    (void)a.app.CpuBusyFraction();
+    const double at_t1 = a.app.CpuBusyFraction();
+    EXPECT_EQ(a.app.CpuBusyFraction(), at_t1);
     a.queue.RunFor(sim::Millis(10));
     b.queue.RunFor(sim::Millis(10));
-    ASSERT_EQ(a.app.TotalCompleted(), b.app.TotalCompleted());
-    const double since_t1 = a.app.CpuBusyFraction();
-    const double since_epoch = b.app.CpuBusyFraction();
-    EXPECT_NE(since_t1, since_epoch);
 
-    // Repeat queries at t2 return the instantaneous level: a whole
-    // number of busy threads out of the 72, the same every time.
+    // The read left no trace: the twins agree bit for bit.
+    ASSERT_EQ(a.app.TotalCompleted(), b.app.TotalCompleted());
     const double level = a.app.CpuBusyFraction();
     EXPECT_EQ(a.app.CpuBusyFraction(), level);
-    EXPECT_EQ(a.app.CpuBusyFraction(), level);
     EXPECT_EQ(b.app.CpuBusyFraction(), level);
+    EXPECT_EQ(a.app.BusyThreadNs(), b.app.BusyThreadNs());
+    EXPECT_EQ(a.machine.Telemetry().cpu_utilization,
+              b.machine.Telemetry().cpu_utilization);
+    EXPECT_EQ(a.machine.Telemetry().power_w, b.machine.Telemetry().power_w);
+
+    // The level is a whole number of busy threads out of the 72.
     const double threads = level * Cfg().LogicalCpus();
     EXPECT_DOUBLE_EQ(threads, std::round(threads));
     EXPECT_GT(level, 0.0);
     EXPECT_LT(level, 1.0);
+
+    // The counter never falls, and its mean over a second tracks the
+    // load: 0.5 * 11500 qps * 4 ms over 72 threads ~ 32% busy.
+    const int64_t start = a.app.BusyThreadNs();
+    int64_t last = start;
+    for (int ms = 0; ms < 1000; ++ms) {
+        a.queue.RunFor(sim::Millis(1));
+        const int64_t now = a.app.BusyThreadNs();
+        EXPECT_GE(now, last);
+        last = now;
+    }
+    const double mean = static_cast<double>(last - start) /
+                        (static_cast<double>(sim::Seconds(1)) *
+                         Cfg().LogicalCpus());
+    EXPECT_NEAR(mean, 0.32, 0.08);
+}
+
+/** A registered client with a fixed busy level and HT aggression. */
+class StubClient : public hw::ResourceClient
+{
+  public:
+    StubClient(double busy, double aggression)
+        : busy_(busy), aggression_(aggression)
+    {
+    }
+    const std::string& name() const override { return name_; }
+    bool is_lc() const override { return false; }
+    double CpuBusyFraction() const override { return busy_; }
+    double LlcFootprintMb(int) const override { return 0.0; }
+    double LlcAccessWeight(int) const override { return 0.0; }
+    double DramDemandGbps(int, double) const override { return 0.0; }
+    double PowerIntensity() const override { return 1.0; }
+    double NetTxDemandGbps() const override { return 0.0; }
+    double HtAggression() const override { return aggression_; }
+
+  private:
+    std::string name_ = "stub";
+    double busy_;
+    double aggression_;
+};
+
+// Every resolver phase reads one busy level per client: an LC spread
+// evenly over both sockets asks both for the same power and runs both at
+// the same frequency, whichever phase reads its busy level first.
+TEST(LcApp, EvenSpreadGetsTheSamePowerOnBothSockets)
+{
+    for (const bool aggressor : {false, true}) {
+        SCOPED_TRACE(aggressor ? "with an HT aggressor" : "alone");
+        // Alone and without HT aggression, the LC is read first by the
+        // power phase, socket by socket. With its aggression and an HT
+        // aggressor beside it, the HT phase reads it first, for its
+        // neighbours' penalties.
+        LcParams params = Websearch();
+        if (!aggressor) params.ht_aggression = 1.0;
+        hw::MachineConfig cfg = Cfg();
+        cfg.counter_noise = 0.0;
+        // One idle probe per socket reads that socket's frequency. The
+        // stubs outlive the machine's last resolve (in ~LcApp).
+        StubClient probe0(0.0, 1.0), probe1(0.0, 1.0);
+        StubClient virus(1.0, 1.5);
+        sim::EventQueue queue;
+        hw::Machine machine(cfg, queue);
+        LcApp app(machine, params, 3);
+        const hw::Topology& topo = machine.topology();
+        const int per_socket = cfg.cores_per_socket;
+        machine.AddClient(&probe0);
+        machine.AddClient(&probe1);
+        machine.AssignCpus(&probe0, topo.ThreadOfCores(per_socket - 1, 1, 0));
+        machine.AssignCpus(&probe1,
+                           topo.ThreadOfCores(2 * per_socket - 1, 1, 0));
+        if (aggressor) {
+            // The same two cores on each socket.
+            machine.AddClient(&virus);
+            machine.AssignCpus(&virus, topo.PhysicalCores(8, 2).Union(
+                                           topo.PhysicalCores(
+                                               per_socket + 8, 2)));
+        }
+        app.SetCpus(topo.SpreadCores(12));
+        app.SetLoad(0.5);
+        app.Start();
+        machine.ResolveNow();
+        queue.RunFor(sim::Seconds(2));
+        for (int i = 0; i < 40; ++i) {
+            queue.RunFor(sim::Millis(7));
+            ASSERT_EQ(machine.MeasuredSocketPowerW(0),
+                      machine.MeasuredSocketPowerW(1))
+                << "read " << i;
+            ASSERT_EQ(machine.ViewOf(&probe0).freq_ghz,
+                      machine.ViewOf(&probe1).freq_ghz)
+                << "read " << i;
+        }
+    }
 }
 
 TEST(LcApp, StarvedByTinyCpusetViolatesSlo)
