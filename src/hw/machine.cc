@@ -72,7 +72,7 @@ Machine::Machine(const MachineConfig& cfg, sim::EventQueue& queue)
       socket_power_(cfg.sockets, 0.0)
 {
     epoch_event_ = queue_.SchedulePeriodic(cfg.epoch, cfg.epoch,
-                                           [this] { EpochResolve(); });
+                                           [this] { DoResolve(); });
 }
 
 Machine::~Machine()
@@ -195,8 +195,7 @@ Machine::BuildLayoutClasses()
                 t.same = ocpus.Contains(st.cpu_list[i]);
                 if (t.sibling || t.same) pattern.push_back(t);
             }
-            // Position 2 starts a run after the two single-entry ones.
-            if (i > 2 &&
+            if (!st.ht_runs.empty() &&
                 std::equal(pattern.begin(), pattern.end(),
                            st.ht_terms.begin() + run_begin,
                            st.ht_terms.end(), same_terms)) {
@@ -297,10 +296,6 @@ Machine::SetBeNetCeilGbps(double gbps)
 void
 Machine::ResolveNow()
 {
-    if (resolve_pending_) {
-        resolve_pending_ = false;
-        TouchAllBusy();
-    }
     // Unconditional: callers of this entry point (tests, benches,
     // characterization rigs) may have mutated client demand without going
     // through a marked channel.
@@ -315,13 +310,7 @@ Machine::RequestResolve()
         ResolveNow();
         return;
     }
-    if (resolve_pending_) {
-        // A resolve is already owed at this instant; the eager resolve
-        // this request would have run is superseded, but its busy-window
-        // resets must still happen at this position.
-        TouchAllBusy();
-        return;
-    }
+    if (resolve_pending_) return;
     resolve_pending_ = true;
     if (!finalize_scheduled_) {
         // Backstop so a pending resolve can never survive past the
@@ -330,10 +319,7 @@ Machine::RequestResolve()
         finalize_scheduled_ = true;
         finalize_event_ = queue_.ScheduleAt(queue_.Now(), [this] {
             finalize_scheduled_ = false;
-            if (resolve_pending_) {
-                resolve_pending_ = false;
-                DoResolve();
-            }
+            if (resolve_pending_) DoResolve();
         });
     }
 }
@@ -341,10 +327,7 @@ Machine::RequestResolve()
 void
 Machine::EnsureResolved() const
 {
-    if (!resolve_pending_) return;
-    auto* self = const_cast<Machine*>(this);
-    self->resolve_pending_ = false;
-    self->DoResolve();
+    if (resolve_pending_) const_cast<Machine*>(this)->DoResolve();
 }
 
 void
@@ -356,20 +339,11 @@ Machine::SetNaiveArbitration(bool naive)
 }
 
 void
-Machine::EpochResolve()
+Machine::ReadBusy()
 {
-    if (resolve_pending_) {
-        resolve_pending_ = false;
-        TouchAllBusy();
-    }
-    DoResolve();
-}
-
-void
-Machine::TouchAllBusy()
-{
-    for (auto& [client, st] : clients_) {
-        (void)client->CpuBusyFraction();
+    busy_.resize(clients_.size());
+    for (size_t c = 0; c < clients_.size(); ++c) {
+        busy_[c] = clients_[c].first->CpuBusyFraction();
     }
 }
 
@@ -378,9 +352,9 @@ Machine::DoResolve()
 {
     // The demand phases (LLC occupancy, DRAM grants, NIC shares) are pure
     // functions of inputs that only change through marked channels; the
-    // busy-driven phases (HT, power, telemetry) must run every resolve,
-    // both for freshness and because their busy queries reset each
-    // client's measurement window.
+    // busy-driven phases (HT, power, telemetry) run every resolve, since
+    // busy levels move between resolves.
+    resolve_pending_ = false;
     const bool recompute = demand_dirty_ || naive_;
     demand_dirty_ = false;
     if (naive_) {
@@ -389,6 +363,7 @@ Machine::DoResolve()
         // the cache AssignCpus maintains against one that is never stale.
         for (auto& [client, st] : clients_) BuildLayout(st);
     }
+    ReadBusy();
     if (recompute) {
         ResolveLlcAndDram();
         ++demand_recomputes_;
@@ -487,7 +462,6 @@ Machine::ResolveHt()
     // HyperThread penalties: what runs on the sibling of each cpu.
     const size_t n = clients_.size();
     ht_aggr_.resize(n);
-    ht_busy_.assign(n, 0.0);
     for (size_t o = 0; o < n; ++o) {
         ht_aggr_[o] = clients_[o].first->HtAggression() - 1.0;
     }
@@ -509,20 +483,12 @@ Machine::HtPenaltyPerRun(size_t c)
     int n_cpus = 0;
     size_t t = 0;
     for (const HtRun& run : st.ht_runs) {
-        if (n_cpus < 2) {
-            // The per-cpu loop queries every other aggressor at the first
-            // two cpus, in client order; the runs there are one cpu long.
-            for (size_t o = 0; o < clients_.size(); ++o) {
-                if (o == c || ht_aggr_[o] <= 0.0) continue;
-                ht_busy_[o] = clients_[o].first->CpuBusyFraction();
-            }
-        }
         double p = 1.0;
         for (; t < static_cast<size_t>(run.terms_end); ++t) {
             const HtTerm& term = st.ht_terms[t];
             const double aggr = ht_aggr_[term.other];
             if (aggr <= 0.0) continue;
-            const double busy = ht_busy_[term.other];
+            const double busy = busy_[term.other];
             if (term.sibling) p += aggr * busy;
             if (term.same) p += 1.6 * aggr * busy;
         }
@@ -549,13 +515,7 @@ Machine::HtPenaltyPerCpu(size_t c)
             auto& [other, ost] = clients_[o];
             if (other == client) continue;
             if (ht_aggr_[o] <= 0.0) continue;
-            // Same-instant busy queries are stable from the second
-            // one on (see ResourceClient::CpuBusyFraction) — so cpus
-            // past the second reuse the second query's value, the exact
-            // number a per-cpu query would return.
-            const double busy =
-                n_cpus < 2 ? (ht_busy_[o] = other->CpuBusyFraction())
-                           : ht_busy_[o];
+            const double busy = other->CpuBusyFraction();
             if (sib >= 0 && ost.cpus.Contains(sib)) {
                 p += ht_aggr_[o] * busy;
             }
@@ -630,15 +590,10 @@ Machine::FillCoresPerCore(int socket)
 void
 Machine::FillCoresPerClass(int socket)
 {
-    // The same queries, in the same order, as the per-core fill.
     const size_t n = clients_.size();
-    power_busy_.resize(n);
     power_intensity_.resize(n);
     for (size_t c = 0; c < n; ++c) {
-        const auto& [client, st] = clients_[c];
-        if (st.cpus.Empty()) continue;
-        power_busy_[c] = client->CpuBusyFraction();
-        power_intensity_[c] = client->PowerIntensity();
+        power_intensity_[c] = clients_[c].first->PowerIntensity();
     }
     // A core's request depends only on its class's update sequence.
     const CoreClasses& cc = core_classes_[socket];
@@ -648,8 +603,7 @@ Machine::FillCoresPerClass(int socket)
         for (; s < static_cast<size_t>(cc.steps_end[k]); ++s) {
             const auto [c, threads] = cc.steps[s];
             for (int t = 0; t < threads; ++t) {
-                AddThread(class_reqs_[k], power_busy_[c],
-                          power_intensity_[c],
+                AddThread(class_reqs_[k], busy_[c], power_intensity_[c],
                           clients_[c].second.freq_cap_ghz,
                           cfg_.threads_per_core);
             }
@@ -704,8 +658,8 @@ void
 Machine::UpdateTelemetry()
 {
     double busy = 0.0;
-    for (auto& [client, st] : clients_) {
-        busy += client->CpuBusyFraction() * st.cpus.Count();
+    for (size_t c = 0; c < clients_.size(); ++c) {
+        busy += busy_[c] * clients_[c].second.cpus.Count();
     }
     cpu_util_ = std::min(1.0, busy / cfg_.LogicalCpus());
 
@@ -825,7 +779,8 @@ Machine::ResetTelemetryAverages()
     avg_be_tx_ = sim::TimeWeightedMean();
     telemetry_reset_time_ = now;
     // Seed the averages with the current levels.
-    const_cast<Machine*>(this)->UpdateTelemetry();
+    ReadBusy();
+    UpdateTelemetry();
 }
 
 }  // namespace heracles::hw

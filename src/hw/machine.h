@@ -22,7 +22,8 @@
  * at discrete, known call sites — the mutators here plus the workloads'
  * once-per-second rate updates — so those phases recompute only when a
  * demand input was marked dirty, while the busy-driven phases (HT
- * penalties, power/frequency, telemetry) run every resolve. Actuators
+ * penalties, power/frequency, telemetry) run every resolve, all on one
+ * busy level per client read at its start. Actuators
  * that used to force an eager full resolve per call instead use
  * RequestResolve(), which coalesces every same-timestamp demand change
  * into one deferred resolve at the current instant; EnsureResolved()
@@ -135,10 +136,9 @@ class Machine
     /**
      * Requests a resolve for a demand change at the current instant.
      * Multiple requests at the same timestamp coalesce into one deferred
-     * resolve (scheduled at time-now); each superseded eager resolve is
-     * replaced by a busy-probe pass that reproduces its only lasting
-     * side effect — resetting every client's busy-measurement window —
-     * so the eventual resolve computes bit-identical grants.
+     * resolve (scheduled at time-now). Busy reads are pure, so the
+     * superseded eager resolves leave nothing behind and the eventual
+     * resolve computes bit-identical grants.
      */
     void RequestResolve();
 
@@ -238,8 +238,8 @@ class Machine
         /** Per socket: the local core id of each of the client's cpus
          *  there, in cpu_list order. */
         std::array<std::vector<int>, kMaxSockets> socket_cores;
-        // cpu_list as HT runs (BuildLayoutClasses). Positions 0 and 1 are
-        // runs of their own: the HT phase queries busy levels there.
+        // cpu_list as HT runs (BuildLayoutClasses): maximal runs of
+        // consecutive cpus with one HT pattern.
         std::vector<HtRun> ht_runs;
         std::vector<HtTerm> ht_terms;
         int cat_ways = 0;
@@ -258,19 +258,13 @@ class Machine
         std::vector<std::pair<int, int>> steps;  ///< (client, threads).
     };
 
-    /** The epoch timer's resolve: honors demand-dirty tracking. */
-    void EpochResolve();
-    /** One full resolve pass (demand phases gated on the dirty flag). */
-    void DoResolve();
     /**
-     * Queries every client's CpuBusyFraction once, in registration
-     * order, discarding the values. A busy query's only lasting state
-     * effect is resetting that client's measurement window at the
-     * current tick (repeat same-tick queries are stateless), and a full
-     * resolve queries every client at least once — so one probe pass is
-     * state-equivalent to the eager resolve it replaces.
+     * One full resolve pass (demand phases gated on the dirty flag); it
+     * settles any pending resolve. The epoch timer calls it directly.
      */
-    void TouchAllBusy();
+    void DoResolve();
+    /** Reads every client's busy level into busy_. */
+    void ReadBusy();
 
     /** Rebuilds @p st's cpu layout from st.cpus (reuses capacity). */
     void BuildLayout(ClientState& st) const;
@@ -336,11 +330,11 @@ class Machine
     std::vector<CorePowerRequest> scratch_cores_;
     PowerOutcome scratch_power_;
     PowerScratch power_scratch_;
+    /** Per client: its busy level, read once per resolve (ReadBusy). */
+    std::vector<double> busy_;
     std::vector<double> ht_aggr_;  ///< Per-client aggression minus one.
-    std::vector<double> ht_busy_;  ///< Per-client hoisted busy values.
     std::array<CoreClasses, kMaxSockets> core_classes_;
-    std::vector<double> power_busy_;       ///< Per client, this socket.
-    std::vector<double> power_intensity_;  ///< Per client, this socket.
+    std::vector<double> power_intensity_;  ///< Per client.
     std::vector<CorePowerRequest> class_reqs_;
 
     // Resolved machine-level state.

@@ -3,8 +3,8 @@
  * Incremental arbitration vs the naive reference resolver.
  *
  * hw::Machine's incremental paths — deferred coalesced resolves, the
- * demand-dirty gate over the LLC/DRAM/NIC phases, hoisted HyperThread
- * busy probes, memoized power curves — all claim to be *exact*
+ * demand-dirty gate over the LLC/DRAM/NIC phases, the HT runs and core
+ * classes, memoized power curves — all claim to be *exact*
  * equivalence transforms of the historical eager full-scan resolver.
  * SetNaiveArbitration(true) retains that resolver: every RequestResolve
  * becomes an eager full recompute and nothing is gated or deferred.

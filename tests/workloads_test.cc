@@ -524,8 +524,8 @@ TEST(BeTask, PausedWithoutCpus)
 
 TEST(BeTask, BusyQueriesAreStable)
 {
-    // A BE task keeps no measurement window: every query, first or
-    // repeat, returns its level (busy whenever it holds cpus).
+    // Every read returns the task's level: busy whenever it holds
+    // cpus.
     sim::EventQueue queue;
     hw::Machine machine(Cfg(), queue);
     BeTask be(machine, Brain());
