@@ -147,7 +147,6 @@ class ClusterSim
 
             const int idx = static_cast<int>(leaves_.size());
             workloads::LcApp& lc = leaf.server->lc();
-            lc.SetLoad(0.0);  // rate bookkeeping only; driven externally
             lc.StartExternal();
             // Replies never cross into root state mid-epoch: they land
             // in the leaf's own outbox (thread-confined) and the root

@@ -72,19 +72,17 @@ Machine::Machine(const MachineConfig& cfg, sim::EventQueue& queue)
       socket_power_(cfg.sockets, 0.0)
 {
     epoch_event_ = queue_.SchedulePeriodic(cfg.epoch, cfg.epoch,
-                                           [this] { DoResolve(); });
+                                           [this] { Resolve(); });
 }
 
 Machine::~Machine()
 {
     queue_.Cancel(epoch_event_);
-    if (finalize_scheduled_) queue_.Cancel(finalize_event_);
 }
 
 void
 Machine::AddClient(ResourceClient* client)
 {
-    EnsureResolved();
     HERACLES_CHECK(client != nullptr);
     for (const auto& [other, st] : clients_) {
         HERACLES_CHECK_MSG(other != client,
@@ -98,7 +96,6 @@ Machine::AddClient(ResourceClient* client)
 void
 Machine::RemoveClient(ResourceClient* client)
 {
-    EnsureResolved();
     for (auto it = clients_.begin(); it != clients_.end(); ++it) {
         if (it->first == client) {
             clients_.erase(it);
@@ -130,9 +127,6 @@ Machine::StateOf(const ResourceClient* client) const
 void
 Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
 {
-    // Flush before mutating: a resolve requested earlier this instant
-    // must still see the pre-change assignment.
-    EnsureResolved();
     for (int cpu : cpus.Cpus()) {
         HERACLES_CHECK_MSG(cpu < cfg_.LogicalCpus(),
                            "cpu " << cpu << " out of range");
@@ -260,7 +254,6 @@ Machine::CpusOf(const ResourceClient* client) const
 void
 Machine::SetCatWays(ResourceClient* client, int ways)
 {
-    EnsureResolved();
     HERACLES_CHECK_MSG(ways >= 0 && ways <= cfg_.llc_ways,
                        "bad CAT ways: " << ways);
     StateOf(client).cat_ways = ways;
@@ -270,7 +263,6 @@ Machine::SetCatWays(ResourceClient* client, int ways)
 void
 Machine::SetFreqCapGhz(ResourceClient* client, double ghz)
 {
-    EnsureResolved();
     HERACLES_CHECK_MSG(ghz == 0.0 ||
                            (ghz >= cfg_.min_ghz && ghz <= cfg_.turbo_1c_ghz),
                        "bad DVFS cap: " << ghz);
@@ -288,7 +280,6 @@ Machine::FreqCapOf(const ResourceClient* client) const
 void
 Machine::SetBeNetCeilGbps(double gbps)
 {
-    EnsureResolved();
     be_net_ceil_gbps_ = gbps;
     demand_dirty_ = true;
 }
@@ -300,40 +291,12 @@ Machine::ResolveNow()
     // characterization rigs) may have mutated client demand without going
     // through a marked channel.
     demand_dirty_ = true;
-    DoResolve();
-}
-
-void
-Machine::RequestResolve()
-{
-    if (naive_) {
-        ResolveNow();
-        return;
-    }
-    if (resolve_pending_) return;
-    resolve_pending_ = true;
-    if (!finalize_scheduled_) {
-        // Backstop so a pending resolve can never survive past the
-        // current instant: if nothing observes the machine first, this
-        // event (still at time-now) finalizes the resolve.
-        finalize_scheduled_ = true;
-        finalize_event_ = queue_.ScheduleAt(queue_.Now(), [this] {
-            finalize_scheduled_ = false;
-            if (resolve_pending_) DoResolve();
-        });
-    }
-}
-
-void
-Machine::EnsureResolved() const
-{
-    if (resolve_pending_) const_cast<Machine*>(this)->DoResolve();
+    Resolve();
 }
 
 void
 Machine::SetNaiveArbitration(bool naive)
 {
-    EnsureResolved();
     naive_ = naive;
     demand_dirty_ = true;
 }
@@ -348,13 +311,12 @@ Machine::ReadBusy()
 }
 
 void
-Machine::DoResolve()
+Machine::Resolve()
 {
     // The demand phases (LLC occupancy, DRAM grants, NIC shares) are pure
     // functions of inputs that only change through marked channels; the
     // busy-driven phases (HT, power, telemetry) run every resolve, since
     // busy levels move between resolves.
-    resolve_pending_ = false;
     const bool recompute = demand_dirty_ || naive_;
     demand_dirty_ = false;
     if (naive_) {
@@ -679,14 +641,12 @@ Machine::UpdateTelemetry()
 const TaskView&
 Machine::ViewOf(const ResourceClient* client) const
 {
-    EnsureResolved();
     return StateOf(client).view;
 }
 
 double
 Machine::MeasuredDramGbps(int socket) const
 {
-    EnsureResolved();
     HERACLES_CHECK(socket >= 0 && socket < cfg_.sockets);
     const double noise =
         1.0 + noise_rng_.Uniform(-cfg_.counter_noise, cfg_.counter_noise);
@@ -704,7 +664,6 @@ Machine::MeasuredTotalDramGbps() const
 double
 Machine::MeasuredSocketPowerW(int socket) const
 {
-    EnsureResolved();
     HERACLES_CHECK(socket >= 0 && socket < cfg_.sockets);
     const double noise =
         1.0 + noise_rng_.Uniform(-cfg_.counter_noise, cfg_.counter_noise);
@@ -714,28 +673,24 @@ Machine::MeasuredSocketPowerW(int socket) const
 double
 Machine::MeasuredFreqGhz(const ResourceClient* client) const
 {
-    EnsureResolved();
     return StateOf(client).view.freq_ghz;
 }
 
 double
 Machine::LcTxGbps() const
 {
-    EnsureResolved();
     return lc_tx_gbps_;
 }
 
 double
 Machine::BeTxGbps() const
 {
-    EnsureResolved();
     return be_tx_gbps_;
 }
 
 MachineTelemetry
 Machine::Telemetry() const
 {
-    EnsureResolved();
     MachineTelemetry t;
     for (int s = 0; s < cfg_.sockets; ++s) {
         t.dram_gbps += dram_granted_[s];
@@ -753,7 +708,6 @@ Machine::Telemetry() const
 MachineTelemetry
 Machine::AveragedTelemetry() const
 {
-    EnsureResolved();
     const sim::SimTime now = queue_.Now();
     MachineTelemetry t;
     t.dram_gbps = avg_dram_.Mean(now);
@@ -770,7 +724,6 @@ Machine::AveragedTelemetry() const
 void
 Machine::ResetTelemetryAverages()
 {
-    EnsureResolved();
     const sim::SimTime now = queue_.Now();
     avg_dram_ = sim::TimeWeightedMean();
     avg_power_ = sim::TimeWeightedMean();

@@ -23,16 +23,15 @@
  * once-per-second rate updates — so those phases recompute only when a
  * demand input was marked dirty, while the busy-driven phases (HT
  * penalties, power/frequency, telemetry) run every resolve, all on one
- * busy level per client read at its start. Actuators
- * that used to force an eager full resolve per call instead use
- * RequestResolve(), which coalesces every same-timestamp demand change
- * into one deferred resolve at the current instant; EnsureResolved()
- * flushes the pending resolve at every observation point so nothing can
- * read a stale view. The busy-driven HT and power phases work on layout
- * classes that the cpuset mutators rebuild: cpus that see the same
- * foreign HT pattern share one penalty, and cores holding the same
- * clients' threads share one power request. All of it is byte-identical
- * to the historical eager full-scan resolver (pinned by
+ * busy level per client read at its start. A core, way, cap or BE-demand
+ * actuation calls Resolve() before it returns, so its effect is in every
+ * view and counter at once, and the machine schedules no event but its
+ * epoch timer. The
+ * busy-driven HT and power phases work on layout classes that the
+ * cpuset mutators rebuild: cpus that see the same foreign HT pattern
+ * share one penalty, and cores holding the same clients' threads share
+ * one power request. All of it is byte-identical to the historical
+ * eager full-scan resolver (pinned by
  * tests/machine_equivalence_test.cc and the golden scenario baselines).
  */
 #ifndef HERACLES_HW_MACHINE_H
@@ -118,37 +117,33 @@ class Machine
     void SetFreqCapGhz(ResourceClient* client, double ghz);
     double FreqCapOf(const ResourceClient* client) const;
 
-    /** Sets the HTB ceil for all best-effort egress traffic; <0 = off. */
+    /**
+     * Sets the HTB ceil for all best-effort egress traffic; <0 = off.
+     * SimPlatform does not resolve after setting it, unlike the other
+     * three mechanisms, so a new ceil reaches the views only at the next
+     * resolve: the next epoch tick, up to one epoch later, or an earlier
+     * actuation of another mechanism.
+     */
     void SetBeNetCeilGbps(double gbps);
     double BeNetCeilGbps() const { return be_net_ceil_gbps_; }
 
     // --- Contention resolution ---------------------------------------------
 
     /**
-     * Re-resolves contention immediately, unconditionally recomputing
-     * every phase (also marks the demand inputs dirty first, so callers
-     * that mutate client demand out-of-band — tests, characterization
-     * rigs — always see fresh grants). The epoch timer uses the
-     * dirty-honoring internal path instead.
+     * Resolves contention now: the busy-driven phases always, the demand
+     * phases (LLC/DRAM/NIC) only if a demand input was marked dirty
+     * (always under the naive reference). The epoch timer calls it, and
+     * so do the core, way, cap and BE-demand actuations before they
+     * return.
+     */
+    void Resolve();
+
+    /**
+     * Marks the demand inputs dirty, then Resolve(): for callers that
+     * mutate client demand out-of-band (tests, characterization rigs),
+     * so they always see fresh grants.
      */
     void ResolveNow();
-
-    /**
-     * Requests a resolve for a demand change at the current instant.
-     * Multiple requests at the same timestamp coalesce into one deferred
-     * resolve (scheduled at time-now). Busy reads are pure, so the
-     * superseded eager resolves leave nothing behind and the eventual
-     * resolve computes bit-identical grants.
-     */
-    void RequestResolve();
-
-    /**
-     * Flushes a pending (deferred) resolve, if any. Every view/counter
-     * reader calls this; workloads also call it before mutating state a
-     * pending resolve must still observe pre-mutation (busy counts,
-     * demand inputs).
-     */
-    void EnsureResolved() const;
 
     /**
      * Marks the demand-side resolver inputs (LLC footprints/weights,
@@ -161,12 +156,11 @@ class Machine
     void MarkDemandDirty() { demand_dirty_ = true; }
 
     /**
-     * Disables every incremental path: RequestResolve() becomes an eager
-     * ResolveNow(), each resolve recomputes all phases, each resolve
-     * rebuilds every client's cached cpu layout from its cpuset, and the
-     * HT and power phases loop over every cpu and every core instead of
-     * over the layout classes. The retained naive reference for the
-     * equivalence test and the arbitration microbench.
+     * Disables every incremental path: each resolve recomputes all
+     * phases and rebuilds every client's cached cpu layout from its
+     * cpuset, and the HT and power phases loop over every cpu and every
+     * core instead of over the layout classes. The retained naive
+     * reference for the equivalence test and the arbitration microbench.
      */
     void SetNaiveArbitration(bool naive);
 
@@ -175,7 +169,7 @@ class Machine
 
     // --- Resolver statistics (microbench / diagnostics) --------------------
 
-    /** Resolves executed (all phases of a lazy resolve count as one). */
+    /** Resolves executed: epoch ticks, actuations and ResolveNow(). */
     uint64_t resolves() const { return resolve_count_; }
 
     /** Resolves that recomputed the demand phases (LLC/DRAM/NIC). */
@@ -258,11 +252,6 @@ class Machine
         std::vector<std::pair<int, int>> steps;  ///< (client, threads).
     };
 
-    /**
-     * One full resolve pass (demand phases gated on the dirty flag); it
-     * settles any pending resolve. The epoch timer calls it directly.
-     */
-    void DoResolve();
     /** Reads every client's busy level into busy_. */
     void ReadBusy();
 
@@ -298,8 +287,6 @@ class Machine
     sim::EventQueue& queue_;
     mutable sim::Rng noise_rng_;
     sim::EventQueue::EventId epoch_event_;
-    sim::EventQueue::EventId finalize_event_{};
-    bool finalize_scheduled_ = false;
 
     /**
      * Registered tasks in registration order. Deliberately NOT keyed by
@@ -315,7 +302,6 @@ class Machine
     // Incremental-resolution state.
     bool naive_ = false;
     bool demand_dirty_ = true;
-    bool resolve_pending_ = false;
     uint64_t resolve_count_ = 0;
     uint64_t demand_recomputes_ = 0;
 

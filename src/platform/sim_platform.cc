@@ -122,8 +122,7 @@ SimPlatform::SetBeCores(int cores)
     if (be_ == nullptr) be_cores_ = 0;
     ApplyCpusets();
     ApplyCat();
-    // Coalesces with any other same-instant actuations into one resolve.
-    machine_.RequestResolve();
+    machine_.Resolve();
 }
 
 void
@@ -135,7 +134,7 @@ SimPlatform::SetBeWays(int ways)
     const int total_ways = machine_.config().llc_ways;
     be_ways_ = std::clamp(ways, 0, total_ways - 4);
     ApplyCat();
-    machine_.RequestResolve();
+    machine_.Resolve();
 }
 
 double
@@ -162,7 +161,7 @@ SimPlatform::SetBeFreqCapGhz(double ghz)
     ++actuations_.set_freq_cap;
     if (be_ != nullptr) {
         machine_.SetFreqCapGhz(be_, ghz);
-        machine_.RequestResolve();
+        machine_.Resolve();
     }
 }
 

@@ -34,14 +34,11 @@ void
 BeTask::SetDemandScale(double scale)
 {
     Accrue();  // close the accounting period at the old demand
-    // A resolve requested earlier this instant must still see the old
-    // demand scale; flush it before the change, then request a resolve
-    // so the phase change lands this instant, not at the next 25 ms
-    // contention epoch. Same-instant demand changes coalesce into one.
-    machine_.EnsureResolved();
     demand_scale_ = scale;
     machine_.MarkDemandDirty();
-    machine_.RequestResolve();
+    // Resolve so the phase change lands this instant, not at the next
+    // 25 ms contention epoch.
+    machine_.Resolve();
 }
 
 int

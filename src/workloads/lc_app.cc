@@ -143,9 +143,6 @@ LcApp::TryDispatch()
 void
 LcApp::StartService(Request req)
 {
-    // A resolve requested earlier this instant must observe the
-    // pre-dispatch busy count; flush it before mutating.
-    machine_.EnsureResolved();
     AccumulateBusy();
     ++busy_;
     // The scheduler fills idle physical cores before doubling up on
@@ -183,8 +180,6 @@ void
 LcApp::OnCompletion(const Request& req)
 {
     const sim::SimTime arrival = req.arrival;
-    // Flush before the busy count drops (see StartService).
-    machine_.EnsureResolved();
     AccumulateBusy();
     --busy_;
     completions_in_sec_ += static_cast<uint64_t>(params_.batch);
@@ -325,9 +320,7 @@ void
 LcApp::UpdateRates()
 {
     // The ewmas feed the machine's demand model (LLC footprint/weight,
-    // DRAM and NIC demand): flush any pending resolve so it sees the old
-    // rates, then mark the demand inputs changed.
-    machine_.EnsureResolved();
+    // DRAM and NIC demand): mark the demand inputs changed.
     constexpr double kAlpha = 0.3;
     qps_ewma_ = (1.0 - kAlpha) * qps_ewma_ +
                 kAlpha * static_cast<double>(arrivals_in_sec_);

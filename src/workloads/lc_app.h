@@ -147,8 +147,9 @@ class LcApp : public hw::ResourceClient
     void Start();
 
     /**
-     * Marks the app as externally driven: no arrivals are self-generated;
-     * callers feed requests via InjectRequest (cluster fan-out mode).
+     * Marks the app as externally driven: no arrivals are self-generated,
+     * so no load or trace is read; callers feed requests via
+     * InjectRequest (cluster fan-out mode).
      */
     void StartExternal();
 

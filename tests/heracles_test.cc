@@ -634,6 +634,49 @@ TEST(SimPlatform, LcCpuUtilizationIsTheBusyCounterDelta)
     expect_delta(busy_ns, at);
 }
 
+// Every actuation resolves before it returns: it schedules nothing, runs
+// exactly one resolve, and the BE's view shows it with the queue still
+// held at the same instant.
+TEST(SimPlatform, ActuationsResolveBeforeReturning)
+{
+    sim::EventQueue queue;
+    hw::Machine machine(Cfg(), queue);
+    workloads::LcApp lc(machine, workloads::Websearch(), 5);
+    workloads::BeTask be(machine, workloads::Brain());
+    platform::SimPlatform plat(machine, lc, &be);
+    plat.ApplyInitialPlacement();
+    const auto llc_mb = [](const hw::TaskView& v) {
+        double total = 0.0;
+        for (double mb : v.llc_mb) total += mb;
+        return total;
+    };
+    const auto dram_demand = [](const hw::TaskView& v) {
+        double total = 0.0;
+        for (double gbps : v.dram_demand_gbps) total += gbps;
+        return total;
+    };
+    const auto freq = [](const hw::TaskView& v) { return v.freq_ghz; };
+    const auto expect_resolved = [&](const char* what, const auto& actuate,
+                                     const auto& field) {
+        SCOPED_TRACE(what);
+        const size_t pending = queue.pending();
+        const uint64_t resolves = machine.resolves();
+        const double before = field(machine.ViewOf(&be));
+        actuate();
+        EXPECT_EQ(queue.pending(), pending);
+        EXPECT_EQ(machine.resolves(), resolves + 1);
+        EXPECT_NE(field(machine.ViewOf(&be)), before);
+    };
+
+    expect_resolved("cores", [&] { plat.SetBeCores(4); }, freq);
+    expect_resolved("ways", [&] { plat.SetBeWays(2); }, llc_mb);
+    expect_resolved(
+        "freq cap", [&] { plat.SetBeFreqCapGhz(Cfg().min_ghz); }, freq);
+    expect_resolved(
+        "demand scale", [&] { be.SetDemandScale(0.5); }, dram_demand);
+    EXPECT_EQ(queue.Now(), 0);
+}
+
 TEST(Integration, WebsearchBrainNoViolationAndBeGrows)
 {
     LoopRig rig(workloads::Websearch(), workloads::Brain());

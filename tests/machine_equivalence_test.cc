@@ -2,12 +2,12 @@
  * @file
  * Incremental arbitration vs the naive reference resolver.
  *
- * hw::Machine's incremental paths — deferred coalesced resolves, the
- * demand-dirty gate over the LLC/DRAM/NIC phases, the HT runs and core
+ * hw::Machine's incremental paths — the demand-dirty gate over the
+ * LLC/DRAM/NIC phases, the cached cpu layouts, the HT runs and core
  * classes, memoized power curves — all claim to be *exact*
  * equivalence transforms of the historical eager full-scan resolver.
- * SetNaiveArbitration(true) retains that resolver: every RequestResolve
- * becomes an eager full recompute and nothing is gated or deferred.
+ * SetNaiveArbitration(true) retains that resolver: every resolve is a
+ * full recompute and nothing is gated or cached.
  *
  * This suite drives two identical server rigs (machine + LC app + BE
  * task + platform) through a seeded churn of actuations, demand-scale
@@ -82,9 +82,8 @@ using ClientPairs = std::vector<
     std::pair<const hw::ResourceClient*, const hw::ResourceClient*>>;
 
 /** Asserts every view of the paired clients and every machine counter is
- *  bitwise identical. The reads themselves are part of the protocol
- *  under test (each one flushes a pending resolve), so both machines see
- *  the exact same call sequence. */
+ *  bitwise identical. Both machines see the exact same call sequence,
+ *  reads included: the counter reads draw measurement noise. */
 void
 ExpectSameMachine(hw::Machine& a, hw::Machine& b, const ClientPairs& pairs,
                   int step)
@@ -220,7 +219,7 @@ TEST(MachineEquivalence, SeededChurnStaysBitIdenticalToNaive)
         case 5: {
             // The controller's utilization read between resolves: a
             // delta of the LC's busy counter, which leaves the machine
-            // and any pending resolve untouched.
+            // untouched.
             EXPECT_EQ(inc.plat.LcCpuUtilization(),
                       naive.plat.LcCpuUtilization())
                 << "step " << step;
@@ -228,7 +227,7 @@ TEST(MachineEquivalence, SeededChurnStaysBitIdenticalToNaive)
         }
         case 6: {
             // Same-instant pile-up: several actuations with no time in
-            // between exercises the coalescing path.
+            // between, each resolving before the next one writes.
             const int cores =
                 static_cast<int>(churn.UniformInt(total_cores));
             const int ways =
@@ -316,12 +315,12 @@ TEST(MachineEquivalence, SharedAndSplitLayoutsStayBitIdenticalToNaive)
 
     const int per_socket = cfg.cores_per_socket;
     const int total_cores = cfg.TotalCores();
-    // Both rigs take each placement, then request the resolve the way
-    // the platform's actuators do.
+    // Both rigs take each placement, then resolve the way the
+    // platform's actuators do.
     const auto both = [&](const auto& act) {
         for (SharedRig* r : {&inc, &naive}) {
             act(*r);
-            r->machine.RequestResolve();
+            r->machine.Resolve();
         }
     };
     // What the churn must reach, read off the incremental rig's views.
@@ -413,7 +412,7 @@ TEST(MachineEquivalence, SharedAndSplitLayoutsStayBitIdenticalToNaive)
             break;
         }
         case 5: {
-            // A busy read between resolves: pure, so it needs no flush.
+            // A busy read between resolves: pure, so it changes nothing.
             EXPECT_EQ(inc.lc.CpuBusyFraction(), naive.lc.CpuBusyFraction())
                 << "step " << step;
             break;
