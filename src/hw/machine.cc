@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 
 #include "hw/dram.h"
@@ -164,6 +165,7 @@ Machine::BuildLayout(ClientState& st) const
 void
 Machine::BuildLayoutClasses()
 {
+    memo_stores_ = 0;
     const size_t n = clients_.size();
     const auto same_terms = [](const HtTerm& a, const HtTerm& b) {
         return a.other == b.other && a.sibling == b.sibling &&
@@ -267,8 +269,8 @@ Machine::SetFreqCapGhz(ResourceClient* client, double ghz)
                            (ghz >= cfg_.min_ghz && ghz <= cfg_.turbo_1c_ghz),
                        "bad DVFS cap: " << ghz);
     StateOf(client).freq_cap_ghz = ghz;
-    // The power phase runs on every resolve, so a cap change needs no
-    // demand-dirty mark.
+    // The cap is in each resolve's busy inputs, so a cap change misses
+    // the busy memo and needs no demand-dirty mark.
 }
 
 double
@@ -299,24 +301,63 @@ Machine::SetNaiveArbitration(bool naive)
 {
     naive_ = naive;
     demand_dirty_ = true;
+    memo_stores_ = 0;
 }
 
 void
-Machine::ReadBusy()
+Machine::ReadInputs()
 {
-    busy_.resize(clients_.size());
+    inputs_.resize(clients_.size());
     for (size_t c = 0; c < clients_.size(); ++c) {
-        busy_[c] = clients_[c].first->CpuBusyFraction();
+        const auto& [client, st] = clients_[c];
+        inputs_[c] = {client->CpuBusyFraction(), client->PowerIntensity(),
+                      client->HtAggression() - 1.0, st.freq_cap_ghz};
     }
+}
+
+bool
+Machine::RestoreBusySolve()
+{
+    // Bytes, not values: -0.0 against 0.0, or a NaN, can only miss.
+    const size_t bytes = inputs_.size() * sizeof(BusyInput);
+    for (int e = 0; e < std::min(memo_stores_, kBusyMemoEntries); ++e) {
+        const BusySolve& m = memo_[e];
+        if (bytes > 0 &&
+            std::memcmp(m.key.data(), inputs_.data(), bytes) != 0) {
+            continue;
+        }
+        const double* out = m.out.data();
+        for (auto& [client, st] : clients_) {
+            st.view.ht_penalty = *out++;
+            st.view.freq_ghz = *out++;
+        }
+        std::copy(out, out + cfg_.sockets, socket_power_.begin());
+        return true;
+    }
+    return false;
+}
+
+void
+Machine::StoreBusySolve()
+{
+    BusySolve& m = memo_[memo_stores_++ % kBusyMemoEntries];
+    m.key.assign(inputs_.begin(), inputs_.end());
+    m.out.clear();
+    for (const auto& [client, st] : clients_) {
+        m.out.push_back(st.view.ht_penalty);
+        m.out.push_back(st.view.freq_ghz);
+    }
+    m.out.insert(m.out.end(), socket_power_.begin(), socket_power_.end());
 }
 
 void
 Machine::Resolve()
 {
     // The demand phases (LLC occupancy, DRAM grants, NIC shares) are pure
-    // functions of inputs that only change through marked channels; the
-    // busy-driven phases (HT, power, telemetry) run every resolve, since
-    // busy levels move between resolves.
+    // functions of inputs that only change through marked channels. The
+    // HT and power phases are pure functions of inputs_ and the layout,
+    // so they run only when inputs_ misses the memo. Telemetry runs
+    // every resolve: it feeds the time-weighted means.
     const bool recompute = demand_dirty_ || naive_;
     demand_dirty_ = false;
     if (naive_) {
@@ -325,13 +366,17 @@ Machine::Resolve()
         // the cache AssignCpus maintains against one that is never stale.
         for (auto& [client, st] : clients_) BuildLayout(st);
     }
-    ReadBusy();
+    ReadInputs();
     if (recompute) {
         ResolveLlcAndDram();
         ++demand_recomputes_;
     }
-    ResolveHt();
-    ResolvePowerAllSockets();
+    if (naive_ || !RestoreBusySolve()) {
+        ResolveHt();
+        ResolvePowerAllSockets();
+        ++busy_solves_;
+        if (!naive_) StoreBusySolve();
+    }
     if (recompute) ResolveNetwork();
     UpdateTelemetry();
     ++resolve_count_;
@@ -423,10 +468,6 @@ Machine::ResolveHt()
 {
     // HyperThread penalties: what runs on the sibling of each cpu.
     const size_t n = clients_.size();
-    ht_aggr_.resize(n);
-    for (size_t o = 0; o < n; ++o) {
-        ht_aggr_[o] = clients_[o].first->HtAggression() - 1.0;
-    }
     for (size_t c = 0; c < n; ++c) {
         ClientState& st = clients_[c].second;
         if (st.cpus.Empty()) {
@@ -441,6 +482,7 @@ double
 Machine::HtPenaltyPerRun(size_t c)
 {
     const ClientState& st = clients_[c].second;
+    ht_terms_evaluated_ += st.ht_terms.size();
     double total = 0.0;
     int n_cpus = 0;
     size_t t = 0;
@@ -448,11 +490,10 @@ Machine::HtPenaltyPerRun(size_t c)
         double p = 1.0;
         for (; t < static_cast<size_t>(run.terms_end); ++t) {
             const HtTerm& term = st.ht_terms[t];
-            const double aggr = ht_aggr_[term.other];
-            if (aggr <= 0.0) continue;
-            const double busy = busy_[term.other];
-            if (term.sibling) p += aggr * busy;
-            if (term.same) p += 1.6 * aggr * busy;
+            const BusyInput& in = inputs_[term.other];
+            if (in.ht_aggr <= 0.0) continue;
+            if (term.sibling) p += in.ht_aggr * in.busy;
+            if (term.same) p += 1.6 * in.ht_aggr * in.busy;
         }
         for (int k = 0; k < run.len; ++k) {
             total += p;
@@ -465,8 +506,9 @@ Machine::HtPenaltyPerRun(size_t c)
 double
 Machine::HtPenaltyPerCpu(size_t c)
 {
-    const auto& [client, st] = clients_[c];
+    const ClientState& st = clients_[c].second;
     const size_t n = clients_.size();
+    ht_terms_evaluated_ += st.cpu_list.size() * (n - 1);
     double total = 0.0;
     int n_cpus = 0;
     for (size_t i = 0; i < st.cpu_list.size(); ++i) {
@@ -474,17 +516,16 @@ Machine::HtPenaltyPerCpu(size_t c)
         const int sib = st.siblings[i];
         double p = 1.0;
         for (size_t o = 0; o < n; ++o) {
-            auto& [other, ost] = clients_[o];
-            if (other == client) continue;
-            if (ht_aggr_[o] <= 0.0) continue;
-            const double busy = other->CpuBusyFraction();
-            if (sib >= 0 && ost.cpus.Contains(sib)) {
-                p += ht_aggr_[o] * busy;
+            const BusyInput& in = inputs_[o];
+            if (o == c || in.ht_aggr <= 0.0) continue;
+            const CpuSet& ocpus = clients_[o].second.cpus;
+            if (sib >= 0 && ocpus.Contains(sib)) {
+                p += in.ht_aggr * in.busy;
             }
-            if (ost.cpus.Contains(cpu)) {
+            if (ocpus.Contains(cpu)) {
                 // Sharing the same logical cpu (OS-only baseline) is
                 // considerably worse than sharing a sibling.
-                p += 1.6 * ht_aggr_[o] * busy;
+                p += 1.6 * in.ht_aggr * in.busy;
             }
         }
         total += p;
@@ -538,13 +579,14 @@ Machine::FillCoresPerCore(int socket)
     std::vector<CorePowerRequest>& cores = scratch_cores_;
     cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
     // Fill per-core busy/intensity/caps from thread ownership.
-    for (auto& [client, st] : clients_) {
+    for (size_t c = 0; c < clients_.size(); ++c) {
+        const ClientState& st = clients_[c].second;
         if (st.cpus.Empty()) continue;
-        const double busy = client->CpuBusyFraction();
-        const double intensity = client->PowerIntensity();
+        const BusyInput& in = inputs_[c];
+        core_updates_ += st.socket_cores[socket].size();
         for (int core_local : st.socket_cores[socket]) {
-            AddThread(cores[core_local], busy, intensity, st.freq_cap_ghz,
-                      cfg_.threads_per_core);
+            AddThread(cores[core_local], in.busy, in.intensity,
+                      in.freq_cap_ghz, cfg_.threads_per_core);
         }
     }
 }
@@ -552,11 +594,6 @@ Machine::FillCoresPerCore(int socket)
 void
 Machine::FillCoresPerClass(int socket)
 {
-    const size_t n = clients_.size();
-    power_intensity_.resize(n);
-    for (size_t c = 0; c < n; ++c) {
-        power_intensity_[c] = clients_[c].first->PowerIntensity();
-    }
     // A core's request depends only on its class's update sequence.
     const CoreClasses& cc = core_classes_[socket];
     class_reqs_.assign(cc.steps_end.size(), CorePowerRequest{});
@@ -564,10 +601,11 @@ Machine::FillCoresPerClass(int socket)
     for (size_t k = 0; k < class_reqs_.size(); ++k) {
         for (; s < static_cast<size_t>(cc.steps_end[k]); ++s) {
             const auto [c, threads] = cc.steps[s];
+            const BusyInput& in = inputs_[c];
+            core_updates_ += threads;
             for (int t = 0; t < threads; ++t) {
-                AddThread(class_reqs_[k], busy_[c], power_intensity_[c],
-                          clients_[c].second.freq_cap_ghz,
-                          cfg_.threads_per_core);
+                AddThread(class_reqs_[k], in.busy, in.intensity,
+                          in.freq_cap_ghz, cfg_.threads_per_core);
             }
         }
     }
@@ -621,7 +659,7 @@ Machine::UpdateTelemetry()
 {
     double busy = 0.0;
     for (size_t c = 0; c < clients_.size(); ++c) {
-        busy += busy_[c] * clients_[c].second.cpus.Count();
+        busy += inputs_[c].busy * clients_[c].second.cpus.Count();
     }
     cpu_util_ = std::min(1.0, busy / cfg_.LogicalCpus());
 
@@ -732,7 +770,7 @@ Machine::ResetTelemetryAverages()
     avg_be_tx_ = sim::TimeWeightedMean();
     telemetry_reset_time_ = now;
     // Seed the averages with the current levels.
-    ReadBusy();
+    ReadInputs();
     UpdateTelemetry();
 }
 

@@ -21,17 +21,18 @@
  * DRAM grants, NIC shares) is a pure function of inputs that change only
  * at discrete, known call sites — the mutators here plus the workloads'
  * once-per-second rate updates — so those phases recompute only when a
- * demand input was marked dirty, while the busy-driven phases (HT
- * penalties, power/frequency, telemetry) run every resolve, all on one
- * busy level per client read at its start. A core, way, cap or BE-demand
- * actuation calls Resolve() before it returns, so its effect is in every
- * view and counter at once, and the machine schedules no event but its
- * epoch timer. The
- * busy-driven HT and power phases work on layout classes that the
- * cpuset mutators rebuild: cpus that see the same foreign HT pattern
- * share one penalty, and cores holding the same clients' threads share
- * one power request. All of it is byte-identical to the historical
- * eager full-scan resolver (pinned by
+ * demand input was marked dirty. The HT and power phases are pure
+ * functions of the layout and of one record per client read at the start
+ * of each resolve (busy level, power intensity, HT aggression, DVFS cap):
+ * records that repeat, bit for bit, one of the last four solves under
+ * the same layout restore its outputs instead. A core, way, cap or
+ * BE-demand actuation calls Resolve() before it returns, so its effect is
+ * in every view and counter at once, and the machine schedules no event
+ * but its epoch timer. The HT and power phases work on layout classes
+ * that the cpuset mutators rebuild: cpus that see the same foreign HT
+ * pattern share one penalty, and cores holding the same clients' threads
+ * share one power request. Rebuilding them empties the memo. All of it
+ * is byte-identical to the historical eager full-scan resolver (pinned by
  * tests/machine_equivalence_test.cc and the golden scenario baselines).
  */
 #ifndef HERACLES_HW_MACHINE_H
@@ -130,9 +131,10 @@ class Machine
     // --- Contention resolution ---------------------------------------------
 
     /**
-     * Resolves contention now: the busy-driven phases always, the demand
-     * phases (LLC/DRAM/NIC) only if a demand input was marked dirty
-     * (always under the naive reference). The epoch timer calls it, and
+     * Resolves contention now: the demand phases (LLC/DRAM/NIC) only if
+     * a demand input was marked dirty, the HT and power phases only if
+     * the busy inputs miss the memo (both always under the naive
+     * reference), telemetry always. The epoch timer calls it, and
      * so do the core, way, cap and BE-demand actuations before they
      * return.
      */
@@ -158,8 +160,9 @@ class Machine
     /**
      * Disables every incremental path: each resolve recomputes all
      * phases and rebuilds every client's cached cpu layout from its
-     * cpuset, and the HT and power phases loop over every cpu and every
-     * core instead of over the layout classes. The retained naive
+     * cpuset, the HT and power phases loop over every cpu and every
+     * core instead of over the layout classes, and the busy memo is
+     * neither read nor filled. The retained naive
      * reference for the equivalence test and the arbitration microbench.
      */
     void SetNaiveArbitration(bool naive);
@@ -182,6 +185,16 @@ class Machine
      * versions) — see LcApp's service-time factor cache.
      */
     uint64_t demand_generation() const { return demand_recomputes_; }
+
+    /** Resolves that ran the HT and power phases (missed the memo). */
+    uint64_t busy_solves() const { return busy_solves_; }
+
+    /** The busy solves' work: HT terms evaluated, one per (HT run,
+     *  sharing client) or per (cpu, other client) when naive, and busy
+     *  threads added to core power requests, one per (core class,
+     *  thread) or per (core, thread) when naive. */
+    uint64_t ht_terms_evaluated() const { return ht_terms_evaluated_; }
+    uint64_t core_updates() const { return core_updates_; }
 
     // --- Hardware counters (what a controller can measure) ----------------
 
@@ -252,8 +265,28 @@ class Machine
         std::vector<std::pair<int, int>> steps;  ///< (client, threads).
     };
 
-    /** Reads every client's busy level into busy_. */
-    void ReadBusy();
+    /** One client's inputs to the HT and power phases: its part of the
+     *  memo key. Only doubles, so memcmp reads no padding. */
+    struct BusyInput {
+        double busy = 0.0;
+        double intensity = 0.0;
+        double ht_aggr = 0.0;  ///< HtAggression() minus one.
+        double freq_cap_ghz = 0.0;
+    };
+    /** One busy solve: its inputs, and its outputs in client order
+     *  (ht_penalty, freq_ghz) followed by each socket's power. */
+    struct BusySolve {
+        std::vector<BusyInput> key;
+        std::vector<double> out;
+    };
+    static constexpr int kBusyMemoEntries = 4;
+
+    /** Reads every client's busy inputs into inputs_. */
+    void ReadInputs();
+    /** The memo: restores a stored solve whose key equals inputs_ (false
+     *  if none), or stores this resolve's solve over the oldest entry. */
+    bool RestoreBusySolve();
+    void StoreBusySolve();
 
     /** Rebuilds @p st's cpu layout from st.cpus (reuses capacity). */
     void BuildLayout(ClientState& st) const;
@@ -262,7 +295,7 @@ class Machine
      * Rebuilds every client's HT runs and every socket's core classes
      * from the cached cpu layouts. Both depend on every client's cpuset
      * and on the client order, so AssignCpus, AddClient and RemoveClient
-     * rebuild them all.
+     * rebuild them all. Empties the busy memo.
      */
     void BuildLayoutClasses();
 
@@ -304,6 +337,9 @@ class Machine
     bool demand_dirty_ = true;
     uint64_t resolve_count_ = 0;
     uint64_t demand_recomputes_ = 0;
+    uint64_t busy_solves_ = 0;
+    uint64_t ht_terms_evaluated_ = 0;
+    uint64_t core_updates_ = 0;
 
     // Resolver scratch, reused across resolves (the historical code
     // allocated these per socket per resolve).
@@ -316,12 +352,14 @@ class Machine
     std::vector<CorePowerRequest> scratch_cores_;
     PowerOutcome scratch_power_;
     PowerScratch power_scratch_;
-    /** Per client: its busy level, read once per resolve (ReadBusy). */
-    std::vector<double> busy_;
-    std::vector<double> ht_aggr_;  ///< Per-client aggression minus one.
+    /** Per client: its busy inputs, read once per resolve (ReadInputs). */
+    std::vector<BusyInput> inputs_;
     std::array<CoreClasses, kMaxSockets> core_classes_;
-    std::vector<double> power_intensity_;  ///< Per client.
     std::vector<CorePowerRequest> class_reqs_;
+    /** The last busy solves, overwritten round-robin. Emptied by
+     *  zeroing memo_stores_, so the entries keep their storage. */
+    std::array<BusySolve, kBusyMemoEntries> memo_;
+    int memo_stores_ = 0;  ///< Solves stored since the memo was emptied.
 
     // Resolved machine-level state.
     std::vector<double> dram_granted_;  ///< Per socket.

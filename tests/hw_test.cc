@@ -693,6 +693,34 @@ TEST(Machine, FreqCapAppliesToClientCores)
     EXPECT_GT(m.MeasuredFreqGhz(&a), 2.0);
 }
 
+TEST(Machine, CapChangeAloneMissesTheMemo)
+{
+    sim::EventQueue q;
+    Machine m(Cfg(), q);
+    FakeClient lc("lc", true), be("be");
+    lc.busy = 0.5;  // Busy levels stay fixed from here on.
+    m.AddClient(&lc);
+    m.AddClient(&be);
+    m.AssignCpus(&lc, m.topology().PhysicalCores(0, 9));
+    m.AssignCpus(&be, m.topology().PhysicalCores(9, 9));
+    m.Resolve();
+    const double uncapped = m.ViewOf(&be).freq_ghz;
+    const uint64_t solves = m.busy_solves();
+    m.Resolve();  // The same inputs: restored, not solved.
+    EXPECT_EQ(m.busy_solves(), solves);
+
+    m.SetFreqCapGhz(&be, 1.2);
+    m.Resolve();
+    EXPECT_EQ(m.busy_solves(), solves + 1);
+    EXPECT_NE(m.ViewOf(&be).freq_ghz, uncapped);
+
+    m.SetFreqCapGhz(&be, 0.0);
+    m.Resolve();
+    EXPECT_EQ(m.busy_solves(), solves + 1);
+    EXPECT_EQ(m.ViewOf(&be).freq_ghz, uncapped);
+    EXPECT_EQ(m.resolves(), 4u);
+}
+
 TEST(Machine, NetworkShapingViaBeCeil)
 {
     sim::EventQueue q;

@@ -18,11 +18,15 @@
  * seconds of simulated time. A second churn places tasks by hand to
  * reach the layouts the controller never builds: OS-only sharing of
  * logical cpus, HT-split cores, a throttled socket, mixed DVFS caps on
- * one socket and a third registered client.
+ * one socket and a third registered client. A third script revisits
+ * earlier busy inputs, caps, client sets and cpusets, so the incremental
+ * rig restores memoized HT and power solves that the naive rig
+ * recomputes.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -134,6 +138,14 @@ ExpectSameMachine(hw::Machine& a, hw::Machine& b, const ClientPairs& pairs,
     EXPECT_EQ(ta.lc_tx_gbps, tb.lc_tx_gbps) << "step " << step;
     EXPECT_EQ(ta.be_tx_gbps, tb.be_tx_gbps) << "step " << step;
     EXPECT_EQ(ta.net_frac, tb.net_frac) << "step " << step;
+
+    const hw::MachineTelemetry aa = a.AveragedTelemetry();
+    const hw::MachineTelemetry ab = b.AveragedTelemetry();
+    EXPECT_EQ(aa.dram_gbps, ab.dram_gbps) << "step " << step;
+    EXPECT_EQ(aa.cpu_utilization, ab.cpu_utilization) << "step " << step;
+    EXPECT_EQ(aa.power_w, ab.power_w) << "step " << step;
+    EXPECT_EQ(aa.lc_tx_gbps, ab.lc_tx_gbps) << "step " << step;
+    EXPECT_EQ(aa.be_tx_gbps, ab.be_tx_gbps) << "step " << step;
 }
 
 /** The workloads ride on the views: identical views imply identical
@@ -454,6 +466,116 @@ TEST(MachineEquivalence, SharedAndSplitLayoutsStayBitIdenticalToNaive)
     EXPECT_GT(throttled_steps, 0);
     EXPECT_GT(mixed_cap_steps, 0);
     EXPECT_GT(three_client_steps, 0);
+}
+
+/** A client whose busy level the test sets; every other input is a
+ *  constant, as a workload profile's are. */
+class StepClient : public hw::ResourceClient
+{
+  public:
+    StepClient(std::string name, bool lc, double intensity, double aggr)
+        : name_(std::move(name)), lc_(lc), intensity_(intensity),
+          aggr_(aggr)
+    {
+    }
+    const std::string& name() const override { return name_; }
+    bool is_lc() const override { return lc_; }
+    double CpuBusyFraction() const override { return busy; }
+    double LlcFootprintMb(int) const override { return 12.0; }
+    double LlcAccessWeight(int) const override { return 12.0; }
+    double DramDemandGbps(int, double) const override { return 6.0; }
+    double PowerIntensity() const override { return intensity_; }
+    double NetTxDemandGbps() const override { return lc_ ? 2.0 : 4.0; }
+    double HtAggression() const override { return aggr_; }
+
+    double busy = 0.0;
+
+  private:
+    std::string name_;
+    bool lc_;
+    double intensity_, aggr_;
+};
+
+/** An LC client and a power-hungry, HT-aggressive BE client placed by
+ *  hand on one machine. */
+struct StepRig {
+    sim::EventQueue queue;
+    hw::Machine machine;
+    StepClient lc{"lc", /*lc=*/true, 1.0, 1.2};
+    std::unique_ptr<StepClient> be;
+
+    StepRig(bool naive, const hw::MachineConfig& cfg) : machine(cfg, queue)
+    {
+        machine.SetNaiveArbitration(naive);
+        machine.AddClient(&lc);
+        machine.AssignCpus(&lc, machine.topology().ThreadOfCores(0, 12, 0));
+        AddBe(machine.topology().ThreadOfCores(0, 12, 1));
+    }
+
+    void
+    AddBe(const hw::CpuSet& cpus)
+    {
+        be = std::make_unique<StepClient>("be", /*lc=*/false, 1.9, 1.6);
+        be->busy = 1.0;
+        machine.AddClient(be.get());
+        machine.AssignCpus(be.get(), cpus);
+    }
+};
+
+TEST(MachineEquivalence, RevisitedInputsStayBitIdenticalToNaive)
+{
+    hw::MachineConfig cfg;
+    cfg.seed = 777;
+    const hw::Topology topo(cfg);
+    StepRig inc(/*naive=*/false, cfg);
+    StepRig naive(/*naive=*/true, cfg);
+    const hw::CpuSet split = topo.ThreadOfCores(0, 12, 1);
+    const hw::CpuSet whole = topo.PhysicalCores(18, 14);
+
+    // Each step acts on both rigs, resolves the way an actuation does,
+    // then lets three epoch ticks pass with the inputs unchanged.
+    int step = 0;
+    const auto both = [&](const auto& act) {
+        for (StepRig* r : {&inc, &naive}) {
+            act(*r);
+            r->machine.Resolve();
+            r->queue.RunFor(sim::Millis(80));
+        }
+        ClientPairs pairs = {{&inc.lc, &naive.lc}};
+        if (inc.be != nullptr) pairs.push_back({inc.be.get(), naive.be.get()});
+        ExpectSameMachine(inc.machine, naive.machine, pairs, step++);
+    };
+    const auto lc_busy = [&](double b) {
+        both([b](StepRig& r) { r.lc.busy = b; });
+    };
+    const auto be_cap = [&](double ghz) {
+        both([ghz](StepRig& r) { r.machine.SetFreqCapGhz(r.be.get(), ghz); });
+    };
+    const auto be_cpus = [&](const hw::CpuSet& cpus) {
+        both([&cpus](StepRig& r) { r.machine.AssignCpus(r.be.get(), cpus); });
+    };
+
+    // The LC's busy level toggles among a few values.
+    for (double b : {0.25, 0.5, 0.25, 0.0, 0.5, 0.25}) lc_busy(b);
+    // The BE's cap goes A -> B -> A, then uncapped and back.
+    for (double ghz : {1.6, 2.0, 1.6, 0.0, 1.6}) be_cap(ghz);
+    // The BE's cpus move off the LC's siblings and back.
+    for (const hw::CpuSet* cpus : {&whole, &split, &whole, &split}) {
+        be_cpus(*cpus);
+    }
+    // The BE is removed and re-added with the same inputs.
+    both([](StepRig& r) {
+        r.machine.RemoveClient(r.be.get());
+        r.be.reset();
+    });
+    lc_busy(0.5);
+    both([&split](StepRig& r) { r.AddBe(split); });
+    for (double b : {0.25, 0.5, 0.25}) lc_busy(b);
+
+    // The incremental rig skipped solves; the naive one never did.
+    EXPECT_LT(inc.machine.busy_solves(), inc.machine.resolves());
+    EXPECT_EQ(naive.machine.busy_solves(), naive.machine.resolves());
+    EXPECT_EQ(inc.machine.resolves(), naive.machine.resolves());
 }
 
 }  // namespace
