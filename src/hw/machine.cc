@@ -40,7 +40,6 @@ Checked(const MachineConfig& cfg)
 /**
  * Adds one busy thread of a client to core @p c: the thread contributes
  * its share of the core's busy level and intensity, and its DVFS cap.
- * Both power paths apply exactly this update, in the same order.
  */
 void
 AddThread(CorePowerRequest& c, double busy, double intensity,
@@ -90,7 +89,7 @@ Machine::AddClient(ResourceClient* client)
                            "client registered twice: " << client->name());
     }
     clients_.emplace_back(client, ClientState{});
-    BuildLayoutClasses();
+    memo_stores_ = 0;
     demand_dirty_ = true;
 }
 
@@ -100,7 +99,7 @@ Machine::RemoveClient(ResourceClient* client)
     for (auto it = clients_.begin(); it != clients_.end(); ++it) {
         if (it->first == client) {
             clients_.erase(it);
-            BuildLayoutClasses();
+            memo_stores_ = 0;
             demand_dirty_ = true;
             return;
         }
@@ -144,7 +143,7 @@ Machine::AssignCpus(ResourceClient* client, const CpuSet& cpus)
     ClientState& st = StateOf(client);
     st.cpus = cpus;
     BuildLayout(st);
-    BuildLayoutClasses();
+    memo_stores_ = 0;
     demand_dirty_ = true;
 }
 
@@ -160,91 +159,6 @@ Machine::BuildLayout(ClientState& st) const
         st.socket_cores[topo_.SocketOf(cpu)].push_back(
             topo_.CoreOf(cpu) % cfg_.cores_per_socket);
     });
-}
-
-void
-Machine::BuildLayoutClasses()
-{
-    memo_stores_ = 0;
-    const size_t n = clients_.size();
-    const auto same_terms = [](const HtTerm& a, const HtTerm& b) {
-        return a.other == b.other && a.sibling == b.sibling &&
-               a.same == b.same;
-    };
-    // HT runs: each cpu's pattern lists the other clients that hold its
-    // sibling or the cpu itself, in registration order.
-    std::vector<HtTerm> pattern;
-    for (size_t c = 0; c < n; ++c) {
-        ClientState& st = clients_[c].second;
-        st.ht_runs.clear();
-        st.ht_terms.clear();
-        size_t run_begin = 0;  // The last run's first term.
-        for (size_t i = 0; i < st.cpu_list.size(); ++i) {
-            pattern.clear();
-            for (size_t o = 0; o < n; ++o) {
-                if (o == c) continue;
-                const CpuSet& ocpus = clients_[o].second.cpus;
-                HtTerm t;
-                t.other = static_cast<int>(o);
-                t.sibling = st.siblings[i] >= 0 &&
-                            ocpus.Contains(st.siblings[i]);
-                t.same = ocpus.Contains(st.cpu_list[i]);
-                if (t.sibling || t.same) pattern.push_back(t);
-            }
-            if (!st.ht_runs.empty() &&
-                std::equal(pattern.begin(), pattern.end(),
-                           st.ht_terms.begin() + run_begin,
-                           st.ht_terms.end(), same_terms)) {
-                ++st.ht_runs.back().len;
-                continue;
-            }
-            run_begin = st.ht_terms.size();
-            st.ht_terms.insert(st.ht_terms.end(), pattern.begin(),
-                               pattern.end());
-            st.ht_runs.push_back(
-                HtRun{1, static_cast<int>(st.ht_terms.size())});
-        }
-    }
-
-    // Core classes: per socket, each core's (client, threads) sequence.
-    const int cores = cfg_.cores_per_socket;
-    std::vector<int> threads(n * cores);
-    std::vector<std::pair<int, int>> seq;
-    for (int socket = 0; socket < cfg_.sockets; ++socket) {
-        std::fill(threads.begin(), threads.end(), 0);
-        for (size_t c = 0; c < n; ++c) {
-            for (int core : clients_[c].second.socket_cores[socket]) {
-                ++threads[c * cores + core];
-            }
-        }
-        CoreClasses& cc = core_classes_[socket];
-        cc.class_of.assign(cores, 0);
-        cc.steps_end.clear();
-        cc.steps.clear();
-        for (int core = 0; core < cores; ++core) {
-            seq.clear();
-            for (size_t c = 0; c < n; ++c) {
-                const int k = threads[c * cores + core];
-                if (k > 0) seq.emplace_back(static_cast<int>(c), k);
-            }
-            size_t cls = 0;
-            int begin = 0;
-            for (; cls < cc.steps_end.size(); ++cls) {
-                const int end = cc.steps_end[cls];
-                if (std::equal(seq.begin(), seq.end(),
-                               cc.steps.begin() + begin,
-                               cc.steps.begin() + end)) {
-                    break;
-                }
-                begin = end;
-            }
-            if (cls == cc.steps_end.size()) {
-                cc.steps.insert(cc.steps.end(), seq.begin(), seq.end());
-                cc.steps_end.push_back(static_cast<int>(cc.steps.size()));
-            }
-            cc.class_of[core] = static_cast<int>(cls);
-        }
-    }
 }
 
 const CpuSet&
@@ -466,72 +380,35 @@ Machine::ResolveLlcAndDram()
 void
 Machine::ResolveHt()
 {
-    // HyperThread penalties: what runs on the sibling of each cpu.
+    // HyperThread penalties: each cpu is charged for the busy HT
+    // aggressors on its sibling and on the cpu itself; a client's penalty
+    // is the mean over its cpus (1 with no cpus).
     const size_t n = clients_.size();
     for (size_t c = 0; c < n; ++c) {
         ClientState& st = clients_[c].second;
-        if (st.cpus.Empty()) {
-            st.view.ht_penalty = 1.0;
-            continue;
-        }
-        st.view.ht_penalty = naive_ ? HtPenaltyPerCpu(c) : HtPenaltyPerRun(c);
-    }
-}
-
-double
-Machine::HtPenaltyPerRun(size_t c)
-{
-    const ClientState& st = clients_[c].second;
-    ht_terms_evaluated_ += st.ht_terms.size();
-    double total = 0.0;
-    int n_cpus = 0;
-    size_t t = 0;
-    for (const HtRun& run : st.ht_runs) {
-        double p = 1.0;
-        for (; t < static_cast<size_t>(run.terms_end); ++t) {
-            const HtTerm& term = st.ht_terms[t];
-            const BusyInput& in = inputs_[term.other];
-            if (in.ht_aggr <= 0.0) continue;
-            if (term.sibling) p += in.ht_aggr * in.busy;
-            if (term.same) p += 1.6 * in.ht_aggr * in.busy;
-        }
-        for (int k = 0; k < run.len; ++k) {
+        double total = 0.0;
+        for (size_t i = 0; i < st.cpu_list.size(); ++i) {
+            const int cpu = st.cpu_list[i];
+            const int sib = st.siblings[i];
+            double p = 1.0;
+            for (size_t o = 0; o < n; ++o) {
+                const BusyInput& in = inputs_[o];
+                if (o == c || in.ht_aggr <= 0.0) continue;
+                const CpuSet& ocpus = clients_[o].second.cpus;
+                if (sib >= 0 && ocpus.Contains(sib)) {
+                    p += in.ht_aggr * in.busy;
+                }
+                if (ocpus.Contains(cpu)) {
+                    // Sharing the same logical cpu (OS-only baseline) is
+                    // considerably worse than sharing a sibling.
+                    p += 1.6 * in.ht_aggr * in.busy;
+                }
+            }
             total += p;
-            ++n_cpus;
         }
+        st.view.ht_penalty =
+            st.cpu_list.empty() ? 1.0 : total / st.cpu_list.size();
     }
-    return n_cpus > 0 ? total / n_cpus : 1.0;
-}
-
-double
-Machine::HtPenaltyPerCpu(size_t c)
-{
-    const ClientState& st = clients_[c].second;
-    const size_t n = clients_.size();
-    ht_terms_evaluated_ += st.cpu_list.size() * (n - 1);
-    double total = 0.0;
-    int n_cpus = 0;
-    for (size_t i = 0; i < st.cpu_list.size(); ++i) {
-        const int cpu = st.cpu_list[i];
-        const int sib = st.siblings[i];
-        double p = 1.0;
-        for (size_t o = 0; o < n; ++o) {
-            const BusyInput& in = inputs_[o];
-            if (o == c || in.ht_aggr <= 0.0) continue;
-            const CpuSet& ocpus = clients_[o].second.cpus;
-            if (sib >= 0 && ocpus.Contains(sib)) {
-                p += in.ht_aggr * in.busy;
-            }
-            if (ocpus.Contains(cpu)) {
-                // Sharing the same logical cpu (OS-only baseline) is
-                // considerably worse than sharing a sibling.
-                p += 1.6 * in.ht_aggr * in.busy;
-            }
-        }
-        total += p;
-        ++n_cpus;
-    }
-    return n_cpus > 0 ? total / n_cpus : 1.0;
 }
 
 void
@@ -541,13 +418,19 @@ Machine::ResolvePowerAllSockets()
     // weighted means, then apply the floor.
     for (auto& [c, st] : clients_) st.view.freq_ghz = 0.0;
 
+    std::vector<CorePowerRequest>& cores = scratch_cores_;
     for (int socket = 0; socket < cfg_.sockets; ++socket) {
-        if (naive_) {
-            FillCoresPerCore(socket);
-        } else {
-            FillCoresPerClass(socket);
+        // Each core's request from the busy threads on it, added in
+        // client order.
+        cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
+        for (size_t c = 0; c < clients_.size(); ++c) {
+            const BusyInput& in = inputs_[c];
+            for (int core_local : clients_[c].second.socket_cores[socket]) {
+                AddThread(cores[core_local], in.busy, in.intensity,
+                          in.freq_cap_ghz, cfg_.threads_per_core);
+            }
         }
-        ResolvePower(cfg_, scratch_cores_, &power_scratch_, &scratch_power_,
+        ResolvePower(cfg_, cores, &power_scratch_, &scratch_power_,
                      /*reuse_neighbours=*/!naive_);
         const PowerOutcome& pw = scratch_power_;
         socket_power_[socket] = pw.socket_power_w;
@@ -570,49 +453,6 @@ Machine::ResolvePowerAllSockets()
         if (!st.cpus.Empty() && st.view.freq_ghz < cfg_.min_ghz) {
             st.view.freq_ghz = cfg_.min_ghz;
         }
-    }
-}
-
-void
-Machine::FillCoresPerCore(int socket)
-{
-    std::vector<CorePowerRequest>& cores = scratch_cores_;
-    cores.assign(cfg_.cores_per_socket, CorePowerRequest{});
-    // Fill per-core busy/intensity/caps from thread ownership.
-    for (size_t c = 0; c < clients_.size(); ++c) {
-        const ClientState& st = clients_[c].second;
-        if (st.cpus.Empty()) continue;
-        const BusyInput& in = inputs_[c];
-        core_updates_ += st.socket_cores[socket].size();
-        for (int core_local : st.socket_cores[socket]) {
-            AddThread(cores[core_local], in.busy, in.intensity,
-                      in.freq_cap_ghz, cfg_.threads_per_core);
-        }
-    }
-}
-
-void
-Machine::FillCoresPerClass(int socket)
-{
-    // A core's request depends only on its class's update sequence.
-    const CoreClasses& cc = core_classes_[socket];
-    class_reqs_.assign(cc.steps_end.size(), CorePowerRequest{});
-    size_t s = 0;
-    for (size_t k = 0; k < class_reqs_.size(); ++k) {
-        for (; s < static_cast<size_t>(cc.steps_end[k]); ++s) {
-            const auto [c, threads] = cc.steps[s];
-            const BusyInput& in = inputs_[c];
-            core_updates_ += threads;
-            for (int t = 0; t < threads; ++t) {
-                AddThread(class_reqs_[k], in.busy, in.intensity,
-                          in.freq_cap_ghz, cfg_.threads_per_core);
-            }
-        }
-    }
-    std::vector<CorePowerRequest>& cores = scratch_cores_;
-    cores.resize(cfg_.cores_per_socket);
-    for (int core = 0; core < cfg_.cores_per_socket; ++core) {
-        cores[core] = class_reqs_[cc.class_of[core]];
     }
 }
 

@@ -25,15 +25,15 @@
  * functions of the layout and of one record per client read at the start
  * of each resolve (busy level, power intensity, HT aggression, DVFS cap):
  * records that repeat, bit for bit, one of the last four solves under
- * the same layout restore its outputs instead. A core, way, cap or
- * BE-demand actuation calls Resolve() before it returns, so its effect is
- * in every view and counter at once, and the machine schedules no event
- * but its epoch timer. The HT and power phases work on layout classes
- * that the cpuset mutators rebuild: cpus that see the same foreign HT
- * pattern share one penalty, and cores holding the same clients' threads
- * share one power request. Rebuilding them empties the memo. All of it
- * is byte-identical to the historical eager full-scan resolver (pinned by
- * tests/machine_equivalence_test.cc and the golden scenario baselines).
+ * the same layout restore its outputs instead; AddClient, RemoveClient
+ * and AssignCpus empty the memo. A core, way, cap or BE-demand actuation
+ * calls Resolve() before it returns, so its effect is in every view and
+ * counter at once, and the machine schedules no event but its epoch
+ * timer. A busy solve charges each cpu for the HT aggressors on its
+ * sibling and on itself, and fills each core's power request from the
+ * busy threads on it. All of it is byte-identical to the historical
+ * eager full-scan resolver (pinned by tests/machine_equivalence_test.cc
+ * and the golden scenario baselines).
  */
 #ifndef HERACLES_HW_MACHINE_H
 #define HERACLES_HW_MACHINE_H
@@ -158,12 +158,11 @@ class Machine
     void MarkDemandDirty() { demand_dirty_ = true; }
 
     /**
-     * Disables every incremental path: each resolve recomputes all
-     * phases and rebuilds every client's cached cpu layout from its
-     * cpuset, the HT and power phases loop over every cpu and every
-     * core instead of over the layout classes, and the busy memo is
-     * neither read nor filled. The retained naive
-     * reference for the equivalence test and the arbitration microbench.
+     * Disables every incremental path, the retained naive reference for
+     * the equivalence test and the arbitration microbench. Each resolve
+     * then rebuilds every client's cached cpu layout from its cpuset,
+     * recomputes the demand phases, neither reads nor fills the busy
+     * memo, and solves power without ResolvePower's neighbour reuse.
      */
     void SetNaiveArbitration(bool naive);
 
@@ -175,26 +174,16 @@ class Machine
     /** Resolves executed: epoch ticks, actuations and ResolveNow(). */
     uint64_t resolves() const { return resolve_count_; }
 
-    /** Resolves that recomputed the demand phases (LLC/DRAM/NIC). */
-    uint64_t demand_recomputes() const { return demand_recomputes_; }
-
     /**
-     * Monotone generation of the demand-phase outputs: bumps exactly
-     * when the LLC/DRAM/NIC grants were recomputed. Workloads key their
-     * derived-input caches on this (plus their own load/allocation
+     * Resolves that recomputed the demand phases (LLC/DRAM/NIC): bumps
+     * exactly when the grants were recomputed, so workloads key their
+     * derived-input caches on it (plus their own load/allocation
      * versions) — see LcApp's service-time factor cache.
      */
-    uint64_t demand_generation() const { return demand_recomputes_; }
+    uint64_t demand_recomputes() const { return demand_recomputes_; }
 
     /** Resolves that ran the HT and power phases (missed the memo). */
     uint64_t busy_solves() const { return busy_solves_; }
-
-    /** The busy solves' work: HT terms evaluated, one per (HT run,
-     *  sharing client) or per (cpu, other client) when naive, and busy
-     *  threads added to core power requests, one per (core class,
-     *  thread) or per (core, thread) when naive. */
-    uint64_t ht_terms_evaluated() const { return ht_terms_evaluated_; }
-    uint64_t core_updates() const { return core_updates_; }
 
     // --- Hardware counters (what a controller can measure) ----------------
 
@@ -223,19 +212,6 @@ class Machine
     void ResetTelemetryAverages();
 
   private:
-    /** Another client's share of one cpu: on its HT sibling, on the cpu
-     *  itself (OS-only sharing), or both. */
-    struct HtTerm {
-        int other = 0;  ///< Index into clients_.
-        bool sibling = false;
-        bool same = false;
-    };
-    /** `len` consecutive cpu_list entries with one HT pattern: the terms
-     *  from the previous run's `terms_end` up to this one's. */
-    struct HtRun {
-        int len = 0;
-        int terms_end = 0;
-    };
     struct ClientState {
         CpuSet cpus;
         // The cpu layout the resolver loops over, derived from `cpus` by
@@ -245,24 +221,9 @@ class Machine
         /** Per socket: the local core id of each of the client's cpus
          *  there, in cpu_list order. */
         std::array<std::vector<int>, kMaxSockets> socket_cores;
-        // cpu_list as HT runs (BuildLayoutClasses): maximal runs of
-        // consecutive cpus with one HT pattern.
-        std::vector<HtRun> ht_runs;
-        std::vector<HtTerm> ht_terms;
         int cat_ways = 0;
         double freq_cap_ghz = 0.0;
         TaskView view;
-    };
-    /**
-     * One socket's cores grouped by class: a core's class is the
-     * sequence of (client index, threads it holds on the core) in
-     * registration order, which fixes its CorePowerRequest.
-     */
-    struct CoreClasses {
-        std::vector<int> class_of;  ///< Per local core.
-        /** Per class: end of its steps in `steps` (begin = previous end). */
-        std::vector<int> steps_end;
-        std::vector<std::pair<int, int>> steps;  ///< (client, threads).
     };
 
     /** One client's inputs to the HT and power phases: its part of the
@@ -291,25 +252,9 @@ class Machine
     /** Rebuilds @p st's cpu layout from st.cpus (reuses capacity). */
     void BuildLayout(ClientState& st) const;
 
-    /**
-     * Rebuilds every client's HT runs and every socket's core classes
-     * from the cached cpu layouts. Both depend on every client's cpuset
-     * and on the client order, so AssignCpus, AddClient and RemoveClient
-     * rebuild them all. Empties the busy memo.
-     */
-    void BuildLayoutClasses();
-
     void ResolveLlcAndDram();
-    /** The HT phase: each client's penalty from its HT runs, or from
-     *  every cpu when naive. */
     void ResolveHt();
-    double HtPenaltyPerRun(size_t client);
-    double HtPenaltyPerCpu(size_t client);
-    /** The power phase: one CorePowerRequest per core class, or per core
-     *  when naive. */
     void ResolvePowerAllSockets();
-    void FillCoresPerClass(int socket);
-    void FillCoresPerCore(int socket);
     void ResolveNetwork();
     void UpdateTelemetry();
     ClientState& StateOf(ResourceClient* client);
@@ -338,8 +283,6 @@ class Machine
     uint64_t resolve_count_ = 0;
     uint64_t demand_recomputes_ = 0;
     uint64_t busy_solves_ = 0;
-    uint64_t ht_terms_evaluated_ = 0;
-    uint64_t core_updates_ = 0;
 
     // Resolver scratch, reused across resolves (the historical code
     // allocated these per socket per resolve).
@@ -354,8 +297,6 @@ class Machine
     PowerScratch power_scratch_;
     /** Per client: its busy inputs, read once per resolve (ReadInputs). */
     std::vector<BusyInput> inputs_;
-    std::array<CoreClasses, kMaxSockets> core_classes_;
-    std::vector<CorePowerRequest> class_reqs_;
     /** The last busy solves, overwritten round-robin. Emptied by
      *  zeroing memo_stores_, so the entries keep their storage. */
     std::array<BusySolve, kBusyMemoEntries> memo_;

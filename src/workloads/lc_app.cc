@@ -265,12 +265,12 @@ LcApp::SampleServiceTime(bool ht_shared)
     const hw::MachineConfig& cfg = machine_.config();
 
     // Cache factors: cpu-weighted mean over the sockets we occupy. A
-    // pure function of the resolved cache shares (machine demand
-    // generation), our cpuset (allocation version) and the smoothed load
-    // (exact ewma value) — all of which change orders of magnitude less
-    // often than requests arrive, so the aggregation is memoized on that
-    // key instead of recomputed per request.
-    const uint64_t gen = machine_.demand_generation();
+    // pure function of the resolved cache shares (the machine's demand
+    // recompute count), our cpuset (allocation version) and the smoothed
+    // load (exact ewma value) — all of which change orders of magnitude
+    // less often than requests arrive, so the aggregation is memoized on
+    // that key instead of recomputed per request.
+    const uint64_t gen = machine_.demand_recomputes();
     if (!factors_valid_ || factors_gen_ != gen ||
         factors_alloc_ != alloc_version_ || factors_qps_ != qps_ewma_) {
         const auto& topo = machine_.topology();

@@ -332,7 +332,7 @@ class LcApp : public hw::ResourceClient
 
     /**
      * Memoized service-time cache factors (SampleServiceTime): valid
-     * while the machine's demand generation, our cpuset allocation
+     * while the machine's demand recompute count, our cpuset allocation
      * version and the load ewma are all unchanged.
      */
     uint64_t alloc_version_ = 0;

@@ -434,7 +434,7 @@ TEST(Power, NeighbourReuseMatchesPlainSolveBitForBit)
             c.busy = busy[rng.UniformInt(3)];
             c.intensity = intensity[rng.UniformInt(3)];
             c.dvfs_cap_ghz = cap[rng.UniformInt(3)];
-            // Long runs of equal neighbours, as core classes give.
+            // Long runs of equal neighbours, as uniform placements give.
             if (i > 0 && rng.Bernoulli(0.5)) c = cores[i - 1];
         }
         if (trial % 2 == 0) {

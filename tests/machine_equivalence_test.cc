@@ -3,8 +3,8 @@
  * Incremental arbitration vs the naive reference resolver.
  *
  * hw::Machine's incremental paths — the demand-dirty gate over the
- * LLC/DRAM/NIC phases, the cached cpu layouts, the HT runs and core
- * classes, memoized power curves — all claim to be *exact*
+ * LLC/DRAM/NIC phases, the cached cpu layouts, the busy memo and
+ * ResolvePower's neighbour reuse — all claim to be *exact*
  * equivalence transforms of the historical eager full-scan resolver.
  * SetNaiveArbitration(true) retains that resolver: every resolve is a
  * full recompute and nothing is gated or cached.
@@ -409,7 +409,7 @@ TEST(MachineEquivalence, SharedAndSplitLayoutsStayBitIdenticalToNaive)
         }
         case 4: {
             // The third client comes and goes; removal shifts the
-            // registration indices the layout classes refer to.
+            // registration indices the busy memo's key is laid out by.
             if (inc.virus != nullptr) {
                 both([](SharedRig& r) { r.virus.reset(); });
             } else {
@@ -508,17 +508,19 @@ struct StepRig {
     {
         machine.SetNaiveArbitration(naive);
         machine.AddClient(&lc);
-        machine.AssignCpus(&lc, machine.topology().ThreadOfCores(0, 12, 0));
-        AddBe(machine.topology().ThreadOfCores(0, 12, 1));
+        const hw::Topology& topo = machine.topology();
+        machine.AssignCpus(&lc, topo.ThreadOfCores(0, 12, 0));
+        AddBe();
+        machine.AssignCpus(be.get(), topo.ThreadOfCores(0, 12, 1));
     }
 
+    /** Registers a fresh BE client, with no cpus yet. */
     void
-    AddBe(const hw::CpuSet& cpus)
+    AddBe()
     {
         be = std::make_unique<StepClient>("be", /*lc=*/false, 1.9, 1.6);
         be->busy = 1.0;
         machine.AddClient(be.get());
-        machine.AssignCpus(be.get(), cpus);
     }
 };
 
@@ -569,8 +571,19 @@ TEST(MachineEquivalence, RevisitedInputsStayBitIdenticalToNaive)
         r.be.reset();
     });
     lc_busy(0.5);
-    both([&split](StepRig& r) { r.AddBe(split); });
+    both([&split](StepRig& r) {
+        r.AddBe();
+        r.machine.AssignCpus(r.be.get(), split);
+    });
     for (double b : {0.25, 0.5, 0.25}) lc_busy(b);
+    // Removed again, then re-added and resolved before it gets cpus: the
+    // longer client list must miss the solve stored without the BE.
+    both([](StepRig& r) {
+        r.machine.RemoveClient(r.be.get());
+        r.be.reset();
+    });
+    both([](StepRig& r) { r.AddBe(); });
+    be_cpus(split);
 
     // The incremental rig skipped solves; the naive one never did.
     EXPECT_LT(inc.machine.busy_solves(), inc.machine.resolves());

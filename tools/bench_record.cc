@@ -13,10 +13,10 @@
  *  - the machine-arbitration microbench: one colocated server under a
  *    controller-like actuation cadence, run with the incremental
  *    resolver and with the retained naive full-resolve reference, so
- *    the record shows events/sec, (full) resolves/event, busy solves
- *    per resolve and the HT terms and core updates per busy solve for
- *    both, plus an idle window with no actuations that records heap
- *    allocations, busy solves and host nanoseconds per epoch resolve.
+ *    the record shows events/sec, (full) resolves/event and busy
+ *    solves per resolve for both, plus an idle window with no
+ *    actuations that records heap allocations, busy solves and host
+ *    nanoseconds per epoch resolve.
  *
  * Usage: bench_record [--scale F] [--events N] [--reps N] [--out FILE]
  *   --scale   time scale for the catalog pass (default 1.0 = full phases;
@@ -84,8 +84,6 @@ struct ArbRun {
     uint64_t resolves = 0;    ///< Machine::resolves() at the end.
     uint64_t recomputes = 0;  ///< Machine::demand_recomputes() at the end.
     uint64_t busy_solves = 0;  ///< Machine::busy_solves() at the end.
-    uint64_t ht_terms = 0;     ///< Machine::ht_terms_evaluated() at the end.
-    uint64_t core_updates = 0;  ///< Machine::core_updates() at the end.
     // The idle window: no actuations, so every resolve is an epoch tick.
     double idle_wall_s = 0.0;
     uint64_t idle_resolves = 0;
@@ -129,8 +127,7 @@ struct ArbRig {
  * modes — and reports events/sec plus how many resolves ran the full
  * LLC/DRAM/NIC demand pipeline. With @p naive the machine uses the
  * retained eager full-recompute resolver, so the two runs bracket
- * exactly what incremental arbitration saves. The HT terms and core
- * updates per busy solve count what the layout classes save.
+ * exactly what incremental arbitration saves.
  *
  * A second, idle rig (LC load 0, half the cores given to BE, then 200 s
  * of simulated time with no actuations) isolates the per-epoch resolve:
@@ -184,8 +181,6 @@ RunArbitrationChurn(bool naive, int steps)
     r.resolves = rig.machine.resolves();
     r.recomputes = rig.machine.demand_recomputes();
     r.busy_solves = rig.machine.busy_solves();
-    r.ht_terms = rig.machine.ht_terms_evaluated();
-    r.core_updates = rig.machine.core_updates();
 
     ArbRig idle(naive, /*load=*/0.0);
     idle.plat.SetBeCores(total_cores / 2);
@@ -287,8 +282,6 @@ WriteArbRun(sim::JsonWriter& w, const std::vector<ArbRun>& runs)
         r.idle_resolves > 0 ? r.idle_resolves : 1);
     const double resolves =
         static_cast<double>(r.resolves > 0 ? r.resolves : 1);
-    const double solves =
-        static_cast<double>(r.busy_solves > 0 ? r.busy_solves : 1);
     w.BeginObject();
     WriteSpread(w, "wall_s", times.wall, reps);
     w.Key("events").Int(r.events);
@@ -298,8 +291,6 @@ WriteArbRun(sim::JsonWriter& w, const std::vector<ArbRun>& runs)
     w.Key("full_resolves_per_event").Number(r.recomputes / ev);
     w.Key("busy_solves").Int(r.busy_solves);
     w.Key("busy_solves_per_resolve").Number(r.busy_solves / resolves);
-    w.Key("ht_terms_per_busy_solve").Number(r.ht_terms / solves);
-    w.Key("core_updates_per_busy_solve").Number(r.core_updates / solves);
     w.Key("idle").BeginObject();
     w.Key("resolves").Int(r.idle_resolves);
     w.Key("busy_solves").Int(r.idle_busy_solves);
