@@ -18,7 +18,6 @@ ChaosPlatform::ChaosPlatform(platform::Platform& inner,
     : inner_(inner),
       plan_(std::move(plan)),
       top_period_(cfg.top_period),
-      tdp_threshold_(cfg.tdp_threshold),
       noise_(plan_.seed ^ 0xFA517ull),
       frozen_(plan_.faults.size(), kUncaptured)
 {
@@ -247,7 +246,7 @@ ChaosPlatform::SetBeFreqCapGhz(double ghz)
     const double prev = commanded_cap_ == 0.0 ? max_ghz : commanded_cap_;
     const bool raise = effective > prev + 1e-9;
     if (raise && commanded_cores_ > 0 && Fresh(power_read_at_) &&
-        power_frac_ > tdp_threshold_ + 1e-9) {
+        power_frac_ > ctl::kTdpThreshold + 1e-9) {
         std::ostringstream os;
         os << "BE frequency cap raised " << prev << " -> " << effective
            << " GHz while observed package power is at "

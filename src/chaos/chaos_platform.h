@@ -73,8 +73,8 @@ class ChaosPlatform : public platform::Platform
     /**
      * @param plan faults to apply (empty = pass-through).
      * @param cfg the controller's configuration: its top_period is the
-     *   grace for invariants 1 and 2, its tdp_threshold the power level
-     *   above which raising the BE cap is unsafe.
+     *   grace for invariants 1 and 2. Raising the BE cap is unsafe above
+     *   ctl::kTdpThreshold.
      */
     ChaosPlatform(platform::Platform& inner, ResolvedFaultPlan plan,
                   const ctl::HeraclesConfig& cfg);
@@ -153,7 +153,6 @@ class ChaosPlatform : public platform::Platform
     platform::Platform& inner_;
     ResolvedFaultPlan plan_;
     const sim::Duration top_period_;
-    const double tdp_threshold_;
     sim::Rng noise_;  ///< Chaos-private; never a simulation stream.
 
     /** Per-fault captured value for freeze windows (index-aligned with

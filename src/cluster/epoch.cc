@@ -35,10 +35,4 @@ BarrierClock::Build(sim::Duration duration, sim::Duration root_window,
     return clock;
 }
 
-bool
-BarrierClock::IsBarrier(sim::SimTime t) const
-{
-    return std::binary_search(barriers.begin(), barriers.end(), t);
-}
-
 }  // namespace heracles::cluster

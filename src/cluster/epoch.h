@@ -45,9 +45,6 @@ struct BarrierClock {
                               sim::Duration scheduler_period,
                               const std::vector<chaos::TimedFault>& faults);
 
-    /** True when @p t is on the schedule (binary search). */
-    bool IsBarrier(sim::SimTime t) const;
-
     size_t size() const { return barriers.size(); }
 };
 

@@ -7,6 +7,10 @@
 namespace heracles::cluster {
 namespace {
 
+/** Ticks a job must stay on a leaf before it may migrate again: the
+ *  hosting controller needs at least one top-level poll to enable the
+ *  job at all. */
+constexpr int kMinResidentTicks = 2;
 /** Greedy never places a job on a leaf with less slack than this. */
 constexpr double kPlaceMinSlack = 0.10;
 /** Greedy considers migrating a job away below this source slack. */
@@ -268,7 +272,7 @@ ClusterScheduler::Tick(const std::vector<LeafState>& leaves)
     for (int j = 0; j < jobs; ++j) {
         const int from = assignment_[j];
         if (from < 0 || moved_now[j]) continue;
-        if (++resident_ticks_[j] < cfg_.min_resident_ticks) continue;
+        if (++resident_ticks_[j] < kMinResidentTicks) continue;
         const LeafState& src = leaves[static_cast<size_t>(from)];
         if (!src.has_signal) continue;
 

@@ -60,11 +60,6 @@ std::string SchedulerPolicyName(SchedulerPolicy p);
 struct SchedulerConfig {
     SchedulerPolicy policy = SchedulerPolicy::kStaticSplit;
 
-    /** Ticks a job must stay on a leaf before it may migrate again —
-     *  the hosting controller needs at least one top-level poll to
-     *  enable the job at all. */
-    int min_resident_ticks = 2;
-
     /**
      * CPI2-style monitoring-only ablation (kPredictive only): the
      * engine decides and acts exactly like kGreedySlack, but computes

@@ -71,14 +71,7 @@ CharacterizationRig::RunBaseline(double load) const
     workloads::LcApp lc(machine, lc_, mcfg.seed ^ 0xAB);
     lc.SetCpus(
         machine.topology().PhysicalCores(0, mcfg.TotalCores()));
-    lc.SetLoad(load);
-    lc.Start();
-    machine.ResolveNow();
-    queue.RunFor(warmup_);
-    lc.ResetStats();
-    queue.RunFor(measure_);
-    return static_cast<double>(lc.WorstReportTail()) /
-           static_cast<double>(lc_.slo_latency);
+    return Measure(queue, machine, lc, load);
 }
 
 double
@@ -169,15 +162,19 @@ CharacterizationRig::RunCell(AntagonistKind kind, double load) const
         break;
       }
     }
+    return Measure(queue, machine, lc, load);
+}
 
+double
+CharacterizationRig::Measure(sim::EventQueue& queue, hw::Machine& machine,
+                             workloads::LcApp& lc, double load) const
+{
     lc.SetLoad(load);
     lc.Start();
     machine.ResolveNow();
-
     queue.RunFor(warmup_);
     lc.ResetStats();
     queue.RunFor(measure_);
-
     return static_cast<double>(lc.WorstReportTail()) /
            static_cast<double>(lc_.slo_latency);
 }

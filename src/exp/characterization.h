@@ -78,6 +78,14 @@ class CharacterizationRig
     void SetSizingUtil(double util);
 
   private:
+    /**
+     * The measure protocol every run ends with: offers @p load, resolves
+     * the machine, warms up, then returns the worst report-window tail
+     * of the measure phase as a fraction of the SLO.
+     */
+    double Measure(sim::EventQueue& queue, hw::Machine& machine,
+                   workloads::LcApp& lc, double load) const;
+
     double sizing_util_ = 0.75;
 
     hw::MachineConfig machine_;

@@ -34,9 +34,8 @@ LcBwModel::Profile(const workloads::LcParams& params,
 }
 
 double
-LcBwModel::Evaluate(double load, int cores, int lc_ways) const
+LcBwModel::Evaluate(double load, int lc_ways) const
 {
-    (void)cores;  // see header: core count does not change LC bandwidth
     if (table_.empty()) return 0.0;
 
     load = std::clamp(load, loads_.front(), loads_.back());

@@ -24,8 +24,7 @@ namespace heracles::ctl {
  * Piecewise-linear table: (load, LLC ways available to the LC task) ->
  * expected DRAM bandwidth in GB/s. The profiled workload's bandwidth in
  * this simulator does not depend on its core count once it can sustain
- * its load, so cores is accepted for interface fidelity but does not
- * index the table.
+ * its load, so cores do not index the table.
  */
 class LcBwModel
 {
@@ -41,8 +40,8 @@ class LcBwModel
     static LcBwModel Profile(const workloads::LcParams& params,
                              const hw::MachineConfig& cfg);
 
-    /** Expected LC DRAM bandwidth (GB/s). @p cores kept for fidelity. */
-    double Evaluate(double load, int cores, int lc_ways) const;
+    /** Expected LC DRAM bandwidth (GB/s). */
+    double Evaluate(double load, int lc_ways) const;
 
     bool empty() const { return table_.empty(); }
 

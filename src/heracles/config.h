@@ -4,9 +4,11 @@
  *
  * Defaults are the constants from the paper's Algorithms 1-4 and the
  * surrounding text of Section 4.3. The fields here are the ones a
- * bench, test or other module sets or reads; constants that nothing
- * varies (subcontroller periods, load hysteresis, the initial BE
- * allocation, DVFS stepping) live next to their one reader.
+ * bench, scenario or tool sets away from its default. A constant that
+ * nothing varies lives next to its one reader (subcontroller periods,
+ * load hysteresis, the initial BE allocation, DVFS stepping, the
+ * network headroom), or here when two modules read it (the TDP
+ * threshold).
  */
 #ifndef HERACLES_HERACLES_CONFIG_H
 #define HERACLES_HERACLES_CONFIG_H
@@ -14,6 +16,14 @@
 #include "sim/time.h"
 
 namespace heracles::ctl {
+
+/**
+ * Power threshold as a fraction of TDP (Algorithm 3): lower the BE
+ * frequency above it when the LC cores are below guaranteed frequency.
+ * The power subcontroller acts on it and chaos::ChaosPlatform judges
+ * against it.
+ */
+constexpr double kTdpThreshold = 0.90;
 
 /** Tunables of the Heracles controller. */
 struct HeraclesConfig {
@@ -63,16 +73,6 @@ struct HeraclesConfig {
      * instead of oscillating across the saturation knife edge.
      */
     double fast_growth_margin = 0.20;
-
-    // --- Power subcontroller (Algorithm 3) ---------------------------------------
-    /** Power threshold as a fraction of TDP (lower BE frequency above
-     *  this when the LC cores are below guaranteed frequency). */
-    double tdp_threshold = 0.90;
-
-    // --- Network subcontroller (Algorithm 4) ---------------------------------------
-    /** Headroom = max(link_frac * LinkRate, lc_frac * LCBandwidth). */
-    double net_headroom_link_frac = 0.05;
-    double net_headroom_lc_frac = 0.10;
 
     // --- Ablation switches ------------------------------------------------------------
     bool enable_core_mem = true;

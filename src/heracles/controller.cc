@@ -23,8 +23,8 @@ HeraclesController::HeraclesController(platform::Platform& platform,
 {
     core_mem_ = std::make_unique<CoreMemController>(platform_, cfg_,
                                                     std::move(model));
-    power_ = std::make_unique<PowerController>(platform_, cfg_);
-    network_ = std::make_unique<NetworkController>(platform_, cfg_);
+    power_ = std::make_unique<PowerController>(platform_);
+    network_ = std::make_unique<NetworkController>(platform_);
 }
 
 HeraclesController::~HeraclesController()

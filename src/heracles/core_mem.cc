@@ -38,11 +38,9 @@ CoreMemController::LcModelGbps() const
                                  platform_.BeDramEstimateGbps());
     }
     if (!cfg_.use_bw_model || model_.empty()) return 0.0;
-    const int lc_cores =
-        platform_.facts().total_phys_cores - platform_.BeCores();
     const int lc_ways =
         platform_.facts().total_llc_ways - platform_.BeWays();
-    return model_.Evaluate(platform_.LcLoad(), lc_cores, lc_ways);
+    return model_.Evaluate(platform_.LcLoad(), lc_ways);
 }
 
 double

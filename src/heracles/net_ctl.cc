@@ -3,10 +3,17 @@
 #include <algorithm>
 
 namespace heracles::ctl {
+namespace {
 
-NetworkController::NetworkController(platform::Platform& platform,
-                                     const HeraclesConfig& cfg)
-    : platform_(platform), cfg_(cfg)
+/** Algorithm 4's headroom:
+ *  max(link_frac * LinkRate, lc_frac * LCBandwidth). */
+constexpr double kHeadroomLinkFrac = 0.05;
+constexpr double kHeadroomLcFrac = 0.10;
+
+}  // namespace
+
+NetworkController::NetworkController(platform::Platform& platform)
+    : platform_(platform)
 {
 }
 
@@ -15,8 +22,8 @@ NetworkController::Tick()
 {
     const double link = platform_.facts().link_rate_gbps;
     const double lc_bw = platform_.LcTxGbps();
-    const double headroom = std::max(cfg_.net_headroom_link_frac * link,
-                                     cfg_.net_headroom_lc_frac * lc_bw);
+    const double headroom =
+        std::max(kHeadroomLinkFrac * link, kHeadroomLcFrac * lc_bw);
     const double be_bw = std::max(0.0, link - lc_bw - headroom);
     platform_.SetBeNetCeilGbps(be_bw);
 }

@@ -13,7 +13,6 @@
 #ifndef HERACLES_HERACLES_NET_CTL_H
 #define HERACLES_HERACLES_NET_CTL_H
 
-#include "heracles/config.h"
 #include "platform/iface.h"
 
 namespace heracles::ctl {
@@ -22,15 +21,13 @@ namespace heracles::ctl {
 class NetworkController
 {
   public:
-    NetworkController(platform::Platform& platform,
-                      const HeraclesConfig& cfg);
+    explicit NetworkController(platform::Platform& platform);
 
     /** One 1-second control step. */
     void Tick();
 
   private:
     platform::Platform& platform_;
-    HeraclesConfig cfg_;
 };
 
 }  // namespace heracles::ctl

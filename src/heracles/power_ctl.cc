@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "heracles/config.h"
+
 namespace heracles::ctl {
 namespace {
 
 /**
  * Raise the BE frequency cap only while power is below this fraction
- * of TDP. The gap between this and HeraclesConfig::tdp_threshold is
+ * of TDP. The gap between this and kTdpThreshold (heracles/config.h) is
  * hysteresis: without it the controller saw-tooths across the RAPL
  * limit, dipping the LC cores below guaranteed frequency every other
  * tick.
@@ -18,9 +20,8 @@ constexpr int kDvfsStepsPerTick = 2;
 
 }  // namespace
 
-PowerController::PowerController(platform::Platform& platform,
-                                 const HeraclesConfig& cfg)
-    : platform_(platform), cfg_(cfg)
+PowerController::PowerController(platform::Platform& platform)
+    : platform_(platform)
 {
 }
 
@@ -50,7 +51,7 @@ PowerController::Tick()
     double cap = platform_.BeFreqCapGhz();
     if (cap == 0.0) cap = facts.max_ghz;  // uncapped
 
-    if (power_frac > cfg_.tdp_threshold && lc_freq < guaranteed - 1e-3) {
+    if (power_frac > kTdpThreshold && lc_freq < guaranteed - 1e-3) {
         // LowerFrequency(be_cores): shift power budget to LC cores.
         const double next = std::max(facts.min_ghz, cap - step);
         platform_.SetBeFreqCapGhz(next);

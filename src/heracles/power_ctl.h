@@ -14,7 +14,6 @@
 #ifndef HERACLES_HERACLES_POWER_CTL_H
 #define HERACLES_HERACLES_POWER_CTL_H
 
-#include "heracles/config.h"
 #include "platform/iface.h"
 
 namespace heracles::ctl {
@@ -23,14 +22,13 @@ namespace heracles::ctl {
 class PowerController
 {
   public:
-    PowerController(platform::Platform& platform, const HeraclesConfig& cfg);
+    explicit PowerController(platform::Platform& platform);
 
     /** One 2-second control step. */
     void Tick();
 
   private:
     platform::Platform& platform_;
-    HeraclesConfig cfg_;
 };
 
 }  // namespace heracles::ctl

@@ -1,7 +1,5 @@
 #include "hw/cpuset.h"
 
-#include <sstream>
-
 namespace heracles::hw {
 
 CpuSet
@@ -27,31 +25,6 @@ CpuSet::Cpus() const
     out.reserve(static_cast<size_t>(Count()));
     ForEach([&out](int cpu) { out.push_back(cpu); });
     return out;
-}
-
-std::string
-CpuSet::ToString() const
-{
-    std::ostringstream oss;
-    bool first = true;
-    int c = 0;
-    while (c < kMaxCpus) {
-        if (!Contains(c)) {
-            ++c;
-            continue;
-        }
-        int end = c;
-        while (end + 1 < kMaxCpus && Contains(end + 1)) ++end;
-        if (!first) oss << ",";
-        first = false;
-        if (end > c) {
-            oss << c << "-" << end;
-        } else {
-            oss << c;
-        }
-        c = end + 1;
-    }
-    return oss.str();
 }
 
 Topology::Topology(const MachineConfig& cfg) : cfg_(cfg)

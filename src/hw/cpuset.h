@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "hw/config.h"
@@ -112,9 +111,6 @@ class CpuSet
     }
     bool Intersects(const CpuSet& o) const { return !Intersect(o).Empty(); }
     bool operator==(const CpuSet& o) const { return words_ == o.words_; }
-
-    /** Compact human-readable form, e.g. "0-3,8,10-11". */
-    std::string ToString() const;
 
   private:
     static constexpr int kWords = kMaxCpus / 64;

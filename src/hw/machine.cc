@@ -89,7 +89,6 @@ Machine::AddClient(ResourceClient* client)
                            "client registered twice: " << client->name());
     }
     clients_.emplace_back(client, ClientState{});
-    memo_stores_ = 0;
     demand_dirty_ = true;
 }
 
@@ -232,12 +231,14 @@ Machine::ReadInputs()
 bool
 Machine::RestoreBusySolve()
 {
-    // Bytes, not values: -0.0 against 0.0, or a NaN, can only miss.
+    // Bytes, not values: -0.0 against 0.0, or a NaN, can only miss. A
+    // key of another client count (stored before an AddClient) misses.
     const size_t bytes = inputs_.size() * sizeof(BusyInput);
     for (int e = 0; e < std::min(memo_stores_, kBusyMemoEntries); ++e) {
         const BusySolve& m = memo_[e];
-        if (bytes > 0 &&
-            std::memcmp(m.key.data(), inputs_.data(), bytes) != 0) {
+        if (m.key.size() != inputs_.size() ||
+            (bytes > 0 &&
+             std::memcmp(m.key.data(), inputs_.data(), bytes) != 0)) {
             continue;
         }
         const double* out = m.out.data();

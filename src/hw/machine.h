@@ -25,8 +25,9 @@
  * functions of the layout and of one record per client read at the start
  * of each resolve (busy level, power intensity, HT aggression, DVFS cap):
  * records that repeat, bit for bit, one of the last four solves under
- * the same layout restore its outputs instead; AddClient, RemoveClient
- * and AssignCpus empty the memo. A core, way, cap or BE-demand actuation
+ * the same layout restore its outputs instead; RemoveClient and
+ * AssignCpus empty the memo, and after AddClient every stored key is a
+ * client short, so it misses. A core, way, cap or BE-demand actuation
  * calls Resolve() before it returns, so its effect is in every view and
  * counter at once, and the machine schedules no event but its epoch
  * timer. A busy solve charges each cpu for the HT aggressors on its

@@ -40,7 +40,6 @@ Cluster(std::string name, std::string description, bool colocate,
     s.load = 0.20;
     s.load_high = 0.90;
     s.leaves = 6;
-    s.colocate = colocate;
     s.central_controller = central;
     s.cluster_duration = sim::Minutes(10);
     s.seed = seed;
@@ -71,7 +70,7 @@ BuildCatalog()
             "same mix with Linux-only isolation (shared cpus, CFS shares)",
             "websearch", "brain", PK::kOsOnly, TK::kConstant, 0.5, 0.5,
             13);
-        s.expect_slo_violation = true;
+        s.expect_violation_at_scale = 0;
         all.push_back(s);
     }
     all.push_back(Single(
@@ -388,7 +387,7 @@ BuildCatalog()
             chaos::ActuatorDrop(chaos::Actuator::kCores, 0.35, 0.75),
             chaos::ActuatorDrop(chaos::Actuator::kWays, 0.35, 0.75),
         };
-        s.expect_slo_violation = true;
+        s.expect_violation_at_scale = 0;
         all.push_back(s);
     }
     {
@@ -401,7 +400,7 @@ BuildCatalog()
             chaos::Freeze(chaos::Monitor::kTail, 0.40, 0.65),
             chaos::Freeze(chaos::Monitor::kFastTail, 0.40, 0.65),
         };
-        s.expect_slo_violation = true;
+        s.expect_violation_at_scale = 0;
         all.push_back(s);
     }
     {
@@ -415,7 +414,7 @@ BuildCatalog()
             chaos::Noise(chaos::Monitor::kPower, 0.08, 0.10, 0.90),
             chaos::Noise(chaos::Monitor::kDram, 0.15, 0.10, 0.90),
         };
-        s.expect_slo_violation = true;
+        s.expect_violation_at_scale = 0;
         all.push_back(s);
     }
     {
@@ -425,7 +424,7 @@ BuildCatalog()
             "websearch", "brain", PK::kHeracles, TK::kConstant, 0.5, 0.5,
             44);
         s.faults.faults = {chaos::Burst(3.0, 0.45, 0.70)};
-        s.expect_slo_violation = true;
+        s.expect_violation_at_scale = 0;
         all.push_back(s);
     }
     {

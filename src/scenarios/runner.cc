@@ -218,7 +218,12 @@ ClusterConfigFor(const ScenarioSpec& spec, const RunOptions& opts)
     cfg.machine = spec.machine;
     cfg.lc = workloads::LcWorkloadByName(spec.lc);
     cfg.heracles = spec.heracles;
-    cfg.colocate = spec.colocate;
+    HERACLES_CHECK_MSG(spec.policy == exp::PolicyKind::kHeracles ||
+                           spec.policy == exp::PolicyKind::kNoColocation,
+                       "cluster scenario "
+                           << spec.name << " must use the heracles or "
+                              "baseline policy");
+    cfg.colocate = spec.policy != exp::PolicyKind::kNoColocation;
     cfg.flash_crowd = spec.trace == TraceKind::kFlashCrowd;
     cfg.load_low = spec.load;
     cfg.load_high = spec.load_high;

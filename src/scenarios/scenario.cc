@@ -39,9 +39,7 @@ MachineVariant(const std::string& name)
 bool
 ViolationExpected(const ScenarioSpec& spec, double time_scale)
 {
-    if (spec.expect_slo_violation) return true;
-    return spec.expect_violation_at_scale > 0.0 &&
-           time_scale >= spec.expect_violation_at_scale;
+    return time_scale >= spec.expect_violation_at_scale;
 }
 
 std::string

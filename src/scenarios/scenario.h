@@ -14,6 +14,7 @@
 #ifndef HERACLES_SCENARIOS_SCENARIO_H
 #define HERACLES_SCENARIOS_SCENARIO_H
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +102,6 @@ struct ScenarioSpec {
 
     // --- Cluster shape ---------------------------------------------------
     int leaves = 6;          ///< Fan-out width (kCluster only).
-    bool colocate = true;    ///< Run BE jobs on the leaves.
     /** Enable the centralized root controller (paper's future work). */
     bool central_controller = false;
     sim::Duration cluster_duration = sim::Minutes(10);
@@ -141,24 +141,23 @@ struct ScenarioSpec {
     bool fixed_leaves = false;
 
     /**
-     * True for scenarios whose *point* is an SLO violation (e.g. the
-     * os-only ablation). The CLI exit code flags only unexpected
-     * violations; the golden baseline still pins the violating record.
+     * Time scale at/above which an SLO violation is expected: +infinity
+     * (the default) means never, 0 means at every scale. Scenarios whose
+     * *point* is a violation (e.g. the os-only ablation) set 0; the CLI
+     * exit code flags only unexpected violations, and the golden
+     * baseline still pins the violating record. Abrupt step/flash
+     * scenarios set the scale from which their *transient* violation is
+     * expected: they violate only when the trace runs long enough for
+     * the controller to grow BE to its full allocation before the surge
+     * lands, and from there the 15 s top-level poll plus the staged core
+     * return cannot drain the arrival backlog before a window tail
+     * explodes — inherent to the paper's reactive design, and the regime
+     * the predictive tier exists for. Below the threshold (golden and
+     * smoke scales) any violation is still a regression; use
+     * ViolationExpected() for the verdict.
      */
-    bool expect_slo_violation = false;
-
-    /**
-     * Time scale at/above which a *transient* SLO violation is expected
-     * (0 = never). Abrupt step/flash scenarios violate only when the
-     * trace runs long enough for the controller to grow BE to its full
-     * allocation before the surge lands: from there the 15 s top-level
-     * poll plus the staged core return cannot drain the arrival backlog
-     * before a window tail explodes — inherent to the paper's reactive
-     * design, and the regime the predictive tier exists for. Below the
-     * threshold (golden and smoke scales) any violation is still a
-     * regression; use ViolationExpected() for the verdict.
-     */
-    double expect_violation_at_scale = 0.0;
+    double expect_violation_at_scale =
+        std::numeric_limits<double>::infinity();
 
     /**
      * Deterministic fault-injection plan (the chaos_* family; also the
@@ -174,9 +173,8 @@ struct ScenarioSpec {
 
 /**
  * True when an SLO violation by this spec counts as expected at
- * @p time_scale — either unconditionally (expect_slo_violation) or
- * because the run is at/above the spec's transient-violation scale
- * threshold. The shared verdict of every reporting surface
+ * @p time_scale: the run is at/above the spec's
+ * expect_violation_at_scale. The shared verdict of every reporting surface
  * (heracles_sim --json, bench_record), so "unexpected" means unexpected
  * at *every* scale.
  */

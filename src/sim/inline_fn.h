@@ -5,8 +5,8 @@
  * std::function heap-allocates any callable bigger than its tiny internal
  * buffer (16 bytes on common ABIs) — one malloc/free per scheduled event
  * for the simulator's typical `[this, request]` completion closures. An
- * InlineFn stores callables up to kInlineBytes in place inside the event
- * pool slot and only falls back to the heap beyond that, so the hot
+ * InlineFn stores its callable in place inside the event pool slot, and
+ * a callable that does not fit is a compile error, so the hot
  * schedule/fire cycle performs zero allocations.
  */
 #ifndef HERACLES_SIM_INLINE_FN_H
@@ -22,10 +22,10 @@ namespace heracles::sim {
 /**
  * Move-only type-erased `void()` callable with inline storage.
  *
- * Callables up to kInlineBytes (with fundamental alignment and a
- * non-throwing move) live inside the object; larger ones are held through
- * one heap allocation. Invoking an empty InlineFn is undefined; check
- * with operator bool first. A moved-from InlineFn is empty.
+ * Callables up to kInlineBytes, with fundamental alignment and a
+ * non-throwing move, live inside the object; any other callable does
+ * not compile. Invoking an empty InlineFn is undefined; check with
+ * operator bool first. A moved-from InlineFn is empty.
  */
 class InlineFn
 {
@@ -84,16 +84,13 @@ class InlineFn
         using T = std::decay_t<Fn>;
         static_assert(std::is_invocable_r_v<void, T&>,
                       "InlineFn requires a void() callable");
+        static_assert(FitsInline<T>,
+                      "InlineFn holds at most 48 bytes of capture "
+                      "(kInlineBytes) with fundamental alignment and a "
+                      "noexcept move");
         Reset();
-        if constexpr (FitsInline<T>) {
-            ::new (static_cast<void*>(buf_)) T(std::forward<Fn>(fn));
-            ops_ = &kInlineOps<T>;
-        } else {
-            // Heap fallback: store the T* in the buffer.
-            T* p = new T(std::forward<Fn>(fn));
-            ::new (static_cast<void*>(buf_)) T*(p);
-            ops_ = &kHeapOps<T>;
-        }
+        ::new (static_cast<void*>(buf_)) T(std::forward<Fn>(fn));
+        ops_ = &kOps<T>;
     }
 
     /** Destroys the held callable (if any), leaving this empty. */
@@ -111,16 +108,12 @@ class InlineFn
 
     explicit operator bool() const { return ops_ != nullptr; }
 
-    /** True when the callable lives in the inline buffer (no heap). */
-    bool heap_allocated() const { return ops_ != nullptr && ops_->heap; }
-
   private:
     struct Ops {
         void (*call)(void* obj);
         /** Move-constructs src's callable into dst, then destroys src. */
         void (*relocate)(void* dst, void* src);
         void (*destroy)(void* obj);
-        bool heap;
     };
 
     template <typename T>
@@ -137,7 +130,7 @@ class InlineFn
     }
 
     template <typename T>
-    static constexpr Ops kInlineOps = {
+    static constexpr Ops kOps = {
         /*call=*/[](void* obj) { (*Obj<T>(obj))(); },
         /*relocate=*/
         [](void* dst, void* src) {
@@ -145,16 +138,6 @@ class InlineFn
             Obj<T>(src)->~T();
         },
         /*destroy=*/[](void* obj) { Obj<T>(obj)->~T(); },
-        /*heap=*/false,
-    };
-
-    template <typename T>
-    static constexpr Ops kHeapOps = {
-        /*call=*/[](void* obj) { (**Obj<T*>(obj))(); },
-        /*relocate=*/
-        [](void* dst, void* src) { ::new (dst) T*(*Obj<T*>(src)); },
-        /*destroy=*/[](void* obj) { delete *Obj<T*>(obj); },
-        /*heap=*/true,
     };
 
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];

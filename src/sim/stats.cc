@@ -37,12 +37,6 @@ LatencyHistogram::Percentile(double p) const
     return max_;
 }
 
-double
-LatencyHistogram::MeanNs() const
-{
-    return count_ == 0 ? 0.0 : sum_ns_ / static_cast<double>(count_);
-}
-
 void
 LatencyHistogram::Reset()
 {
@@ -52,28 +46,7 @@ LatencyHistogram::Reset()
     lo_ = 0;
     hi_ = -1;
     count_ = 0;
-    sum_ns_ = 0.0;
     max_ = 0;
-}
-
-void
-LatencyHistogram::Merge(const LatencyHistogram& other)
-{
-    if (other.lo_ <= other.hi_) {
-        for (int i = other.lo_; i <= other.hi_; ++i) {
-            buckets_[i] += other.buckets_[i];
-        }
-        if (lo_ > hi_) {
-            lo_ = other.lo_;
-            hi_ = other.hi_;
-        } else {
-            lo_ = std::min(lo_, other.lo_);
-            hi_ = std::max(hi_, other.hi_);
-        }
-    }
-    count_ += other.count_;
-    sum_ns_ += other.sum_ns_;
-    max_ = std::max(max_, other.max_);
 }
 
 WindowedTailTracker::WindowedTailTracker(Duration window, double percentile)
@@ -88,9 +61,7 @@ WindowedTailTracker::CloseWindow()
 {
     if (!current_.empty()) {
         last_window_tail_ = current_.Percentile(percentile_);
-        last_window_count_ = current_.count();
         worst_window_tail_ = std::max(worst_window_tail_, last_window_tail_);
-        ++windows_completed_;
         current_.Reset();
     }
 }
@@ -107,7 +78,6 @@ TimeWeightedMean::Set(SimTime now, double value)
     }
     last_change_ = now;
     value_ = value;
-    max_ = std::max(max_, value);
 }
 
 double

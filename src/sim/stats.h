@@ -70,15 +70,11 @@ class LatencyHistogram
         if (idx < lo_ || lo_ > hi_) lo_ = idx;
         if (idx > hi_) hi_ = idx;
         count_ += n;
-        sum_ns_ += static_cast<double>(v) * static_cast<double>(n);
         max_ = std::max(max_, v);
     }
 
     /** Returns the p-quantile (p in [0,1]); 0 if the histogram is empty. */
     Duration Percentile(double p) const;
-
-    /** Arithmetic mean of recorded samples; 0 if empty. */
-    double MeanNs() const;
 
     /** Largest recorded sample; 0 if empty. */
     Duration MaxNs() const { return max_; }
@@ -89,9 +85,6 @@ class LatencyHistogram
     /** Removes all samples. */
     void Reset();
 
-    /** Adds all samples from @p other into this histogram. */
-    void Merge(const LatencyHistogram& other);
-
   private:
     static Duration BucketUpperEdge(int idx);
 
@@ -101,7 +94,6 @@ class LatencyHistogram
     int lo_ = 0;
     int hi_ = -1;
     uint64_t count_ = 0;
-    double sum_ns_ = 0.0;
     Duration max_ = 0;
 };
 
@@ -152,9 +144,6 @@ class WindowedTailTracker
     /** Tail of the last *completed* window; 0 if none completed yet. */
     Duration LastWindowTail() const { return last_window_tail_; }
 
-    /** Sample count of the last completed window. */
-    uint64_t LastWindowCount() const { return last_window_count_; }
-
     /** Worst per-window tail across the whole run; 0 if none completed. */
     Duration WorstWindowTail() const { return worst_window_tail_; }
 
@@ -168,9 +157,6 @@ class WindowedTailTracker
         return std::max(worst_window_tail_, CurrentWindowTail());
     }
 
-    /** Number of completed windows. */
-    uint64_t WindowsCompleted() const { return windows_completed_; }
-
   private:
     void CloseWindow();
 
@@ -179,9 +165,7 @@ class WindowedTailTracker
     SimTime window_end_;
     LatencyHistogram current_;
     Duration last_window_tail_ = 0;
-    uint64_t last_window_count_ = 0;
     Duration worst_window_tail_ = 0;
-    uint64_t windows_completed_ = 0;
 };
 
 /**
@@ -198,9 +182,6 @@ class TimeWeightedMean
     /** Mean up to @p now; 0 if nothing recorded. */
     double Mean(SimTime now) const;
 
-    /** Maximum level ever set. */
-    double Max() const { return max_; }
-
     /** Current level. */
     double Current() const { return value_; }
 
@@ -210,7 +191,6 @@ class TimeWeightedMean
     SimTime last_change_ = 0;
     SimTime start_ = 0;
     bool started_ = false;
-    double max_ = 0.0;
 };
 
 /** A (time, value) series sampled during a run, for plotting figures. */

@@ -124,12 +124,4 @@ LcWorkloadByName(const std::string& name)
     return *std::move(p);
 }
 
-LcParams
-WithWindows(LcParams p, sim::Duration report_window, sim::Duration ctl_window)
-{
-    p.report_window = report_window;
-    p.ctl_window = ctl_window;
-    return p;
-}
-
 }  // namespace heracles::workloads

@@ -48,13 +48,6 @@ std::optional<LcParams> FindLcWorkload(const std::string& name);
 /** FindLcWorkload that aborts with a named diagnostic when unknown. */
 LcParams LcWorkloadByName(const std::string& name);
 
-/**
- * Scales a workload's time constants (windows only, not SLO/service) by
- * @p factor — used by fast test configurations.
- */
-LcParams WithWindows(LcParams p, sim::Duration report_window,
-                     sim::Duration ctl_window);
-
 }  // namespace heracles::workloads
 
 #endif  // HERACLES_WORKLOADS_LC_CONFIGS_H

@@ -103,7 +103,6 @@ TEST(Scheduler, GreedyMigratesAwayFromStarvedLeafAfterResidency)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kGreedySlack;
-    cfg.min_resident_ticks = 2;
     ClusterScheduler sched(cfg, 1, 3);
 
     ASSERT_EQ(sched.Tick({Idle(0.8), Idle(0.3), Idle(0.2)}).size(), 1u);
@@ -126,10 +125,11 @@ TEST(Scheduler, GreedySlackMigrationNeedsHysteresisGain)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kGreedySlack;
-    cfg.min_resident_ticks = 1;
     ClusterScheduler sched(cfg, 1, 2);
 
     ASSERT_EQ(sched.Tick({Idle(0.5), Idle(0.4)}).size(), 1u);
+    // Residency: the job settles for one tick before it may migrate.
+    ASSERT_TRUE(sched.Tick({Hosting(0.5, true), Idle(0.4)}).empty());
 
     // Source slack collapsed below the migrate floor, but BE still
     // runs and the destination is not better by migrate_min_gain.
@@ -145,7 +145,6 @@ TEST(Scheduler, RoundRobinIgnoresSlackAndRotates)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kRoundRobin;
-    cfg.min_resident_ticks = 1;
     ClusterScheduler sched(cfg, 2, 4);
 
     // Placement ignores slack: jobs land on leaves 0 and 1 even though
@@ -155,6 +154,10 @@ TEST(Scheduler, RoundRobinIgnoresSlackAndRotates)
     ASSERT_EQ(moves.size(), 2u);
     EXPECT_EQ(moves[0].to, 0);
     EXPECT_EQ(moves[1].to, 1);
+    // Residency: both jobs settle for one tick before they may migrate.
+    ASSERT_TRUE(sched.Tick({Hosting(0.02, true), Hosting(0.05, true),
+                            Idle(0.1), Idle(0.9)})
+                    .empty());
 
     // A starved job moves to the next leaf in rotation, not the best.
     const auto mig = sched.Tick({Hosting(0.02, false),
@@ -171,13 +174,14 @@ TEST(Scheduler, CounterAccountingMatchesMoves)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kGreedySlack;
-    cfg.min_resident_ticks = 1;
     ClusterScheduler sched(cfg, 2, 3);
 
     uint64_t placements = 0, migrations = 0;
     std::vector<std::vector<LeafState>> rounds = {
         {Idle(0.5), Idle(0.3), Idle(0.02)},
+        {Idle(0.5), Idle(0.3), Idle(0.02)},  // residency tick
         {Hosting(0.5, false), Hosting(0.3, true), Idle(0.4)},
+        {Idle(0.5), Hosting(0.3, true), Hosting(0.4, true)},  // residency
         {Idle(0.5), Hosting(0.3, true), Hosting(0.4, false)},
         {Hosting(0.6, true), Hosting(0.3, true), Idle(0.4)},
     };
@@ -198,6 +202,9 @@ TEST(Scheduler, CounterAccountingMatchesMoves)
             }
         }
     }
+    // Both jobs placed, then job 0 moves 0 -> 2 and back 2 -> 0.
+    EXPECT_EQ(placements, 2u);
+    EXPECT_EQ(migrations, 2u);
     EXPECT_EQ(sched.stats().placements, placements);
     EXPECT_EQ(sched.stats().migrations, migrations);
     EXPECT_EQ(sched.stats().ticks, rounds.size());
@@ -328,11 +335,12 @@ TEST(Scheduler, PredictiveStarvedMoveNeedsPredictedBetter)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kPredictive;
-    cfg.min_resident_ticks = 1;
     ClusterScheduler sched(cfg, 1, 2);
     sched.SetPredictions({{2.0, 2.04}});
     ASSERT_EQ(sched.Tick({Idle(0.5), Idle(0.5)}).size(), 1u);
     ASSERT_EQ(sched.LeafOf(0), 0);
+    // Residency: the job settles for one tick before it may migrate.
+    ASSERT_TRUE(sched.Tick({Hosting(0.5, true), Idle(0.9)}).empty());
 
     // Starved on the fingerprint-best leaf: the only destination is
     // predicted worse, so the job holds its ground instead of
@@ -346,12 +354,13 @@ TEST(Scheduler, PredictiveEvictionWaivesMarginNotDirection)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedulerPolicy::kPredictive;  // predict_min_gain 0.05
-    cfg.min_resident_ticks = 1;
     ClusterScheduler sched(cfg, 1, 2);
     // Best leaf taken at placement time: the job settles for leaf 1.
     sched.SetPredictions({{1.98, 2.0}});
     ASSERT_EQ(sched.Tick({Hosting(0.5, true), Idle(0.5)}).size(), 1u);
     ASSERT_EQ(sched.LeafOf(0), 1);
+    // Residency: the job settles for one tick before it may migrate.
+    ASSERT_TRUE(sched.Tick({Idle(0.9), Hosting(0.5, true)}).empty());
 
     // Tight slack with BE still running: gain 0.02 is under the 0.05
     // margin, so the hysteresis holds the job.

@@ -32,7 +32,7 @@ TEST(BwModel, EmptyPredictsZero)
 {
     LcBwModel m;
     EXPECT_TRUE(m.empty());
-    EXPECT_DOUBLE_EQ(m.Evaluate(0.5, 18, 10), 0.0);
+    EXPECT_DOUBLE_EQ(m.Evaluate(0.5, 10), 0.0);
 }
 
 TEST(BwModel, ProfileMatchesAnalyticCurve)
@@ -45,7 +45,7 @@ TEST(BwModel, ProfileMatchesAnalyticCurve)
         const double expect = workloads::LcApp::AnalyticDramGbps(
             p, Cfg(), load,
             p.cache.instr_mb + workloads::LcApp::DataFootprintMb(p, load));
-        EXPECT_NEAR(m.Evaluate(load, 36, 20), expect, 1.5) << load;
+        EXPECT_NEAR(m.Evaluate(load, 20), expect, 1.5) << load;
     }
 }
 
@@ -54,7 +54,7 @@ TEST(BwModel, MonotoneInLoad)
     const LcBwModel m = LcBwModel::Profile(workloads::Websearch(), Cfg());
     double prev = -1.0;
     for (double load = 0.0; load <= 1.0; load += 0.05) {
-        const double v = m.Evaluate(load, 36, 16);
+        const double v = m.Evaluate(load, 16);
         EXPECT_GE(v, prev - 1e-9);
         prev = v;
     }
@@ -63,15 +63,15 @@ TEST(BwModel, MonotoneInLoad)
 TEST(BwModel, FewerWaysMoreBandwidth)
 {
     const LcBwModel m = LcBwModel::Profile(workloads::Websearch(), Cfg());
-    EXPECT_GT(m.Evaluate(0.8, 36, 2), m.Evaluate(0.8, 36, 20));
+    EXPECT_GT(m.Evaluate(0.8, 2), m.Evaluate(0.8, 20));
 }
 
 TEST(BwModel, ClampsOutOfRangeInputs)
 {
     const LcBwModel m = LcBwModel::Profile(workloads::Websearch(), Cfg());
-    EXPECT_DOUBLE_EQ(m.Evaluate(-0.5, 36, 10), m.Evaluate(0.0, 36, 10));
-    EXPECT_DOUBLE_EQ(m.Evaluate(2.0, 36, 10), m.Evaluate(1.0, 36, 10));
-    EXPECT_DOUBLE_EQ(m.Evaluate(0.5, 36, 100), m.Evaluate(0.5, 36, 20));
+    EXPECT_DOUBLE_EQ(m.Evaluate(-0.5, 10), m.Evaluate(0.0, 10));
+    EXPECT_DOUBLE_EQ(m.Evaluate(2.0, 10), m.Evaluate(1.0, 10));
+    EXPECT_DOUBLE_EQ(m.Evaluate(0.5, 100), m.Evaluate(0.5, 20));
 }
 
 TEST(BwModel, ZeroLoadPredictsNearZero)
@@ -81,9 +81,9 @@ TEST(BwModel, ZeroLoadPredictsNearZero)
     // every profiled LC workload.
     for (const auto& p : workloads::AllLcWorkloads()) {
         const LcBwModel m = LcBwModel::Profile(p, Cfg());
-        const double idle = m.Evaluate(0.0, 36, 16);
+        const double idle = m.Evaluate(0.0, 16);
         EXPECT_GE(idle, 0.0) << p.name;
-        EXPECT_LT(idle, 0.25 * m.Evaluate(1.0, 36, 16)) << p.name;
+        EXPECT_LT(idle, 0.25 * m.Evaluate(1.0, 16)) << p.name;
     }
 }
 
@@ -95,27 +95,11 @@ TEST(BwModel, SaturatesNearTheWorkloadPeakFraction)
     for (const auto& p : workloads::AllLcWorkloads()) {
         const LcBwModel m = LcBwModel::Profile(p, Cfg());
         const double peak = Cfg().TotalDramGbps();
-        const double full = m.Evaluate(1.0, 36, 20);
+        const double full = m.Evaluate(1.0, 20);
         EXPECT_LE(full, peak) << p.name;
         EXPECT_NEAR(full, p.peak_dram_frac * peak,
                     0.25 * p.peak_dram_frac * peak)
             << p.name;
-    }
-}
-
-TEST(BwModel, PredictionInvariantInCoreCount)
-{
-    // The documented contract: cores is accepted for interface fidelity
-    // but the profiled bandwidth depends on (load, ways) only — the
-    // prediction must be exactly flat (hence trivially monotone) as the
-    // LC core count varies at a fixed load.
-    const LcBwModel m = LcBwModel::Profile(workloads::Websearch(), Cfg());
-    for (double load : {0.0, 0.3, 0.7, 1.0}) {
-        const double base = m.Evaluate(load, 1, 12);
-        for (int cores : {2, 8, 18, 35, 36}) {
-            EXPECT_DOUBLE_EQ(m.Evaluate(load, cores, 12), base)
-                << "load " << load << " cores " << cores;
-        }
     }
 }
 
@@ -126,7 +110,7 @@ TEST(NetCtl, AppliesPaperFormula)
 {
     FakePlatform p;
     p.lc_tx = 4.0;
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     // 10 - 4 - max(0.5, 0.4) = 5.5
     EXPECT_NEAR(p.be_net_ceil, 5.5, 1e-9);
@@ -136,7 +120,7 @@ TEST(NetCtl, LinkFractionHeadroomDominatesAtLowLcBw)
 {
     FakePlatform p;
     p.lc_tx = 1.0;
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     // 10 - 1 - max(0.5, 0.1) = 8.5
     EXPECT_NEAR(p.be_net_ceil, 8.5, 1e-9);
@@ -146,7 +130,7 @@ TEST(NetCtl, NeverNegative)
 {
     FakePlatform p;
     p.lc_tx = 9.9;
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     EXPECT_GE(p.be_net_ceil, 0.0);
 }
@@ -160,7 +144,7 @@ TEST(PowerCtl, LowersBeFrequencyWhenHotAndSlow)
     p.be_cores = 10;
     p.socket_power[0] = 140.0;  // > 0.9 * 145
     p.lc_freq = 2.0;            // below guaranteed 2.5
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_GT(p.set_cap_calls, 0);
     EXPECT_LT(p.be_freq_cap, 3.6);
@@ -173,7 +157,7 @@ TEST(PowerCtl, RepeatedTicksReachFloor)
     p.be_cores = 10;
     p.socket_power[0] = 140.0;
     p.lc_freq = 2.0;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     for (int i = 0; i < 30; ++i) ctl.Tick();
     EXPECT_NEAR(p.be_freq_cap, 1.2, 1e-9);
 }
@@ -185,7 +169,7 @@ TEST(PowerCtl, RaisesBeFrequencyWithHeadroom)
     p.be_freq_cap = 1.2;
     p.socket_power[0] = p.socket_power[1] = 100.0;
     p.lc_freq = 2.6;  // above guaranteed
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_GT(p.be_freq_cap, 1.2);
 }
@@ -197,7 +181,7 @@ TEST(PowerCtl, FullyUncapsAtMax)
     p.be_freq_cap = 3.5;
     p.socket_power[0] = p.socket_power[1] = 100.0;
     p.lc_freq = 2.6;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 0.0);  // uncapped
 }
@@ -211,7 +195,7 @@ TEST(PowerCtl, NoActionWhenConditionsConflict)
     p.be_freq_cap = 2.0;
     p.socket_power[0] = 140.0;
     p.lc_freq = 2.6;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 2.0);
 }
@@ -223,7 +207,7 @@ TEST(PowerCtl, WorstSocketDrives)
     p.socket_power[0] = 80.0;
     p.socket_power[1] = 141.0;  // only socket 1 is hot
     p.lc_freq = 2.0;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_GT(p.set_cap_calls, 0);
 }
@@ -233,7 +217,7 @@ TEST(PowerCtl, ReleasesCapWhenBeDisabled)
     FakePlatform p;
     p.be_cores = 0;
     p.be_freq_cap = 1.5;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 0.0);
 }

@@ -59,12 +59,6 @@ TEST(CpuSet, SetAlgebra)
     EXPECT_FALSE(a.Intersects(CpuSet::Range(10, 2)));
 }
 
-TEST(CpuSet, ToStringCompactsRanges)
-{
-    EXPECT_EQ(CpuSet::Of({0, 1, 2, 5, 7, 8}).ToString(), "0-2,5,7-8");
-    EXPECT_EQ(CpuSet().ToString(), "");
-}
-
 // --------------------------------------------------------------------------
 // Topology
 
@@ -174,8 +168,8 @@ TEST(Topology, BruteForceAgainstPerBitReference)
                     }
                     SCOPED_TRACE(testing::Message()
                                  << sockets << "x" << cores << "x"
-                                 << threads << " trial " << trial << " {"
-                                 << set.ToString() << "}");
+                                 << threads << " trial " << trial
+                                 << " density " << density);
                     EXPECT_EQ(set.Cpus(), members);
                     EXPECT_EQ(set.Count(), static_cast<int>(members.size()));
 

@@ -351,7 +351,6 @@ TEST(Histogram, EmptyReportsZero)
     LatencyHistogram h;
     EXPECT_TRUE(h.empty());
     EXPECT_EQ(h.Percentile(0.99), 0);
-    EXPECT_EQ(h.MeanNs(), 0.0);
     EXPECT_EQ(h.MaxNs(), 0);
 }
 
@@ -411,25 +410,6 @@ TEST(Histogram, RecordNWeightsSamples)
     EXPECT_EQ(a.Percentile(0.5), b.Percentile(0.5));
 }
 
-TEST(Histogram, MeanMatchesArithmetic)
-{
-    LatencyHistogram h;
-    h.Record(1000);
-    h.Record(3000);
-    EXPECT_DOUBLE_EQ(h.MeanNs(), 2000.0);
-}
-
-TEST(Histogram, MergeCombines)
-{
-    LatencyHistogram a, b;
-    for (int i = 0; i < 100; ++i) a.Record(Micros(10));
-    for (int i = 0; i < 100; ++i) b.Record(Micros(1000));
-    a.Merge(b);
-    EXPECT_EQ(a.count(), 200u);
-    EXPECT_GT(a.Percentile(0.99), Micros(500));
-    EXPECT_LT(a.Percentile(0.25), Micros(20));
-}
-
 TEST(Histogram, ResetClears)
 {
     LatencyHistogram h;
@@ -461,30 +441,6 @@ TEST(Histogram, ResetThenRecordReportsOnlyNewSamples)
     EXPECT_EQ(h.MaxNs(), Micros(10));
 }
 
-TEST(Histogram, MergeIntoEmptyAdoptsRange)
-{
-    LatencyHistogram a, b;
-    for (int i = 0; i < 50; ++i) b.Record(Micros(200));
-    a.Merge(b);
-    EXPECT_EQ(a.count(), 50u);
-    EXPECT_EQ(a.Percentile(0.5), b.Percentile(0.5));
-    a.Merge(LatencyHistogram());  // merging an empty histogram: no-op
-    EXPECT_EQ(a.count(), 50u);
-    EXPECT_EQ(a.Percentile(0.5), b.Percentile(0.5));
-}
-
-TEST(Histogram, MergeDisjointRangesSpansBoth)
-{
-    LatencyHistogram low, high;
-    for (int i = 0; i < 90; ++i) low.Record(Micros(5));
-    for (int i = 0; i < 10; ++i) high.Record(Millis(80));
-    low.Merge(high);
-    EXPECT_EQ(low.count(), 100u);
-    EXPECT_LT(low.Percentile(0.5), Micros(7));    // from the low range
-    EXPECT_GT(low.Percentile(0.95), Millis(70));  // from the high range
-    EXPECT_EQ(low.MaxNs(), Millis(80));
-}
-
 TEST(Histogram, PrecomputedBucketMatchesRecordN)
 {
     // Every bucket boundary that fits in a Duration, one off either side,
@@ -512,13 +468,11 @@ TEST(Histogram, PrecomputedBucketMatchesRecordN)
             ASSERT_EQ(one_b.Percentile(p), one_n.Percentile(p))
                 << "v=" << v << " p=" << p;
         }
-        ASSERT_EQ(one_b.MeanNs(), one_n.MeanNs()) << "v=" << v;
         ASSERT_EQ(one_b.MaxNs(), one_n.MaxNs()) << "v=" << v;
     }
     for (const double p : ps) {
         EXPECT_EQ(all_b.Percentile(p), all_n.Percentile(p)) << "p=" << p;
     }
-    EXPECT_EQ(all_b.MeanNs(), all_n.MeanNs());
     EXPECT_EQ(all_b.MaxNs(), all_n.MaxNs());
     EXPECT_EQ(all_b.count(), all_n.count());
 }
@@ -546,7 +500,6 @@ TEST(WindowedTail, NoWindowCompletedInitially)
     WindowedTailTracker t(Seconds(15), 0.99);
     EXPECT_EQ(t.LastWindowTail(), 0);
     EXPECT_EQ(t.WorstWindowTail(), 0);
-    EXPECT_EQ(t.WindowsCompleted(), 0u);
 }
 
 TEST(WindowedTail, WindowClosesOnRoll)
@@ -554,10 +507,10 @@ TEST(WindowedTail, WindowClosesOnRoll)
     WindowedTailTracker t(Seconds(10), 0.99);
     t.Record(Seconds(1), Millis(5));
     t.Record(Seconds(2), Millis(7));
+    t.MaybeRoll(Seconds(9));
+    EXPECT_EQ(t.LastWindowTail(), 0);
     t.MaybeRoll(Seconds(10));
-    EXPECT_EQ(t.WindowsCompleted(), 1u);
     EXPECT_GT(t.LastWindowTail(), Millis(6));
-    EXPECT_EQ(t.LastWindowCount(), 2u);
 }
 
 TEST(WindowedTail, WorstTracksAcrossWindows)
@@ -572,12 +525,12 @@ TEST(WindowedTail, WorstTracksAcrossWindows)
     EXPECT_LE(t.LastWindowTail(), Millis(3));
 }
 
-TEST(WindowedTail, EmptyWindowsDoNotCount)
+TEST(WindowedTail, EmptyWindowsKeepLastTail)
 {
     WindowedTailTracker t(Seconds(10), 0.99);
     t.Record(Seconds(1), Millis(5));
     t.MaybeRoll(Seconds(100));  // many empty windows pass
-    EXPECT_EQ(t.WindowsCompleted(), 1u);
+    EXPECT_GT(t.LastWindowTail(), Millis(4));
 }
 
 TEST(WindowedTail, CurrentWindowTailIsPartial)
@@ -618,13 +571,12 @@ TEST(TimeWeightedMean, WeightsByHoldTime)
     EXPECT_NEAR(m.Mean(Seconds(10)), 10.0, 1e-9);
 }
 
-TEST(TimeWeightedMean, TracksMaxAndCurrent)
+TEST(TimeWeightedMean, TracksCurrent)
 {
     TimeWeightedMean m;
     m.Set(0, 5.0);
     m.Set(1, 50.0);
     m.Set(2, 20.0);
-    EXPECT_DOUBLE_EQ(m.Max(), 50.0);
     EXPECT_DOUBLE_EQ(m.Current(), 20.0);
 }
 

@@ -190,7 +190,7 @@ TEST(PowerEdges, HysteresisBandHoldsCap)
         p.be_freq_cap = 2.0;
         p.socket_power[0] = p.socket_power[1] = 123.0;  // 0.85 of TDP
         p.lc_freq = lc_freq;
-        PowerController ctl(p, HeraclesConfig{});
+        PowerController ctl(p);
         ctl.Tick();
         EXPECT_DOUBLE_EQ(p.be_freq_cap, 2.0) << "lc_freq " << lc_freq;
         EXPECT_EQ(p.set_cap_calls, 0);
@@ -204,7 +204,7 @@ TEST(PowerEdges, LowersByConfiguredStepsPerTick)
     p.be_freq_cap = 0.0;        // uncapped = 3.6 effective
     p.socket_power[0] = 140.0;  // hot
     p.lc_freq = 2.0;            // below guaranteed
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_NEAR(p.be_freq_cap, 3.6 - 2 * 0.1, 1e-9);
 }
@@ -218,7 +218,7 @@ TEST(PowerEdges, NoRaiseWhileLcBelowGuaranteed)
     p.be_freq_cap = 2.0;
     p.socket_power[0] = p.socket_power[1] = 100.0;
     p.lc_freq = 2.0;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 2.0);
 }
@@ -230,7 +230,7 @@ TEST(PowerEdges, LoweringClampsAtDvfsFloor)
     p.be_freq_cap = 1.25;  // one step above the 1.2 floor
     p.socket_power[0] = 140.0;
     p.lc_freq = 2.0;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 1.2);
 }
@@ -243,7 +243,7 @@ TEST(PowerEdges, RaiseLandingExactlyOnMaxUncaps)
     p.be_cores = 10;
     p.be_freq_cap = 3.4;  // + 2 * 0.1 steps == 3.6 == max
     p.socket_power[0] = p.socket_power[1] = 110.0;  // 0.76: headroom
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 0.0);
 }
@@ -256,7 +256,7 @@ TEST(PowerEdges, CapReleaseWithoutBeCoresIsIdempotent)
     FakePlatform p;
     p.be_cores = 0;
     p.be_freq_cap = 2.0;
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_DOUBLE_EQ(p.be_freq_cap, 0.0);
     EXPECT_EQ(p.set_cap_calls, 1);
@@ -274,7 +274,7 @@ TEST(PowerEdges, RecoveryWaitsOutTheHysteresisBand)
     p.be_freq_cap = 3.0;
     p.socket_power[0] = 140.0;  // 0.97: over the 0.90 lower threshold
     p.lc_freq = 2.0;            // below guaranteed
-    PowerController ctl(p, HeraclesConfig{});
+    PowerController ctl(p);
     ctl.Tick();
     EXPECT_NEAR(p.be_freq_cap, 2.8, 1e-9);
 
@@ -297,30 +297,16 @@ TEST(NetEdges, ZeroBeTrafficStillReservesLinkHeadroom)
     // the link-fraction headroom term survives, ceil = 10 - 0.05 * 10.
     FakePlatform p;
     p.lc_tx = 0.0;
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     EXPECT_NEAR(p.be_net_ceil, 9.5, 1e-9);
-}
-
-TEST(NetEdges, DisabledHeadroomGrantsExactlyTheResidualLink)
-{
-    // Both headroom knobs at zero is the boundary where the ceiling
-    // equals the full residual link — never more.
-    FakePlatform p;
-    p.lc_tx = 4.0;
-    HeraclesConfig cfg;
-    cfg.net_headroom_link_frac = 0.0;
-    cfg.net_headroom_lc_frac = 0.0;
-    NetworkController net(p, cfg);
-    net.Tick();
-    EXPECT_DOUBLE_EQ(p.be_net_ceil, 6.0);
 }
 
 TEST(NetEdges, SaturatedLinkClampsCeilToZero)
 {
     FakePlatform p;
     p.lc_tx = 10.0;  // LC already consumes the whole 10 Gb/s link
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     EXPECT_DOUBLE_EQ(p.be_net_ceil, 0.0);
 }
@@ -331,7 +317,7 @@ TEST(NetEdges, HeadroomSwitchesFromLinkToLcTerm)
     // term dominates: ceil = 10 - 6 - 0.6 = 3.4, not 10 - 6 - 0.5.
     FakePlatform p;
     p.lc_tx = 5.0;
-    NetworkController net(p, HeraclesConfig{});
+    NetworkController net(p);
     net.Tick();
     EXPECT_NEAR(p.be_net_ceil, 4.5, 1e-9);
     p.lc_tx = 6.0;

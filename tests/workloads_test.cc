@@ -94,14 +94,6 @@ TEST(LcConfigs, MemkeyvalIsNetworkLimitedAtPeak)
     EXPECT_LE(peak_gbps, 1.05 * Cfg().nic_gbps);
 }
 
-TEST(LcConfigs, WithWindowsOverrides)
-{
-    const auto p =
-        WithWindows(Websearch(), sim::Seconds(30), sim::Seconds(5));
-    EXPECT_EQ(p.report_window, sim::Seconds(30));
-    EXPECT_EQ(p.ctl_window, sim::Seconds(5));
-}
-
 // --------------------------------------------------------------------------
 // Analytic helpers
 

@@ -143,29 +143,43 @@ UnexpectedViolation(const scenarios::ScenarioSpec& spec,
 }
 
 /**
+ * Sets @p out to the value of @p values whose @p name_of is @p name.
+ * On an unknown name, prints an error listing every name in the order
+ * of @p values and returns false.
+ */
+template <typename E, size_t N>
+bool
+ParseEnum(const char* flag, const std::string& name, const E (&values)[N],
+          std::string (*name_of)(E), E* out)
+{
+    std::string want;
+    for (const E v : values) {
+        if (name == name_of(v)) {
+            *out = v;
+            return true;
+        }
+        want += (want.empty() ? "" : "|") + name_of(v);
+    }
+    std::fprintf(stderr, "error: unknown %s '%s' (want %s)\n", flag,
+                 name.c_str(), want.c_str());
+    return false;
+}
+
+/**
  * Parses a --cluster-policy value; prints an error and returns false on
  * an unknown name.
  */
 bool
 ParseClusterPolicy(const std::string& name, cluster::SchedulerPolicy* out)
 {
-    if (name == "static-split") {
-        *out = cluster::SchedulerPolicy::kStaticSplit;
-    } else if (name == "greedy-slack") {
-        *out = cluster::SchedulerPolicy::kGreedySlack;
-    } else if (name == "round-robin") {
-        *out = cluster::SchedulerPolicy::kRoundRobin;
-    } else if (name == "predictive") {
-        *out = cluster::SchedulerPolicy::kPredictive;
-    } else {
-        std::fprintf(stderr,
-                     "error: unknown --cluster-policy '%s' (want "
-                     "static-split|greedy-slack|round-robin|"
-                     "predictive)\n",
-                     name.c_str());
-        return false;
-    }
-    return true;
+    constexpr cluster::SchedulerPolicy kPolicies[] = {
+        cluster::SchedulerPolicy::kStaticSplit,
+        cluster::SchedulerPolicy::kGreedySlack,
+        cluster::SchedulerPolicy::kRoundRobin,
+        cluster::SchedulerPolicy::kPredictive,
+    };
+    return ParseEnum("--cluster-policy", name, kPolicies,
+                     cluster::SchedulerPolicyName, out);
 }
 
 /** Runs --scenario NAME|all; returns the process exit code. */
@@ -284,7 +298,7 @@ RunScenarioMode(const std::string& name, const scenarios::RunOptions& opts,
         // outcome under ad-hoc degradation is acceptable — the run's
         // verdict is the invariant count in the metrics record.
         spec.faults = *faults;
-        spec.expect_slo_violation = true;
+        spec.expect_violation_at_scale = 0;
     }
     if (!cluster_policy.empty()) {
         cluster::SchedulerPolicy policy;
@@ -361,15 +375,17 @@ ParseSweep(const std::string& spec)
 exp::PolicyKind
 ParsePolicy(const std::string& name)
 {
-    if (name == "heracles") return exp::PolicyKind::kHeracles;
-    if (name == "baseline") return exp::PolicyKind::kNoColocation;
-    if (name == "os-only") return exp::PolicyKind::kOsOnly;
-    if (name == "static") return exp::PolicyKind::kStaticPartition;
-    std::fprintf(stderr,
-                 "error: unknown --policy '%s' (want heracles|baseline|"
-                 "os-only|static)\n",
-                 name.c_str());
-    std::exit(2);
+    constexpr exp::PolicyKind kPolicies[] = {
+        exp::PolicyKind::kHeracles,
+        exp::PolicyKind::kNoColocation,
+        exp::PolicyKind::kOsOnly,
+        exp::PolicyKind::kStaticPartition,
+    };
+    exp::PolicyKind policy;
+    if (!ParseEnum("--policy", name, kPolicies, exp::PolicyName, &policy)) {
+        std::exit(2);
+    }
+    return policy;
 }
 
 }  // namespace
